@@ -5,8 +5,8 @@ h=0.5) — plus a FAC cell, batch against scalar, on one core.  The
 scalar side is measured over a few replications and normalised per
 replication (one scalar SS replication at this size takes ~2 s, so a
 full 100-rep scalar campaign would dominate the suite); the asserted
-speedup compares per-100-replication wall time.  Snapshot numbers live
-in BENCH_PR1.json (``scripts/bench_snapshot.py``).
+speedup compares per-100-replication wall time.  BENCH_PR1.json keeps
+the historical snapshot; ``perfbench/`` is the repository benchmark.
 """
 
 from __future__ import annotations

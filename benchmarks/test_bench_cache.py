@@ -5,8 +5,8 @@ campaign costs disk lookups, not simulation.  This benchmark runs the
 quick campaign cold (simulate + store) and then warm (serve every cell
 from the cache), asserts the warm report matches the cold one modulo
 wall-clock lines, and requires the warm pass to be at least 20x
-faster.  ``BENCH_PR6.json`` commits a snapshot of the measured numbers
-(regenerate with ``scripts/bench_snapshot.py --pr6``).
+faster.  ``BENCH_PR6.json`` keeps the historical snapshot of the
+measured numbers; ``perfbench/`` is the repository benchmark.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ h=0.5) on the MSG backend — event-driven against the compiled fast
 path, plus a FAC2 cell.  The event-driven side is measured over a few
 runs and normalised per run; the asserted speedup compares per-run wall
 time and the two results are checked bit-identical before timing is
-trusted.  Snapshot numbers live in BENCH_PR2.json
-(``scripts/bench_snapshot.py``).
+trusted.  BENCH_PR2.json keeps the historical snapshot;
+``perfbench/`` is the repository benchmark.
 """
 
 from __future__ import annotations

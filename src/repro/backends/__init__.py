@@ -31,6 +31,7 @@ from .registry import (
     record_fallback,
     register_backend,
     resolve_backend,
+    walk_fallbacks,
 )
 
 __all__ = [
@@ -52,4 +53,5 @@ __all__ = [
     "record_fallback",
     "register_backend",
     "resolve_backend",
+    "walk_fallbacks",
 ]

@@ -11,7 +11,9 @@ requested backend whether it can serve the task and walks the declared
 fallback chain when it cannot, recording a :class:`FallbackEvent` per
 degradation.  Campaign code drains the event log
 (:func:`drain_fallback_events`) and surfaces the degradations in its
-reports — nothing falls back silently.
+reports — nothing falls back silently.  :func:`walk_fallbacks` is the
+same walk without the recording: it returns the hops of one task, which
+is what a cache entry or an advisor answer attributes to that task.
 """
 
 from __future__ import annotations
@@ -97,22 +99,27 @@ def drain_fallback_events() -> list[FallbackEvent]:
     return events
 
 
-def resolve_backend(task: "RunTask") -> SimulationBackend:
-    """The backend that will actually execute ``task``.
+def walk_fallbacks(
+    task: "RunTask",
+) -> tuple[SimulationBackend, tuple[FallbackEvent, ...]]:
+    """The backend that will execute ``task`` and the hops on the way.
 
     Starts at ``task.simulator`` and follows declared fallbacks until a
-    backend accepts the task, recording one :class:`FallbackEvent` per
-    degradation.  Raises :class:`BackendResolutionError` when the chain
-    is exhausted, and :class:`KeyError` for an unregistered name.
+    backend accepts the task, returning one :class:`FallbackEvent` per
+    degradation.  Pure: nothing is recorded, so the events belong to
+    ``task`` alone, whatever other cells share its ``task_key``.
+    Raises :class:`BackendResolutionError` when the chain is exhausted,
+    and :class:`KeyError` for an unregistered name.
     """
     backend = get_backend(task.simulator)
     key = backend.task_key(task)
     visited: list[str] = []
+    events: list[FallbackEvent] = []
     while True:
         visited.append(backend.name)
         reason = backend.unsupported_reason(task)
         if reason is None:
-            return backend
+            return backend, tuple(events)
         if backend.fallback is None:
             raise BackendResolutionError(
                 f"no backend can serve {key}: tried "
@@ -125,7 +132,7 @@ def resolve_backend(task: "RunTask") -> SimulationBackend:
                 f"fallback cycle while resolving {key}: "
                 f"{' -> '.join(visited + [chosen.name])}"
             )
-        record_fallback(
+        events.append(
             FallbackEvent(
                 task_key=key,
                 requested=backend.name,
@@ -134,6 +141,18 @@ def resolve_backend(task: "RunTask") -> SimulationBackend:
             )
         )
         backend = chosen
+
+
+def resolve_backend(task: "RunTask") -> SimulationBackend:
+    """The backend that will actually execute ``task``.
+
+    Walks the fallback chain (:func:`walk_fallbacks`) and records each
+    degradation in the process-wide log.
+    """
+    backend, events = walk_fallbacks(task)
+    for event in events:
+        record_fallback(event)
+    return backend
 
 
 # -- generated documentation ----------------------------------------------

@@ -72,6 +72,7 @@ import random
 import tempfile
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -743,7 +744,10 @@ class ResultCache:
 
 # -- the active (process-global) cache ------------------------------------
 _ACTIVE: ResultCache | None = None
-_SUSPENDED: bool = False
+#: per thread (context), so one thread's suspension never hides the cache
+#: from another thread whose lookups run concurrently
+_SUSPENDED: ContextVar[bool] = ContextVar("repro_cache_suspended",
+                                          default=False)
 
 
 def set_cache(cache: ResultCache | str | Path) -> ResultCache:
@@ -757,7 +761,7 @@ def set_cache(cache: ResultCache | str | Path) -> ResultCache:
 
 def active_cache() -> ResultCache | None:
     """The cache the runner consults (None = caching off or suspended)."""
-    if _SUSPENDED:
+    if _SUSPENDED.get():
         return None
     return _ACTIVE
 
@@ -787,15 +791,14 @@ def suspended() -> Iterator[None]:
 
     The runner executes cache misses — and verification re-simulations —
     under this guard so the inner execution path cannot consult or
-    repopulate the cache it is filling.
+    repopulate the cache it is filling.  The guard covers the calling
+    thread only: other threads keep their view of the active cache.
     """
-    global _SUSPENDED
-    previous = _SUSPENDED
-    _SUSPENDED = True
+    token = _SUSPENDED.set(True)
     try:
         yield
     finally:
-        _SUSPENDED = previous
+        _SUSPENDED.reset(token)
 
 
 @contextmanager

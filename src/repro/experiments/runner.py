@@ -16,6 +16,13 @@ recording a :class:`~repro.backends.FallbackEvent` for every explicit
 degradation (e.g. ``direct-batch`` -> ``direct`` for an adaptive
 technique).  Campaign reports drain and surface those events.
 
+``RunTask.execute``, :func:`run_campaign`, :func:`run_replicated` and
+:func:`run_replicated_batch` are thin wrappers over one executor,
+:func:`_execute_sweeps`: a campaign task is a sweep of one run under its
+own seed, a replication sweep is ``runs`` spawned replications, and both
+go through the same lookup, resolution, execution, store, metrics and
+journal steps.
+
 Two throughput layers compose here:
 
 * **Process-level parallelism** — tasks fan out over a persistent worker
@@ -39,7 +46,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
 
 import numpy as np
 
@@ -47,11 +54,11 @@ from ..backends import (
     BATCH_BLOCK_RUNS,
     FallbackEvent,
     ReplicationBlock,
-    SimulationBackend,
     get_backend,
     peek_fallback_events,
     record_fallback,
     resolve_backend,
+    walk_fallbacks,
 )
 from ..cache import ResultCache, active_cache
 from ..cache import suspended as cache_suspended
@@ -60,7 +67,7 @@ from ..metrics.wasted_time import OverheadModel
 from ..obs import core as obs_core
 from ..obs import metrics as obs_metrics
 from ..obs import progress as obs_progress
-from ..obs.journal import RunJournal, active_journal
+from ..obs.journal import active_journal
 from ..results import RunResult
 from ..simgrid.platform import Platform
 from ..workloads.distributions import Workload
@@ -171,52 +178,19 @@ class RunTask:
     def execute(self) -> RunResult:
         """Run this task on its resolved backend and return the result.
 
-        While a result cache is active (:func:`repro.cache.set_cache` /
-        ``--cache``), the run is served from the cache when its content
-        key hits, and stored after simulating when it misses.
+        This is ``run_campaign([self], processes=1)[0]``: while a result
+        cache is active (:func:`repro.cache.set_cache` / ``--cache``) the
+        run is served from the cache when its content key hits, and
+        stored after simulating when it misses; a fresh run writes the
+        same journal records and metrics as any other.
         """
-        cache = active_cache()
-        if cache is None:
-            return _uncached_execute(self)
-        return _cached_execute(cache, self)
+        return run_campaign([self], processes=1)[0]
 
 
 def _uncached_execute(task: RunTask) -> RunResult:
     """Resolve and run ``task``, bypassing any active result cache."""
     backend = resolve_backend(task)
     return backend.run(task, task.seed_sequence())
-
-
-def _cache_describe(task: RunTask, runs: int,
-                    campaign_seed: int | None = None) -> dict:
-    """The human-readable identity block of a task's cache records."""
-    describe = {
-        "technique": task.technique,
-        "n": task.params.n,
-        "p": task.params.p,
-        "simulator": task.simulator,
-        "runs": runs,
-    }
-    if campaign_seed is not None:
-        describe["campaign_seed"] = campaign_seed
-    return describe
-
-
-def _stats_wall(results: Sequence[RunResult]) -> float:
-    """Host-seconds of simulation in ``results`` (saved-time estimate)."""
-    return sum(r.stats.wall_time for r in results if r.stats is not None)
-
-
-def _task_fallbacks(task: RunTask) -> list:
-    """Every recorded fallback event that names ``task``'s cell.
-
-    The process-wide log deduplicates per (cell, hop), so re-resolving a
-    cell records nothing new — a store must therefore scan the whole log
-    (not just events after some baseline) or a cell resolved earlier in
-    the process would cache an entry with empty fallback provenance.
-    """
-    key = SimulationBackend.task_key(task)
-    return [e for e in peek_fallback_events() if e.task_key == key]
 
 
 def _replay_entry_fallbacks(entry) -> None:
@@ -241,44 +215,21 @@ def _replay_entry_fallbacks(entry) -> None:
             continue
 
 
-def _cached_execute(cache: ResultCache, task: RunTask) -> RunResult:
-    """One run through the cache: serve a hit or simulate-and-store."""
-    key = cache.task_key(task)
-    describe = _cache_describe(task, runs=1)
-    entry = cache.get(key, describe=describe)
-    if entry is not None:
-        cache.maybe_verify(
-            key, entry, lambda: _fresh_results([task]), describe=describe
-        )
-        _replay_entry_fallbacks(entry)
-        return entry.results[0]
-    with cache_suspended():
-        result = _uncached_execute(task)
-    cache.put(
-        key,
-        [result],
-        describe=describe,
-        wall_time_s=_stats_wall([result]),
-        backend=result.stats.backend if result.stats else "",
-        fallbacks=_task_fallbacks(task),
-        platform=task.platform,
-    )
-    return result
+def _run_item(item):
+    """Run one execution item directly on its backend.
+
+    Items are per-run tasks or replication blocks; neither goes back
+    through the cache or the journal, so a pool worker never writes to
+    the parent's journal.
+    """
+    if isinstance(item, RunTask):
+        return _uncached_execute(item)
+    return item.execute()
 
 
-def _fresh_results(tasks: Sequence[RunTask]) -> list[RunResult]:
-    """Cache-blind re-simulation (the ``--cache-verify`` recompute)."""
-    with cache_suspended():
-        return [_uncached_execute(task) for task in tasks]
-
-
-def _execute_task(task: RunTask) -> RunResult:
-    return task.execute()
-
-
-def _execute_indexed(item: tuple[int, RunTask | ReplicationBlock]):
-    index, task = item
-    return index, task.execute()
+def _execute_indexed(indexed: tuple[int, RunTask | ReplicationBlock]):
+    index, item = indexed
+    return index, _run_item(item)
 
 
 def resolve_workers(processes: int | None = None) -> int:
@@ -498,132 +449,247 @@ def _journal_task_record(
     return record
 
 
-def _journal_new_fallbacks(journal: RunJournal, seen_before: int) -> None:
-    """Journal the fallback events recorded since ``seen_before``.
+# -- the sweep executor ----------------------------------------------------
+@dataclass(frozen=True)
+class _Sweep:
+    """The unit of caching and journaling: ``runs`` runs of ``task``.
 
-    The process-wide fallback log is peeked, not drained, so campaign
-    reports still surface the same events afterwards.
+    A campaign task is a sweep of one run under its own seed, cached
+    under its task key (``single``).  A replication sweep is ``runs``
+    replications spawned from ``campaign_seed``, cached under its sweep
+    key.  Nothing else differs between the two.
     """
-    for event in peek_fallback_events()[seen_before:]:
-        journal.write({"kind": "fallback", **event.to_json()})
 
+    task: RunTask
+    runs: int = 1
+    campaign_seed: int | None = None
+    single: bool = False
 
-def _execute_tasks(
-    tasks: Sequence[RunTask],
-    processes: int | None,
-    tracker: obs_progress.ProgressTracker | None = None,
-) -> list[RunResult]:
-    """Resolve every task in the parent, then execute (pooled or serial)."""
-    for task in tasks:
-        resolve_backend(task)
-    processes = _usable_workers(processes)
-    if processes <= 1 or len(tasks) <= 1:
-        results = []
-        for task in tasks:
-            result = task.execute()
-            results.append(result)
-            _advance_progress(tracker, result)
-        return results
-    return _run_pooled(tasks, processes, tracker)
+    def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise ValueError("runs must be >= 1")
 
+    def cache_key(self, cache: ResultCache) -> str:
+        if self.single:
+            return cache.task_key(self.task)
+        return cache.sweep_key(self.task, self.runs, self.campaign_seed)
 
-def _record_campaign_metrics(
-    results: Sequence[RunResult], fallbacks_before: int
-) -> None:
-    """Fold results into the active metrics registry, if one is on."""
-    registry = obs_metrics.active_registry()
-    if registry is not None:
-        obs_metrics.record_results(
-            registry,
-            results,
-            new_fallbacks=len(peek_fallback_events()) - fallbacks_before,
+    def describe(self) -> dict:
+        """The human-readable identity block of the sweep's cache records."""
+        describe = {
+            "technique": self.task.technique,
+            "n": self.task.params.n,
+            "p": self.task.params.p,
+            "simulator": self.task.simulator,
+            "runs": self.runs,
+        }
+        if self.campaign_seed is not None:
+            describe["campaign_seed"] = self.campaign_seed
+        return describe
+
+    def items(self) -> list[RunTask | ReplicationBlock]:
+        """Resolve the backend, then split the sweep into execution items.
+
+        Resolution records the sweep's fallback events.  The items are
+        the task itself, the backend's pooled replication blocks, or one
+        expanded task per replication.
+        """
+        backend = resolve_backend(self.task)
+        if self.single:
+            return [self.task]
+        blocks = backend.replication_blocks(
+            self.task, self.runs, self.campaign_seed
+        )
+        if blocks is not None:
+            return blocks
+        return expand_replications(self.task, self.runs, self.campaign_seed)
+
+    # The span and progress label of this sweep run on its own
+    # (run_replicated, or a --cache-verify recompute).
+    def span(self, items: int):
+        if self.single:
+            return obs_core.span("run_campaign", tasks=1)
+        return obs_core.span(
+            "run_replicated", technique=self.task.technique, runs=self.runs
         )
 
+    def label(self, misses: int) -> str:
+        if self.single:
+            return "campaign"
+        return f"{self.task.technique} x{self.runs}"
 
-def run_campaign(tasks: Sequence[RunTask],
-                 processes: int | None = None) -> list[RunResult]:
-    """Execute tasks, parallelising over processes when it helps.
 
-    Every task's backend is resolved in the parent process first, so
-    unresolvable tasks fail fast and every capability degradation is
-    recorded here (worker processes keep their own, discarded, fallback
-    logs).  ``processes`` defaults to ``REPRO_WORKERS`` or the CPU
-    count; with one process (or one task) the loop stays in-process,
-    avoiding pickling overhead.  Results are returned in task order.
+def _run_items(
+    items: Sequence[RunTask | ReplicationBlock],
+    processes: int | None,
+    tracker: obs_progress.ProgressTracker | None,
+) -> list:
+    """Execute items in order: one serial loop, or one pooled dispatch."""
+    workers = _usable_workers(processes)
+    if workers > 1 and len(items) > 1:
+        return _run_pooled(items, workers, tracker)
+    outputs = []
+    for item in items:
+        output = _run_item(item)
+        outputs.append(output)
+        _advance_progress(tracker, output)
+    return outputs
 
-    While a result cache is active (:func:`repro.cache.set_cache` /
-    ``--cache``), every task is looked up in the parent process first:
-    hits are served from disk (one ``cache`` journal record each) and
-    only the misses are simulated — then stored, so the next campaign
-    sharing the cache skips them too.
 
-    When a run journal is active (:func:`repro.obs.set_journal`), one
-    ``task`` record is written per freshly simulated task, plus a
-    ``fallback`` record per new capability degradation observed while
-    resolving.  While a progress sink is active
-    (:func:`repro.obs.set_progress`, or the journal itself), throttled
-    heartbeats report tasks done/total, events/s, ETA and fallback
-    count; while a metrics registry is active
-    (:func:`repro.obs.set_registry`), freshly simulated results fold
-    into its campaign histograms (cache traffic feeds the dedicated
-    ``cache_*`` counters instead).
+def _recompute(sweep: _Sweep, processes: int | None) -> list[RunResult]:
+    """Cache-blind re-simulation of one sweep (``--cache-verify``)."""
+    with cache_suspended():
+        return _execute_sweeps(
+            [sweep], processes, sweep.span, sweep.label
+        )[0]
+
+
+def _execute_sweeps(
+    sweeps: Sequence[_Sweep],
+    processes: int | None,
+    span: Callable[[int], ContextManager],
+    label: Callable[[int], str],
+) -> list[list[RunResult]]:
+    """Run sweeps through the cache: the one path behind every entry point.
+
+    1. Every sweep is looked up in the active cache.  A hit is served
+       from disk, verified when sampled, and replays its stored
+       fallback events.
+    2. The misses are resolved here, in the parent process, so an
+       unresolvable task fails before anything runs and every
+       degradation is recorded (worker processes keep their own,
+       discarded, fallback logs).
+    3. The items of all misses run in one serial loop or one pooled
+       dispatch, with the cache suspended, inside ``span(items)``;
+       progress heartbeats are labelled ``label(misses)``.
+    4. Each fresh sweep is stored with its own fallback hops, the fresh
+       results fold into the active metrics registry, and the journal
+       gets a ``fallback`` record per new degradation, then one
+       ``task`` record per fresh sweep.
+
+    Returns one result list per sweep, in sweep order.
     """
     journal = active_journal()
     cache = active_cache()
     fallbacks_before = len(peek_fallback_events())
-    results: list[RunResult | None] = [None] * len(tasks)
-    miss_indices = list(range(len(tasks)))
+    results: list[list[RunResult] | None] = [None] * len(sweeps)
+    keys: list[str] = []
     if cache is not None:
-        miss_indices = []
-        for index, task in enumerate(tasks):
-            key = cache.task_key(task)
-            describe = _cache_describe(task, runs=1)
+        for index, sweep in enumerate(sweeps):
+            key = sweep.cache_key(cache)
+            keys.append(key)
+            describe = sweep.describe()
             entry = cache.get(key, describe=describe)
             if entry is None:
-                miss_indices.append(index)
                 continue
             cache.maybe_verify(
                 key, entry,
-                lambda task=task: _fresh_results([task]),
+                lambda sweep=sweep: _recompute(sweep, processes),
                 describe=describe,
             )
             _replay_entry_fallbacks(entry)
-            results[index] = entry.results[0]
-    miss_tasks = [tasks[i] for i in miss_indices]
+            results[index] = list(entry.results)
+    misses = [i for i, group in enumerate(results) if group is None]
+    # Each sweep's items stay contiguous and in order, and execution
+    # returns outputs in item order, so regrouping them reproduces every
+    # sweep bit for bit, however many sweeps share the dispatch.
+    items: list[RunTask | ReplicationBlock] = []
+    owners: list[int] = []
+    for index in misses:
+        sweep_items = sweeps[index].items()
+        items.extend(sweep_items)
+        owners.extend([index] * len(sweep_items))
     tracker = obs_progress.campaign_tracker(
-        total=len(miss_tasks), label="campaign", journal=journal,
+        total=sum(sweeps[i].runs for i in misses),
+        label=label(len(misses)), journal=journal,
         fallback_baseline=fallbacks_before,
-    ) if miss_tasks else None
-    with obs_core.span("run_campaign", tasks=len(tasks)):
-        with cache_suspended():
-            fresh = _execute_tasks(miss_tasks, processes, tracker)
+    ) if misses else None
+    with span(len(items)), cache_suspended():
+        outputs = _run_items(items, processes, tracker)
     if tracker is not None:
         tracker.finish()
-    for index, result in zip(miss_indices, fresh):
-        results[index] = result
-    if cache is not None:
-        for index, result in zip(miss_indices, fresh):
-            task = tasks[index]
-            cache.put(
-                cache.task_key(task),
-                [result],
-                describe=_cache_describe(task, runs=1),
-                wall_time_s=_stats_wall([result]),
-                backend=result.stats.backend if result.stats else "",
-                fallbacks=_task_fallbacks(task),
-                platform=task.platform,
-            )
-    _record_campaign_metrics(fresh, fallbacks_before)
+    fresh: dict[int, list[RunResult]] = {i: [] for i in misses}
+    for index, item, output in zip(owners, items, outputs):
+        if isinstance(item, RunTask):
+            fresh[index].append(output)
+        else:
+            fresh[index].extend(output)
+    for index, group in fresh.items():
+        results[index] = group
+        if cache is None:
+            continue
+        sweep = sweeps[index]
+        stats = [r.stats for r in group if r.stats is not None]
+        cache.put(
+            keys[index],
+            group,
+            kind="task" if sweep.single else "sweep",
+            describe=sweep.describe(),
+            wall_time_s=sum(s.wall_time for s in stats),
+            backend=stats[0].backend if stats else "",
+            fallbacks=walk_fallbacks(sweep.task)[1],
+            platform=sweep.task.platform,
+        )
+    registry = obs_metrics.active_registry()
+    if registry is not None:
+        obs_metrics.record_results(
+            registry,
+            [r for group in fresh.values() for r in group],
+            new_fallbacks=len(peek_fallback_events()) - fallbacks_before,
+        )
     if journal is not None:
-        _journal_new_fallbacks(journal, fallbacks_before)
-        for index, result in zip(miss_indices, fresh):
-            journal.write(_journal_task_record(tasks[index], [result]))
+        # peeked, not drained: campaign reports still surface the events
+        for event in peek_fallback_events()[fallbacks_before:]:
+            journal.write({"kind": "fallback", **event.to_json()})
+        for index, group in fresh.items():
+            sweep = sweeps[index]
+            journal.write(_journal_task_record(
+                sweep.task, group, campaign_seed=sweep.campaign_seed
+            ))
     return results
+
+
+# -- entry points -------------------------------------------------------------
+def run_campaign(tasks: Sequence[RunTask],
+                 processes: int | None = None) -> list[RunResult]:
+    """Execute tasks, parallelising over processes when it helps.
+
+    Every task is a sweep of one run under its own seed (see
+    :func:`_execute_sweeps`).  Its backend is resolved in the parent
+    process first, so unresolvable tasks fail fast and every capability
+    degradation is recorded here.  ``processes`` defaults to
+    ``REPRO_WORKERS`` or the CPU count; with one process (or one task)
+    the loop stays in-process, avoiding pickling overhead.  Results are
+    returned in task order.
+
+    While a result cache is active (:func:`repro.cache.set_cache` /
+    ``--cache``), every task is looked up first: hits are served from
+    disk (one ``cache`` journal record each) and only the misses are
+    simulated — then stored, so the next campaign sharing the cache
+    skips them too.
+
+    When a run journal is active (:func:`repro.obs.set_journal`), one
+    ``task`` record is written per freshly simulated task, plus a
+    ``fallback`` record per new capability degradation.  While a
+    progress sink is active (:func:`repro.obs.set_progress`, or the
+    journal itself), throttled heartbeats report tasks done/total,
+    events/s, ETA and fallback count; while a metrics registry is active
+    (:func:`repro.obs.set_registry`), freshly simulated results fold
+    into its campaign histograms (cache traffic feeds the dedicated
+    ``cache_*`` counters instead).
+    """
+    groups = _execute_sweeps(
+        [_Sweep(task, single=True) for task in tasks],
+        processes,
+        span=lambda items: obs_core.span("run_campaign", tasks=len(tasks)),
+        label=lambda misses: "campaign",
+    )
+    return [group[0] for group in groups]
 
 
 def run_replicated(task: RunTask, runs: int, campaign_seed: int | None = None,
                    processes: int | None = None) -> list[RunResult]:
-    """Convenience: expand replications of one task and run them.
+    """Expand ``runs`` replications of one task and run them.
 
     The task's backend is resolved once through the registry's fallback
     chain (recording :class:`~repro.backends.FallbackEvent` objects for
@@ -642,93 +708,12 @@ def run_replicated(task: RunTask, runs: int, campaign_seed: int | None = None,
     and stores the sweep for the next campaign.
 
     When a run journal is active, a freshly simulated sweep is one
-    ``task`` record (stats aggregated over all replications), plus a
-    ``fallback`` record per new degradation.
+    ``task`` record (stats aggregated over all replications), written
+    after its cache ``store`` record, plus a ``fallback`` record per new
+    degradation.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    cache = active_cache()
-    if cache is None:
-        return _run_replicated_fresh(task, runs, campaign_seed, processes)
-    key = cache.sweep_key(task, runs, campaign_seed)
-    describe = _cache_describe(task, runs, campaign_seed)
-    entry = cache.get(key, describe=describe)
-    if entry is not None:
-        cache.maybe_verify(
-            key,
-            entry,
-            lambda: _fresh_sweep(task, runs, campaign_seed, processes),
-            describe=describe,
-        )
-        _replay_entry_fallbacks(entry)
-        return list(entry.results)
-    with cache_suspended():
-        results = _run_replicated_fresh(task, runs, campaign_seed, processes)
-    backend = next(
-        (r.stats.backend for r in results if r.stats is not None), ""
-    )
-    cache.put(
-        key,
-        results,
-        kind="sweep",
-        describe=describe,
-        wall_time_s=_stats_wall(results),
-        backend=backend,
-        fallbacks=_task_fallbacks(task),
-        platform=task.platform,
-    )
-    return results
-
-
-def _fresh_sweep(task: RunTask, runs: int, campaign_seed: int | None,
-                 processes: int | None) -> list[RunResult]:
-    """Cache-blind sweep re-simulation (the ``--cache-verify`` recompute)."""
-    with cache_suspended():
-        return _run_replicated_fresh(task, runs, campaign_seed, processes)
-
-
-def _run_replicated_fresh(
-    task: RunTask, runs: int, campaign_seed: int | None,
-    processes: int | None,
-) -> list[RunResult]:
-    """Simulate a replication sweep (the pre-cache ``run_replicated``)."""
-    journal = active_journal()
-    fallbacks_before = len(peek_fallback_events())
-    backend = resolve_backend(task)
-    tracker = obs_progress.campaign_tracker(
-        total=runs, label=f"{task.technique} x{runs}", journal=journal,
-        fallback_baseline=fallbacks_before,
-    )
-    with obs_core.span(
-        "run_replicated", technique=task.technique, runs=runs
-    ):
-        blocks = backend.replication_blocks(task, runs, campaign_seed)
-        if blocks is not None:
-            processes = _usable_workers(processes)
-            if processes <= 1 or len(blocks) <= 1:
-                block_results = []
-                for block in blocks:
-                    group = block.execute()
-                    block_results.append(group)
-                    _advance_progress(tracker, group)
-            else:
-                block_results = _run_pooled(blocks, processes, tracker)
-            results = [r for group in block_results for r in group]
-        else:
-            results = _execute_tasks(
-                expand_replications(task, runs, campaign_seed),
-                processes,
-                tracker,
-            )
-    if tracker is not None:
-        tracker.finish()
-    _record_campaign_metrics(results, fallbacks_before)
-    if journal is not None:
-        _journal_new_fallbacks(journal, fallbacks_before)
-        journal.write(
-            _journal_task_record(task, results, campaign_seed=campaign_seed)
-        )
-    return results
+    sweep = _Sweep(task, runs, campaign_seed)
+    return _execute_sweeps([sweep], processes, sweep.span, sweep.label)[0]
 
 
 def run_replicated_batch(
@@ -742,113 +727,18 @@ def run_replicated_batch(
     — e.g. every candidate technique of one advisor query, or the
     union of several concurrent queries.  Each sweep is bit-identical
     to :func:`run_replicated` on the same triple (same cache keys, same
-    seeds, same block partitioning), but the execution items of *all*
-    cache misses — replication blocks for pooled-block backends,
-    expanded per-run tasks otherwise — fan out over the shared process
-    pool in a single ``imap`` pass, amortising pool dispatch across
-    the whole batch instead of paying one round-trip per sweep.
-
-    Cache, journal and metrics semantics match ``run_replicated``
-    sweep-for-sweep: one sweep cache entry per miss (hits replay their
-    stored fallback events), one journal ``task`` record per freshly
-    simulated sweep, fresh results folded into the active metrics
-    registry.
+    seeds, same block partitioning, same cache, journal and metrics
+    semantics), but the execution items of *all* cache misses fan out
+    over the shared process pool in a single ``imap`` pass, amortising
+    pool dispatch across the whole batch instead of paying one
+    round-trip per sweep.
     """
-    journal = active_journal()
-    cache = active_cache()
-    fallbacks_before = len(peek_fallback_events())
-    results: list[list[RunResult] | None] = [None] * len(sweeps)
-    misses: list[int] = []
-    for index, (task, runs, campaign_seed) in enumerate(sweeps):
-        if runs < 1:
-            raise ValueError("runs must be >= 1")
-        if cache is None:
-            misses.append(index)
-            continue
-        key = cache.sweep_key(task, runs, campaign_seed)
-        describe = _cache_describe(task, runs, campaign_seed)
-        entry = cache.get(key, describe=describe)
-        if entry is None:
-            misses.append(index)
-            continue
-        cache.maybe_verify(
-            key,
-            entry,
-            lambda task=task, runs=runs, seed=campaign_seed: _fresh_sweep(
-                task, runs, seed, processes
-            ),
-            describe=describe,
-        )
-        _replay_entry_fallbacks(entry)
-        results[index] = list(entry.results)
-    # Per-sweep items stay contiguous and ordered, and _run_pooled
-    # returns results in item order, so regrouping below reproduces the
-    # serial run_replicated ordering bit for bit.
-    items: list[RunTask | ReplicationBlock] = []
-    owners: list[tuple[int, bool]] = []  # (sweep index, item is a block)
-    for index in misses:
-        task, runs, campaign_seed = sweeps[index]
-        backend = resolve_backend(task)
-        blocks = backend.replication_blocks(task, runs, campaign_seed)
-        if blocks is not None:
-            items.extend(blocks)
-            owners.extend((index, True) for _ in blocks)
-        else:
-            expanded = expand_replications(task, runs, campaign_seed)
-            items.extend(expanded)
-            owners.extend((index, False) for _ in expanded)
-    total_runs = sum(sweeps[index][1] for index in misses)
-    tracker = obs_progress.campaign_tracker(
-        total=total_runs, label=f"{label} x{len(misses)}", journal=journal,
-        fallback_baseline=fallbacks_before,
-    ) if items else None
-    with obs_core.span(
-        "run_replicated_batch", sweeps=len(sweeps), items=len(items)
-    ):
-        with cache_suspended():
-            workers = _usable_workers(processes)
-            if workers <= 1 or len(items) <= 1:
-                outputs: list = []
-                for item in items:
-                    output = item.execute()
-                    outputs.append(output)
-                    _advance_progress(tracker, output)
-            else:
-                outputs = _run_pooled(items, workers, tracker)
-    if tracker is not None:
-        tracker.finish()
-    fresh_groups: dict[int, list[RunResult]] = {i: [] for i in misses}
-    for (index, is_block), output in zip(owners, outputs):
-        if is_block:
-            fresh_groups[index].extend(output)
-        else:
-            fresh_groups[index].append(output)
-    all_fresh: list[RunResult] = []
-    for index in misses:
-        group = fresh_groups[index]
-        results[index] = group
-        all_fresh.extend(group)
-        if cache is not None:
-            task, runs, campaign_seed = sweeps[index]
-            backend_name = next(
-                (r.stats.backend for r in group if r.stats is not None), ""
-            )
-            cache.put(
-                cache.sweep_key(task, runs, campaign_seed),
-                group,
-                kind="sweep",
-                describe=_cache_describe(task, runs, campaign_seed),
-                wall_time_s=_stats_wall(group),
-                backend=backend_name,
-                fallbacks=_task_fallbacks(task),
-                platform=task.platform,
-            )
-    _record_campaign_metrics(all_fresh, fallbacks_before)
-    if journal is not None:
-        _journal_new_fallbacks(journal, fallbacks_before)
-        for index in misses:
-            task, runs, campaign_seed = sweeps[index]
-            journal.write(_journal_task_record(
-                task, results[index], campaign_seed=campaign_seed
-            ))
-    return results
+    plan = [_Sweep(task, runs, seed) for task, runs, seed in sweeps]
+    return _execute_sweeps(
+        plan,
+        processes,
+        span=lambda items: obs_core.span(
+            "run_replicated_batch", sweeps=len(plan), items=items
+        ),
+        label=lambda misses: f"{label} x{misses}",
+    )

@@ -18,7 +18,8 @@ the repository's existing layers:
   repeat queries;
 * the ranking reports each technique's makespan mean with a 95% CI
   (:func:`repro.metrics.summary.summarize`), the backend that actually
-  ran, and every degradation recorded while resolving.
+  ran, and the degradations of the queried cells themselves
+  (:func:`repro.backends.walk_fallbacks`).
 
 Passing a scenario name re-ranks the candidates *under perturbation* —
 the SiL re-selection use case (arXiv:1807.03577): the same cell can
@@ -41,10 +42,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..backends import (
     BackendResolutionError,
-    SimulationBackend,
     backend_names,
-    peek_fallback_events,
     resolve_backend,
+    walk_fallbacks,
 )
 from ..cache import active_cache
 from ..core.params import SchedulingParams
@@ -562,11 +562,12 @@ class Advisor:
         sweeps = [(task, request.runs, request.seed) for task in tasks]
         groups = self._batcher.execute(sweeps)
         ranking = self._rank(tasks, groups, request.runs)
-        task_keys = {SimulationBackend.task_key(task) for task in tasks}
+        # each task's own hops: a perturbed or msg-fast cell with the
+        # same technique(n, p) must not lend this answer its fallbacks
         fallbacks = [
             event.to_json()
-            for event in peek_fallback_events()
-            if event.task_key in task_keys
+            for task in tasks
+            for event in walk_fallbacks(task)[1]
         ]
         elapsed = time.perf_counter() - t0
         cache_hits = (cache.stats.hits - hits_before) if cache else 0

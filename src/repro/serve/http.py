@@ -49,6 +49,10 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: AdvisorHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm
+    # on, a kept-alive connection holds the body back until the client's
+    # delayed ACK fires (~40 ms per response).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
     def log_message(self, format: str, *args) -> None:

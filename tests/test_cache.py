@@ -279,6 +279,40 @@ def test_suspended_hides_the_active_cache(tmp_path):
         assert active_cache() is cache
 
 
+def test_overlapping_suspensions_in_two_threads_leave_the_cache_active(
+        tmp_path):
+    # first enters, second enters, first leaves, second leaves: a
+    # save-and-restore global ends this sequence suspended for everyone
+    import threading
+
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    seen: dict[str, object] = {}
+
+    def first():
+        with suspended():
+            first_in.set()
+            seen["first waited"] = second_in.wait(10)
+        first_out.set()
+
+    def second():
+        seen["second waited"] = first_in.wait(10)
+        seen["second sees"] = active_cache()  # while first is suspended
+        with suspended():
+            second_in.set()
+            seen["second waited again"] = first_out.wait(10)
+
+    with cache_to(tmp_path / "cache") as cache:
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert active_cache() is cache
+        assert seen == {"first waited": True, "second waited": True,
+                        "second sees": cache, "second waited again": True}
+
+
 # -- provenance ------------------------------------------------------------
 def test_entry_records_provenance(tmp_path):
     task = small_task()
@@ -312,6 +346,7 @@ def test_hits_replay_stored_fallback_events(tmp_path):
     # produced by a degraded backend, exactly like a fresh run would
     from repro.backends import drain_fallback_events
 
+    drain_fallback_events()  # the log is process-wide: start it empty
     task = small_task(technique="bold")
     with cache_to(tmp_path / "cache"):
         run_replicated(task, 2, campaign_seed=1, processes=1)
@@ -320,6 +355,28 @@ def test_hits_replay_stored_fallback_events(tmp_path):
         replayed = drain_fallback_events()
     assert fresh_events  # bold cannot precompute chunks on msg-fast
     assert replayed == fresh_events
+
+
+def test_entry_fallbacks_belong_to_the_stored_task_alone(tmp_path):
+    # the perturbed cell falls back from direct-batch; the clean cell
+    # with the same technique(n, p) runs on direct-batch and must not be
+    # stored with the perturbed cell's fallback
+    clean = RunTask(
+        technique="ss", params=SchedulingParams(n=1024, p=4),
+        workload=ExponentialWorkload(1.0), simulator="direct-batch",
+    )
+    perturbed = dataclasses.replace(
+        clean, scenario=get_scenario("failstop-quarter")
+    )
+    with cache_to(tmp_path / "cache") as cache:
+        run_replicated(perturbed, 2, campaign_seed=1, processes=1)
+        results = run_replicated(clean, 2, campaign_seed=1, processes=1)
+        perturbed_entry = cache.get(cache.sweep_key(perturbed, 2, 1))
+        clean_entry = cache.get(cache.sweep_key(clean, 2, 1))
+    assert perturbed_entry.provenance["fallbacks"]
+    assert {r.stats.backend for r in results} == {"direct-batch"}
+    assert clean_entry.provenance["backend"] == "direct-batch"
+    assert clean_entry.provenance["fallbacks"] == []
 
 
 def test_platform_hash_in_entry_provenance(tmp_path):

@@ -165,6 +165,19 @@ class TestJournal:
         assert [r["technique"] for r in task_records] == ["fac2", "gss"]
         assert [r["seed_entropy"] for r in task_records] == [[1], [2]]
 
+    def test_task_execute_writes_one_task_record(self, tmp_path):
+        # execute() is a campaign of one task: a fresh run is journaled
+        # like every other fresh simulation
+        path = tmp_path / "journal.jsonl"
+        with journal_to(path):
+            small_task(seed_entropy=(3,)).execute()
+        records = load_journal(path)
+        task_records = [r for r in records if r["kind"] == "task"]
+        assert len(task_records) == 1
+        assert task_records[0]["seed_entropy"] == [3]
+        assert task_records[0]["runs"] == 1
+        assert any(r["kind"] == "progress" for r in records)
+
     def test_fallback_recorded_in_journal(self, tmp_path):
         # awf is adaptive: msg-fast cannot serve it and degrades to msg.
         path = tmp_path / "journal.jsonl"

@@ -251,7 +251,7 @@ class TestSharedPoolSafety:
 
 
 class TestRunReplicatedBatch:
-    def test_matches_per_sweep_run_replicated(self):
+    def test_matches_per_sweep_run_replicated(self, tmp_path):
         from repro.experiments.runner import run_replicated_batch
 
         sweeps = [
@@ -265,6 +265,49 @@ class TestRunReplicatedBatch:
             expected = run_replicated(task, runs, campaign_seed=seed,
                                       processes=1)
             assert group == expected
+
+        # The same holds with the cache off, cold and warm, down to the
+        # cache traffic and the journal; a campaign of one task is that
+        # task's execute().
+        import contextlib
+
+        from repro.cache import cache_to
+        from repro.obs import journal_to, load_journal
+
+        single = expand_replications(make_task(), 1, campaign_seed=44)[0]
+        sides = {
+            "batch": lambda: (run_replicated_batch(sweeps, processes=2),
+                              run_campaign([single], processes=2)),
+            "per-sweep": lambda: (
+                [run_replicated(task, runs, campaign_seed=seed, processes=1)
+                 for task, runs, seed in sweeps],
+                [single.execute()],
+            ),
+        }
+        for mode in ("off", "cold", "warm"):
+            seen = {}
+            for side, run in sides.items():
+                journal = tmp_path / f"{side}-{mode}.jsonl"
+                with contextlib.ExitStack() as stack:
+                    stack.enter_context(journal_to(journal))
+                    cache = None if mode == "off" else stack.enter_context(
+                        cache_to(tmp_path / f"cache-{side}"))
+                    results = run()
+                stats = None if cache is None else (
+                    cache.stats.hits, cache.stats.misses, cache.stats.stores)
+                tasks = [(r["technique"], r["runs"], r.get("campaign_seed"))
+                         for r in load_journal(journal)
+                         if r["kind"] == "task"]
+                seen[side] = (results, stats, tasks)
+            assert seen["batch"] == seen["per-sweep"], mode
+            results, stats, tasks = seen["batch"]
+            assert results == (batched, [single.execute()])
+            fresh = [(task.technique, runs, seed)
+                     for task, runs, seed in sweeps] + [("fac2", 1, None)]
+            assert tasks == ([] if mode == "warm" else fresh), mode
+            if mode != "off":
+                assert stats == ((4, 0, 0) if mode == "warm"
+                                 else (0, 4, 4)), mode
 
     def test_serves_and_fills_the_cache(self, tmp_path):
         from repro.cache import cache_to

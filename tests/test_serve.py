@@ -175,6 +175,26 @@ def test_repeat_query_is_served_from_cache(tmp_path):
         ]
 
 
+def test_fallbacks_belong_to_the_queried_cells(tmp_path):
+    """A clean answer never reports a perturbed cell's fallbacks, although
+    both cells share technique(n, p)."""
+    advisor = Advisor()
+    clean = {"n": 1024, "p": 4, "runs": 2, "seed": 5,
+             "techniques": ["ss", "gss", "awf-c"]}
+    with cache_to(tmp_path / "cache"):
+        first = advisor.advise(advisor.parse(clean))
+        perturbed = advisor.advise(
+            advisor.parse({**clean, "scenario": "failstop-quarter"})
+        )
+        repeat = advisor.advise(advisor.parse(clean))
+    assert first.fallbacks == []
+    # ss and gss leave direct-batch under faults; awf-c stays
+    assert sorted(e["task"] for e in perturbed.fallbacks) == [
+        "gss(n=1024, p=4)", "ss(n=1024, p=4)"]
+    assert repeat.cache_hits == 3
+    assert repeat.fallbacks == []
+
+
 def test_journal_gets_one_advise_record_per_query(tmp_path):
     journal = tmp_path / "journal.jsonl"
     advisor = Advisor()
@@ -343,6 +363,29 @@ def test_http_metrics_exposition(server):
     assert "repro_serve_requests_total 2" in text
     assert "# TYPE repro_serve_request_seconds histogram" in text
     assert "repro_serve_cache_hit_rate 0.5" in text
+
+
+def test_http_keep_alive_responses_do_not_stall(server):
+    """Reused HTTP/1.1 connections answer at once: the body is not held
+    back (Nagle's algorithm) until the client's delayed ACK fires."""
+    import http.client
+    import statistics
+    import time
+
+    connection = http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=30
+    )
+    latencies = []
+    try:
+        for _ in range(12):
+            t0 = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert json.loads(response.read()) == {"status": "ok"}
+            latencies.append(time.perf_counter() - t0)
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020, latencies
 
 
 def test_cli_serve_parser_defaults():
