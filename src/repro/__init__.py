@@ -13,8 +13,10 @@ The package provides:
   ``rand48`` reproduction;
 * :mod:`repro.metrics` — wasted time, speedup, overhead/imbalance degrees,
   discrepancies;
-* :mod:`repro.experiments` — descriptors and runners regenerating every
-  table and figure of the paper.
+* :mod:`repro.experiments` — the runners behind every table and figure
+  of the paper;
+* :mod:`repro.figures` — the artifact registry that defines each of
+  them once, and the pipeline that regenerates them.
 
 Quickstart::
 

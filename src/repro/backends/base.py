@@ -110,8 +110,9 @@ class FallbackEvent:
 
     Recorded by ``resolve_backend`` whenever a requested backend cannot
     serve a task and dispatch moves to its declared fallback; surfaced
-    in campaign reports (``repro-dls run fig5 ...`` prints them) instead
-    of the degradation happening silently.
+    in the artifact manifests and as ``note:`` lines of
+    ``repro-dls run fig5 ...`` instead of the degradation happening
+    silently.
 
     ``category`` separates the degradation kinds in reports
     (``repro-dls stats``): ``"capability"`` for capability-checked

@@ -4,6 +4,7 @@ Subcommands::
 
     repro-dls list                         # the paper's artifacts
     repro-dls run fig5 --runs 10           # regenerate one artifact
+    repro-dls figures                      # regenerate every artifact
     repro-dls techniques                   # registered DLS techniques
     repro-dls backends                     # simulation backends + fallbacks
     repro-dls schedule --technique gss --n 1000 --p 4
@@ -13,12 +14,12 @@ Subcommands::
     repro-dls cache stats ~/.repro-cache   # result-cache inspection
     repro-dls scenarios list               # perturbation-scenario presets
     repro-dls serve --port 8787            # SimAS advisor HTTP service
-    repro-dls figures --quick --check      # artifact pipeline + drift check
+    repro-dls figures --quick --check      # reduced sweeps + drift check
 
 The ``--simulator`` choices everywhere are the registered simulation
 backends (:mod:`repro.backends`); an unknown name fails with the list of
 registered backends.  ``--trace FILE`` writes a JSONL run journal,
-``--metrics FILE`` exports campaign metrics (Prometheus text for
+``--metrics FILE`` exports run metrics (Prometheus text for
 ``.prom``/``.txt``, JSON otherwise), and ``--progress`` renders live
 heartbeats to stderr.
 
@@ -29,7 +30,7 @@ turns caching off regardless.  ``--cache-verify F`` re-simulates the
 fraction ``F`` of cache hits and fails loudly if a stored result
 diverges from a fresh one.
 
-``--scenario NAME|FILE`` (run/simulate/campaign) perturbs the simulated
+``--scenario NAME|FILE`` (run/simulate) perturbs the simulated
 machine with a :mod:`repro.scenarios` descriptor — a registered preset
 name (``repro-dls scenarios list``) or a JSON scenario file.  Perturbed
 runs key the cache separately from clean ones and surface fault counters
@@ -50,7 +51,7 @@ from .core.registry import get_technique, iter_techniques
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
-    """The result-cache knobs shared by run/simulate/campaign."""
+    """The result-cache knobs shared by run/simulate/figures/serve."""
     parser.add_argument(
         "--cache", metavar="DIR", default=None,
         help="serve repeat runs from the result cache at DIR and store "
@@ -108,10 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the paper's reproducible artifacts")
 
-    run = sub.add_parser("run", help="regenerate one artifact")
-    run.add_argument("experiment", help="experiment id, e.g. fig5 or table2")
+    run = sub.add_parser(
+        "run",
+        help="regenerate one artifact with the full parameter set of "
+             "`repro-dls figures`",
+    )
+    run.add_argument("artifact", help="artifact id, e.g. fig5 or table2 "
+                                      "(see `repro-dls list`)")
     run.add_argument("--runs", type=int, default=None,
-                     help="replications (default: experiment-specific)")
+                     help="replications (default: the artifact's full set)")
     run.add_argument("--simulator",
                      choices=backend_names(),
                      default=None,
@@ -119,10 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "`repro-dls backends`); requests the backend "
                           "cannot serve degrade along its declared "
                           "fallback chain and are reported")
-    run.add_argument("--seed", type=int, default=None, help="campaign seed")
-    run.add_argument("--workers", type=int, default=None,
-                     help="replication process-pool size (default: "
-                          "REPRO_WORKERS env var or CPU count)")
+    run.add_argument("--seed", type=int, default=None,
+                     help="seed (default: the artifact's full set)")
     _add_scenario_option(run)
     _add_cache_options(run)
 
@@ -186,42 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--h", type=float, default=0.0)
     rec.add_argument("--mu", type=float, default=1.0)
     rec.add_argument("--sigma", type=float, default=1.0)
-
-    campaign = sub.add_parser(
-        "campaign", help="run the full reproduction campaign"
-    )
-    campaign.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="write the report to FILE instead of stdout",
-    )
-    campaign.add_argument(
-        "--quick", action="store_true",
-        help="drastically reduced run counts (smoke-test scale)",
-    )
-    campaign.add_argument(
-        "--simulator", choices=backend_names(), default="msg",
-        help="registered simulation backend for the BOLD experiments",
-    )
-    campaign.add_argument(
-        "--workers", type=int, default=None,
-        help="replication process-pool size (default: REPRO_WORKERS env "
-             "var or CPU count)",
-    )
-    campaign.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="write a JSONL run journal to FILE (see `repro-dls stats`)",
-    )
-    campaign.add_argument(
-        "--metrics", metavar="FILE", default=None,
-        help="export campaign metrics to FILE (.prom/.txt: Prometheus "
-             "text exposition, otherwise JSON)",
-    )
-    campaign.add_argument(
-        "--progress", action="store_true",
-        help="render live progress heartbeats to stderr",
-    )
-    _add_scenario_option(campaign)
-    _add_cache_options(campaign)
 
     figures = sub.add_parser(
         "figures",
@@ -427,72 +395,53 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
-    from .experiments.descriptors import EXPERIMENTS
+    from .figures import ARTIFACTS
 
-    for exp in EXPERIMENTS.values():
-        print(f"{exp.id:8s} {exp.paper_artifact:10s} {exp.description}")
+    width = max(map(len, ARTIFACTS))
+    for spec in ARTIFACTS.values():
+        print(f"{spec.id:<{width}}  {spec.title} [{spec.paper_artifact}]")
     return 0
 
 
-#: which CLI knobs each experiment's runner accepts
-_RUN_KNOBS: dict[str, frozenset[str]] = {
-    "table2": frozenset(),
-    "table3": frozenset(),
-    "fig3": frozenset({"simulator", "seed"}),
-    "fig4": frozenset({"simulator", "seed"}),
-    "fig5": frozenset({"runs", "simulator", "seed", "processes", "scenario"}),
-    "fig6": frozenset({"runs", "simulator", "seed", "processes", "scenario"}),
-    "fig7": frozenset({"runs", "simulator", "seed", "processes", "scenario"}),
-    "fig8": frozenset({"runs", "simulator", "seed", "processes", "scenario"}),
-    "fig9": frozenset({"runs", "simulator", "seed", "processes", "scenario"}),
-    "robustness": frozenset(
-        {"runs", "simulator", "seed", "processes", "scenario"}
-    ),
-    "scalability": frozenset({"runs", "seed"}),
-    "css-sweep": frozenset({"seed"}),
-    "tss-shapes": frozenset({"seed"}),
-    "remote-ratio": frozenset({"seed"}),
-}
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    """One artifact's full set; a flag its producer does not accept exits 2."""
     import contextlib
+    import inspect
 
     from .cache import cache_to
-    from .experiments.descriptors import get_experiment
+    from .figures import get_artifact, produce_artifact
 
-    kwargs: dict = {}
-    if args.runs is not None:
-        kwargs["runs"] = args.runs
-    if args.simulator is not None:
-        kwargs["simulator"] = args.simulator
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.workers is not None:
-        kwargs["processes"] = args.workers
-    if args.scenario is not None:
-        try:
-            kwargs["scenario"] = _scenario_from_args(args)
-        except ValueError as exc:
-            print(f"run: {exc}", file=sys.stderr)
-            return 2
-    exp = get_experiment(args.experiment)
-    allowed = _RUN_KNOBS.get(args.experiment, frozenset())
-    if "scenario" in kwargs and "scenario" not in allowed:
-        print(
-            f"run: experiment {args.experiment!r} does not accept "
-            "--scenario",
-            file=sys.stderr,
-        )
+    try:
+        spec = get_artifact(args.artifact)
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
         return 2
-    kwargs = {k: v for k, v in kwargs.items() if k in allowed}
+    accepted = inspect.signature(spec.producer).parameters
+    overrides: dict = {}
+    for name in ("runs", "simulator", "seed", "scenario"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in accepted:
+            print(f"run: artifact {spec.id!r} does not accept --{name}",
+                  file=sys.stderr)
+            return 2
+        overrides[name] = value
+    try:
+        _scenario_from_args(args)  # fail fast; the producer resolves it
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     cache_dir = _cache_dir_from_args(args)
     with contextlib.ExitStack() as stack:
         if cache_dir is not None:
             stack.enter_context(
                 cache_to(cache_dir, verify_fraction=args.cache_verify)
             )
-        print(exp.run(**kwargs))
+        data, fallbacks = produce_artifact(spec, "full", **overrides)
+    print(data.text)
+    for event in fallbacks:
+        print(f"note: {event.describe()}")
     return 0
 
 
@@ -648,52 +597,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         f"\nrecommended: {best.technique} "
         f"(predicted wasted time {best.predicted_wasted_time:.2f} s)"
     )
-    return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    import contextlib
-
-    from .experiments.campaign import run_full_campaign
-    from .obs import journal_to, metrics_to, progress_to, stream_renderer
-
-    kwargs: dict = {}
-    if args.quick:
-        kwargs["campaign_runs"] = {1024: 5, 8192: 3}
-        kwargs["fig9_runs"] = 50
-        kwargs["include_tss"] = False
-    kwargs["simulator"] = args.simulator
-    kwargs["workers"] = args.workers
-    try:
-        scenario = _scenario_from_args(args)
-    except ValueError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
-    if scenario is not None:
-        kwargs["scenario"] = scenario
-    cache_dir = _cache_dir_from_args(args)
-    if cache_dir is not None:
-        kwargs["cache"] = cache_dir
-        kwargs["cache_verify"] = args.cache_verify
-    with contextlib.ExitStack() as stack:
-        if args.trace:
-            stack.enter_context(journal_to(args.trace))
-        if args.metrics:
-            stack.enter_context(metrics_to(args.metrics))
-        if args.progress:
-            stack.enter_context(progress_to(stream_renderer()))
-        if args.out:
-            with open(args.out, "w") as fh:
-                run_full_campaign(out=fh, **kwargs)
-            print(f"wrote {args.out}")
-        else:
-            run_full_campaign(**kwargs)
-    if args.trace:
-        print(f"wrote journal {args.trace}")
-    if args.metrics:
-        print(f"wrote metrics {args.metrics}")
-    if cache_dir is not None:
-        print(f"result cache: {cache_dir} (see `repro-dls cache stats`)")
     return 0
 
 
@@ -1067,8 +970,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_simulate(args)
     if args.command == "recommend":
         return _cmd_recommend(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
     if args.command == "figures":
         return _cmd_figures(args)
     if args.command == "cache":

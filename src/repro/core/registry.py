@@ -1,7 +1,7 @@
 """Name-based registry of DLS techniques.
 
 Techniques register themselves at import time via :func:`register`.  The
-registry powers the CLI, the experiment descriptors, and the Table II
+registry powers the CLI, the experiment runners, and the Table II
 generator.
 """
 

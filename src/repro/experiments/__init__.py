@@ -1,4 +1,8 @@
-"""Experiment descriptors and runners regenerating the paper's artifacts."""
+"""Experiment runners behind the paper's artifacts.
+
+The artifacts themselves — which experiment, with which parameters,
+rendered how — are defined once, in :mod:`repro.figures.registry`.
+"""
 
 from .bold_experiments import (
     BOLD_H,
@@ -13,7 +17,6 @@ from .bold_experiments import (
     fac_outlier_study,
     run_bold_experiment,
 )
-from .descriptors import EXPERIMENTS, ExperimentDescriptor, get_experiment
 from .persistence import (
     CampaignComparison,
     CampaignRecord,
@@ -65,11 +68,9 @@ __all__ = [
     "BoldExperimentResult",
     "CampaignComparison",
     "CampaignRecord",
-    "EXPERIMENTS",
     "ExperimentSeries",
     "compare_campaigns",
     "regression_check",
-    "ExperimentDescriptor",
     "FacOutlierResult",
     "RunTask",
     "ScalingResult",
@@ -93,7 +94,6 @@ __all__ = [
     "format_table2",
     "format_table3",
     "generate_bold_reference",
-    "get_experiment",
     "run_bold_experiment",
     "run_campaign",
     "run_replicated",

@@ -29,7 +29,7 @@ Two throughput layers compose here:
   pool (created once, reused across calls) via ``imap_unordered`` with a
   tuned chunksize.  The pool size defaults to ``os.cpu_count()`` and can
   be overridden with the ``REPRO_WORKERS`` environment variable or the
-  ``processes`` argument (CLI: ``repro-dls campaign --workers``).
+  ``processes`` argument (CLI: ``REPRO_WORKERS=N repro-dls figures``).
 * **Block-level batching** — backends declaring ``pooled_blocks``
   (``direct-batch``, ``msg-fast``) split whole replication sweeps into
   :class:`~repro.backends.ReplicationBlock` objects that amortise the

@@ -21,7 +21,7 @@ from .manifest import (
     sha256_file,
     validate_manifest,
 )
-from .pipeline import generate_artifacts, select_artifacts
+from .pipeline import generate_artifacts, produce_artifact, select_artifacts
 from .plotting import plot_artifact, plot_available
 from .registry import (
     ARTIFACTS,
@@ -47,6 +47,7 @@ __all__ = [
     "get_artifact",
     "plot_artifact",
     "plot_available",
+    "produce_artifact",
     "select_artifacts",
     "sha256_file",
     "validate_manifest",

@@ -14,7 +14,9 @@ active result cache, and writes per artifact:
 plus a run-level ``run.manifest.json`` aggregating cache traffic,
 fallback totals, and the digests of every data file.  Each artifact is
 also journalled (``kind: "artifact"``) and counted in the metrics
-registry when those sinks are active.
+registry when those sinks are active.  :func:`produce_artifact` is the
+step ``repro-dls run ID`` shares with it: one artifact, plus the
+backend fallbacks it caused.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..backends import drain_fallback_events
+from ..backends import FallbackEvent, drain_fallback_events
 from ..cache import active_cache
 from ..obs import journal as obs_journal
 from ..obs import metrics as obs_metrics
 from ..obs.provenance import capture_provenance
 from .manifest import ArtifactManifest, RunManifest, sha256_file
-from .registry import ARTIFACTS, ArtifactSpec, get_artifact
+from .registry import ARTIFACTS, ArtifactData, ArtifactSpec, get_artifact
 from .plotting import plot_artifact
 
-__all__ = ["generate_artifacts", "select_artifacts"]
+__all__ = ["generate_artifacts", "produce_artifact", "select_artifacts"]
 
 #: cache counters surfaced in manifests (a delta per artifact)
 _CACHE_KEYS = ("hits", "misses", "stores", "corrupt")
@@ -59,17 +61,20 @@ def _cache_delta(before: dict | None, after: dict | None) -> dict:
     return {key: after[key] - before[key] for key in _CACHE_KEYS}
 
 
-def _unique_fallbacks(collected, drained) -> list[dict]:
-    """Producer-attached + globally-drained events, deduplicated."""
-    out: list[dict] = []
-    seen: set[tuple] = set()
-    for event in list(collected) + list(drained):
-        record = event.to_json()
-        key = tuple(sorted(record.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(record)
-    return out
+def produce_artifact(
+    spec: ArtifactSpec, mode: str, **overrides
+) -> tuple[ArtifactData, list[FallbackEvent]]:
+    """Produce one artifact and the backend fallbacks it caused.
+
+    The process-wide fallback log is drained before the producer runs,
+    so what is left in it afterwards belongs to this artifact; those
+    events join the ones the producer attached itself, deduplicated in
+    order.  ``overrides`` replace parameters of ``mode``'s set.
+    """
+    drain_fallback_events()
+    data = spec.produce(mode, **overrides)
+    events = dict.fromkeys([*data.fallbacks, *drain_fallback_events()])
+    return data, list(events)
 
 
 def generate_artifacts(
@@ -101,11 +106,10 @@ def generate_artifacts(
 
     for spec in specs:
         cache_before = _cache_counters()
-        drain_fallback_events()  # scope the global log to this artifact
         t0 = time.perf_counter()
-        data = spec.produce(mode)
+        data, events = produce_artifact(spec, mode)
         elapsed = time.perf_counter() - t0
-        fallbacks = _unique_fallbacks(data.fallbacks, drain_fallback_events())
+        fallbacks = [event.to_json() for event in events]
 
         params = spec.params(mode)
         requested = params.get("simulator")

@@ -12,8 +12,12 @@ committed references.
 Quick parameter sets are sized so the whole registry regenerates in
 seconds on the fast backends (``direct-batch`` for the BOLD
 experiments, ``msg-fast`` for the platform-aware TSS ones — both
-bit-identical to their slower siblings); full parameter sets match the
-campaign defaults used for EXPERIMENTS.md.
+bit-identical to their slower siblings).  Full parameter sets are the
+reproduction campaign behind EXPERIMENTS.md: ``repro-dls figures``
+(without ``--quick``) regenerates all of them, and ``repro-dls run ID``
+one.  A full sweep that covers the published reference's keys adds the
+paper's verification lines to the text: the TSS reproduced/not
+verdicts and the BOLD discrepancies against the reference.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ class ArtifactData:
     ``text`` is the human rendering written next to the CSV.  ``extra``
     holds per-artifact payloads that do not fit the wide CSV (fig9's
     per-run distribution).  ``fallbacks`` are the events the producer
-    collected itself (the pipeline additionally drains the global log).
+    collected itself (:func:`repro.figures.pipeline.produce_artifact`
+    adds those left in the global log).
     """
 
     series: dict[str, list[float]]
@@ -64,16 +69,15 @@ class ArtifactSpec:
     producer: Callable[..., ArtifactData]
     quick: Mapping = field(default_factory=dict)
     full: Mapping = field(default_factory=dict)
-    #: simulator the params request (None for compute-free tables)
-    simulator_param: str = "simulator"
 
     def params(self, mode: str) -> dict:
         if mode not in ("quick", "full"):
             raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
         return dict(self.quick if mode == "quick" else self.full)
 
-    def produce(self, mode: str) -> ArtifactData:
-        return self.producer(**self.params(mode))
+    def produce(self, mode: str, **overrides) -> ArtifactData:
+        """The artifact from ``mode``'s parameters, ``overrides`` on top."""
+        return self.producer(**{**self.params(mode), **overrides})
 
 
 def _seq(values: Sequence[float]) -> list[float]:
@@ -138,8 +142,12 @@ def _tss_platform_hashes(pe_counts) -> dict[str, str]:
 
 def _produce_tss(experiment: int, pe_counts: tuple, simulator: str,
                  seed: int) -> ArtifactData:
+    from ..experiments.published import TSS_PUBLISHED_PES
     from ..experiments.report import series_table
-    from ..experiments.tss_experiments import run_tss_experiment
+    from ..experiments.tss_experiments import (
+        run_tss_experiment,
+        tss_reproduction_verdicts,
+    )
 
     result = run_tss_experiment(
         experiment, pe_counts=pe_counts, simulator=simulator, seed=seed
@@ -150,6 +158,14 @@ def _produce_tss(experiment: int, pe_counts: tuple, simulator: str,
         f"task_time={result.task_time:g}s, simulator={simulator}\n"
         + series_table(series, result.pe_counts, key_header="speedup\\PEs")
     )
+    if set(TSS_PUBLISHED_PES) <= set(result.pe_counts):
+        text += "\n\nReproduction verdicts vs digitized published curves:"
+        for v in tss_reproduction_verdicts(result):
+            status = "reproduced" if v.reproduced else "NOT reproduced"
+            text += (
+                f"\n  {v.technique:>8}: max |rel. discrepancy| = "
+                f"{v.max_abs_relative_discrepancy:6.1f}%  -> {status}"
+            )
     return ArtifactData(
         series=series,
         keys=result.pe_counts,
@@ -166,12 +182,19 @@ def _produce_tss(experiment: int, pe_counts: tuple, simulator: str,
 # --- BOLD experiments (Figures 5-9) -----------------------------------------
 
 def _produce_bold(n: int, pe_counts: tuple, runs: int, simulator: str,
-                  seed: int) -> ArtifactData:
-    from ..experiments.bold_experiments import run_bold_experiment
+                  seed: int, scenario: str | None = None) -> ArtifactData:
+    from ..experiments.bold_experiments import (
+        BOLD_PE_COUNTS,
+        compare_to_reference,
+        run_bold_experiment,
+    )
+    from ..experiments.published import bold_reference_available
     from ..experiments.report import series_table
+    from ..scenarios import load_scenario
 
     result = run_bold_experiment(
-        n, pe_counts=pe_counts, runs=runs, simulator=simulator, seed=seed
+        n, pe_counts=pe_counts, runs=runs, simulator=simulator, seed=seed,
+        scenario=None if scenario is None else load_scenario(scenario),
     )
     series = {k: _seq(v) for k, v in result.values.items()}
     text = (
@@ -179,6 +202,16 @@ def _produce_bold(n: int, pe_counts: tuple, runs: int, simulator: str,
         f"simulator={simulator}\n"
         + series_table(series, result.pe_counts, key_header="wasted\\PEs")
     )
+    if result.pe_counts == BOLD_PE_COUNTS and bold_reference_available():
+        rows = compare_to_reference(result)
+        text += "\n\nDiscrepancy vs reference [s] (positive = slower):"
+        for row in rows:
+            cells = " ".join(f"{d:8.2f}" for d in row.discrepancies)
+            text += f"\n  {row.technique:>5}: {cells}"
+        text += "\nRelative discrepancy vs reference [%]:"
+        for row in rows:
+            cells = " ".join(f"{d:8.1f}" for d in row.relative_discrepancies)
+            text += f"\n  {row.technique:>5}: {cells}"
     return ArtifactData(
         series=series,
         keys=result.pe_counts,
@@ -189,12 +222,14 @@ def _produce_bold(n: int, pe_counts: tuple, runs: int, simulator: str,
 
 
 def _produce_fig9(runs: int, simulator: str, seed: int, n: int = 524288,
-                  p: int = 2) -> ArtifactData:
+                  p: int = 2, scenario: str | None = None) -> ArtifactData:
     from ..experiments.bold_experiments import fac_outlier_study
     from ..experiments.report import ascii_histogram
+    from ..scenarios import load_scenario
 
     result = fac_outlier_study(
-        n=n, p=p, runs=runs, simulator=simulator, seed=seed
+        n=n, p=p, runs=runs, simulator=simulator, seed=seed,
+        scenario=None if scenario is None else load_scenario(scenario),
     )
     series = {
         "FAC": [
@@ -231,10 +266,10 @@ def _produce_robustness(scenario: str, n: int, p: int, runs: int,
         robustness_report,
         run_robustness_study,
     )
-    from ..scenarios import get_scenario
+    from ..scenarios import load_scenario
 
     result = run_robustness_study(
-        get_scenario(scenario), n=n, p=p, runs=runs, simulator=simulator,
+        load_scenario(scenario), n=n, p=p, runs=runs, simulator=simulator,
         seed=seed,
     )
     series = {
@@ -351,7 +386,6 @@ _SPECS = [
         paper_artifact="Table II",
         kind="table",
         producer=_produce_table2,
-        simulator_param="",
     ),
     ArtifactSpec(
         id="table3",
@@ -359,7 +393,6 @@ _SPECS = [
         paper_artifact="Table III",
         kind="table",
         producer=_produce_table3,
-        simulator_param="",
     ),
     ArtifactSpec(
         id="fig3",

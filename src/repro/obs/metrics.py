@@ -15,7 +15,7 @@ processes with :meth:`Histogram.merge` / :meth:`MetricsRegistry.merge`.
 
 Exports: :meth:`MetricsRegistry.to_json` for machines,
 :meth:`MetricsRegistry.render_prometheus` for the Prometheus
-text-exposition format (``repro-dls campaign --metrics FILE`` picks the
+text-exposition format (``repro-dls figures --metrics FILE`` picks the
 format from the file extension: ``.prom``/``.txt`` is Prometheus,
 anything else JSON).
 """

@@ -78,7 +78,7 @@ def summarize_journal(
         lines.append("")
         lines.append(
             "no task records — provenance-only journal; run a campaign "
-            "or `repro-dls simulate`/`campaign` with --trace to record "
+            "or `repro-dls simulate`/`figures` with --trace to record "
             "tasks"
         )
 

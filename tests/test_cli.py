@@ -121,13 +121,23 @@ class TestRunCommand:
     def test_table2(self, capsys):
         assert main(["run", "table2"]) == 0
         out = capsys.readouterr().out
-        assert "matches Table II" in out
+        assert "matches publication: STAT=yes" in out
 
     def test_table3(self, capsys):
         assert main(["run", "table3"]) == 0
         assert "Figure 5" in capsys.readouterr().out
 
+    def test_table3_prints_the_pipeline_text(self, capsys, tmp_path):
+        from repro.figures import generate_artifacts
+
+        generate_artifacts(tmp_path, mode="full", only=["table3"],
+                           plot=False)
+        assert main(["run", "table3"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "table3.txt").read_text()
+
     def test_fig5_small(self, capsys):
+        from repro.experiments import BOLD_TECHNIQUES
+
         code = main([
             "run", "fig5", "--runs", "2", "--simulator", "direct",
         ])
@@ -135,15 +145,34 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "n=1,024" in out
         assert "STAT" in out and "BOLD" in out
+        # the full PE sweep covers the reference, so the paper's
+        # discrepancy analysis follows the series
+        absolute, relative = out.split(
+            "Discrepancy vs reference [s] (positive = slower):\n"
+        )[1].split("Relative discrepancy vs reference [%]:\n")
+        for rows in (absolute, relative):
+            labels = [line.split(":")[0].strip()
+                      for line in rows.strip().splitlines()]
+            assert labels == list(BOLD_TECHNIQUES)
+            assert all(len(line.split(":")[1].split()) == 5
+                       for line in rows.strip().splitlines())
 
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError, match="unknown experiment"):
-            main(["run", "fig99"])
+    def test_unknown_experiment(self, capsys):
+        assert main(["run", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown artifact 'fig99'" in err
+        for artifact_id in ("table2", "fig5", "tss-shapes"):
+            assert artifact_id in err
+
+    def test_flag_the_artifact_does_not_accept_exits_two(self, capsys):
+        assert main(["run", "table2", "--runs", "5"]) == 2
+        assert "does not accept --runs" in capsys.readouterr().err
 
     def test_extension_css_sweep(self, capsys):
         assert main(["run", "css-sweep"]) == 0
         out = capsys.readouterr().out
-        assert "k = I/P" in out
+        assert "CSS(k) chunk-size ablation: p=72, simulator=msg" in out
+        assert "speedup\\k" in out
 
     def test_extension_listed(self, capsys):
         main(["list"])
@@ -166,27 +195,33 @@ class TestBackendsCommand:
 
 
 class TestSimulatorRoundTrip:
-    def test_every_backend_round_trips_through_campaign(self, monkeypatch):
-        """`repro-dls campaign --simulator <name>` must accept every
+    def test_every_backend_round_trips_through_run(self, monkeypatch):
+        """`repro-dls run fig5 --simulator <name>` must accept every
         registered backend name and pass it through unchanged."""
+        import dataclasses
+
         from repro.backends import backend_names
-        import repro.experiments.campaign as campaign_mod
+        from repro.figures import ARTIFACTS, ArtifactData
 
         seen: list[str] = []
-        monkeypatch.setattr(
-            campaign_mod,
-            "run_full_campaign",
-            lambda **kwargs: seen.append(kwargs["simulator"]) or 0.0,
+
+        def producer(n, pe_counts, runs, simulator, seed, scenario=None):
+            seen.append(simulator)
+            return ArtifactData(series={}, keys=())
+
+        monkeypatch.setitem(
+            ARTIFACTS, "fig5",
+            dataclasses.replace(ARTIFACTS["fig5"], producer=producer),
         )
         for name in backend_names():
-            assert main(["campaign", "--simulator", name]) == 0
+            assert main(["run", "fig5", "--simulator", name]) == 0
         assert seen == backend_names()
 
     def test_unknown_simulator_rejected_with_backend_list(self, capsys):
         from repro.backends import backend_names
 
         with pytest.raises(SystemExit) as exc:
-            main(["campaign", "--simulator", "simgrid4"])
+            main(["run", "fig5", "--simulator", "simgrid4"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         for name in backend_names():

@@ -1,10 +1,10 @@
-"""Tests for the experiment descriptor registry and the MSG trace types."""
+"""Tests for the artifact registry's descriptors and the MSG trace types."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.descriptors import EXPERIMENTS, get_experiment
+from repro.figures import ARTIFACTS, get_artifact
 from repro.simgrid.trace import SimulationTrace, WorkerTrace
 
 
@@ -12,27 +12,29 @@ class TestDescriptorRegistry:
     def test_every_paper_artifact_registered(self):
         for exp_id in ("table2", "table3", "fig3", "fig4", "fig5", "fig6",
                        "fig7", "fig8", "fig9"):
-            assert exp_id in EXPERIMENTS
+            assert exp_id in ARTIFACTS
 
     def test_extension_studies_registered(self):
         for exp_id in ("scalability", "css-sweep", "tss-shapes",
                        "remote-ratio"):
-            assert exp_id in EXPERIMENTS
+            assert exp_id in ARTIFACTS
 
     def test_descriptors_carry_artifact_names(self):
-        assert EXPERIMENTS["fig5"].paper_artifact == "Figure 5"
-        assert EXPERIMENTS["table2"].paper_artifact == "Table II"
+        assert ARTIFACTS["fig5"].paper_artifact == "Figure 5"
+        assert ARTIFACTS["table2"].paper_artifact == "Table II"
 
-    def test_get_experiment_error_lists_known(self):
-        with pytest.raises(KeyError, match="fig3"):
-            get_experiment("nope")
+    def test_get_artifact_error_lists_known(self):
+        with pytest.raises(ValueError, match="fig3"):
+            get_artifact("nope")
 
     def test_table_runners_return_text(self):
-        assert "DLS" in EXPERIMENTS["table2"].run()
-        assert "Figure 7" in EXPERIMENTS["table3"].run()
+        assert "DLS" in ARTIFACTS["table2"].produce("full").text
+        assert "Figure 7" in ARTIFACTS["table3"].produce("full").text
 
     def test_small_fig5_run_via_descriptor(self):
-        text = EXPERIMENTS["fig5"].run(runs=2, simulator="direct")
+        text = ARTIFACTS["fig5"].produce(
+            "full", runs=2, simulator="direct"
+        ).text
         assert "n=1,024" in text
         assert "BOLD" in text
 

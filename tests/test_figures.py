@@ -23,6 +23,7 @@ from repro.core.params import SchedulingParams
 from repro.experiments.report import read_csv_series, write_csv
 from repro.experiments.runner import RunTask, run_replicated
 from repro.figures import (
+    ARTIFACTS,
     MANIFEST_SCHEMA,
     ArtifactData,
     ArtifactManifest,
@@ -267,6 +268,55 @@ class TestProvenanceEvents:
         assert manifest.fallbacks == []
         assert manifest.backends == ["direct-batch"]
         assert manifest.seeds == {"seed": 2017}
+
+
+@pytest.fixture
+def published_tss(monkeypatch):
+    """``run_tss_experiment`` answering with the digitized published
+    curves (SS ten times too fast), so the TSS producer renders its
+    verdicts without simulating a full PE sweep."""
+    from repro.experiments import tss_experiments
+    from repro.experiments.published import (
+        TSS_PUBLISHED_PES,
+        tss_published_speedups,
+    )
+
+    def run_tss_experiment(experiment, pe_counts, simulator, seed):
+        result = tss_experiments.TssExperimentResult(
+            experiment=experiment, n=100_000, task_time=110e-6,
+            pe_counts=tuple(pe_counts),
+        )
+        for label, curve in tss_published_speedups(experiment).items():
+            at = dict(zip(TSS_PUBLISHED_PES, curve))
+            scale = 10.0 if label == "SS" else 1.0
+            result.speedups[label] = [scale * at.get(p, 1.0)
+                                      for p in pe_counts]
+        return result
+
+    monkeypatch.setattr(tss_experiments, "run_tss_experiment",
+                        run_tss_experiment)
+
+
+class TestVerificationLines:
+    """Full sweeps covering the published keys carry the paper's verdicts;
+    quick sweeps never do, so their text stays as committed."""
+
+    def test_full_tss_sweep_renders_verdicts(self, published_tss):
+        text = ARTIFACTS["fig3"].produce("full").text
+        lines = text.split(
+            "\n\nReproduction verdicts vs digitized published curves:\n"
+        )[1].splitlines()
+        assert lines == [
+            "        SS: max |rel. discrepancy| =  900.0%  -> NOT reproduced",
+            "       CSS: max |rel. discrepancy| =    0.0%  -> reproduced",
+            "    GSS(1): max |rel. discrepancy| =    0.0%  -> reproduced",
+            "   GSS(80): max |rel. discrepancy| =    0.0%  -> reproduced",
+            "       TSS: max |rel. discrepancy| =    0.0%  -> reproduced",
+        ]
+
+    def test_quick_sweeps_render_no_verification_lines(self, published_tss):
+        assert "verdicts" not in ARTIFACTS["fig3"].produce("quick").text
+        assert "reference" not in ARTIFACTS["fig5"].produce("quick").text
 
 
 def make_reference(tmp_path, artifacts):
