@@ -40,10 +40,9 @@ version, a human-readable ``describe`` block, per-entry provenance
 (environment snapshot, platform XML hash, backend that actually ran,
 fallback events), the host seconds the fresh computation cost, and the
 results themselves.  Writes land in a temporary file and move into
-place with :func:`os.replace` (the same atomicity discipline as
-``CampaignRecord.save``), so readers only ever see complete entries and
-concurrent writers of the same key are harmless — both write identical
-bytes.  ``<root>/sessions/`` accumulates one small JSON per process
+place with :func:`os.replace`, so readers only ever see complete
+entries and concurrent writers of the same key are harmless — both
+write identical bytes.  ``<root>/sessions/`` accumulates one small JSON per process
 session with hit/miss/store counters, which ``repro-dls cache stats``
 aggregates.
 

@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser(
         "figures",
-        help="regenerate every figure/table with provenance manifests "
-             "(see docs/reproducing.md)",
+        help="regenerate every figure/table, check its claims and write "
+             "provenance manifests (see docs/reproducing.md)",
     )
     figures.add_argument(
         "--out", metavar="DIR", default="artifacts",
@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--check", action="store_true",
         help="after generating, diff CSVs and manifests against the "
-             "committed references (exit 1 on drift; implies --quick)",
+             "committed references (exit 1 on drift or a failed claim; "
+             "implies --quick)",
     )
     figures.add_argument(
         "--only", metavar="ID", action="append", default=None,
@@ -404,7 +405,11 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """One artifact's full set; a flag its producer does not accept exits 2."""
+    """One artifact's full set; a flag its producer does not accept exits 2.
+
+    Run unmodified, the full set is checked against the artifact's
+    claims: each outcome is printed and a failed claim exits 1.
+    """
     import contextlib
     import inspect
 
@@ -438,11 +443,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             stack.enter_context(
                 cache_to(cache_dir, verify_fraction=args.cache_verify)
             )
-        data, fallbacks = produce_artifact(spec, "full", **overrides)
+        data, fallbacks, claims = produce_artifact(spec, "full", **overrides)
     print(data.text)
     for event in fallbacks:
         print(f"note: {event.describe()}")
-    return 0
+    for name, holds in claims.items():
+        print(f"claim {'holds' if holds else 'FAILED'}: {name}")
+    return 0 if all(claims.values()) else 1
 
 
 def _cmd_techniques() -> int:
@@ -655,8 +662,18 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(f"wrote journal {args.trace}")
     if args.metrics:
         print(f"wrote metrics {args.metrics}")
+    checked = sum(map(len, run.claims.values()))
+    failed = [
+        f"{artifact}: {name}"
+        for artifact, outcomes in run.claims.items()
+        for name, holds in outcomes.items() if not holds
+    ]
+    if checked:
+        print(f"claims: {checked - len(failed)}/{checked} hold")
+    for claim in failed:
+        print(f"claim FAILED: {claim}")
     if not args.check:
-        return 0
+        return 1 if failed else 0
     report = check_against_reference(
         args.out,
         reference_dir=args.reference,

@@ -34,7 +34,7 @@ work.  The floor is what makes the strategy bold: when ``h`` is large the
 tail stays coarse, trading a little imbalance for far fewer scheduling
 operations.  With ``h = 0`` the floor vanishes and BOLD degenerates to
 FAC, matching Hagerup's description of BOLD as an overhead-aware
-refinement of factoring.  See DESIGN.md §3 and the ablation benchmarks.
+refinement of factoring.  See DESIGN.md §3.
 """
 
 from __future__ import annotations

@@ -17,13 +17,6 @@ from .bold_experiments import (
     fac_outlier_study,
     run_bold_experiment,
 )
-from .persistence import (
-    CampaignComparison,
-    CampaignRecord,
-    ExperimentSeries,
-    compare_campaigns,
-    regression_check,
-)
 from .published import (
     bold_reference,
     bold_reference_available,
@@ -66,11 +59,6 @@ __all__ = [
     "BOLD_TASK_COUNTS",
     "BOLD_TECHNIQUES",
     "BoldExperimentResult",
-    "CampaignComparison",
-    "CampaignRecord",
-    "ExperimentSeries",
-    "compare_campaigns",
-    "regression_check",
     "FacOutlierResult",
     "RunTask",
     "ScalingResult",

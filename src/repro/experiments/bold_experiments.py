@@ -6,15 +6,14 @@ mu = sigma = 1 s; the scheduling overhead is h = 0.5 s; the metric is the
 sample mean of the average wasted time over the runs (Section III-B /
 IV-B of the paper).
 
-Run-count defaults are scaled to the cost of each task count so the
-benchmark suite stays tractable on a laptop (the paper used 1,000 runs on
-an HPC cluster); override with the ``REPRO_RUNS`` environment variable or
-the ``runs`` argument, and see EXPERIMENTS.md for what was actually run.
+Every caller states its run count: the artifact registry
+(:mod:`repro.figures.registry`) holds the laptop-scaled counts of the
+quick and full sets (the paper used 1,000 runs on an HPC cluster), and
+EXPERIMENTS.md records what was actually run.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -37,19 +36,8 @@ BOLD_PE_COUNTS = (2, 8, 64, 256, 1024)
 BOLD_H = 0.5
 BOLD_MU = 1.0
 BOLD_SIGMA = 1.0
-#: the paper's run count (per-cell defaults below are laptop-scaled)
+#: the paper's run count (the registry's run counts are laptop-scaled)
 BOLD_PAPER_RUNS = 1000
-
-#: default replications per task count (cost scales with chunk count)
-DEFAULT_RUNS = {1024: 40, 8192: 12, 65536: 4, 524288: 2}
-
-
-def default_runs(n: int) -> int:
-    """Replications for an ``n``-task experiment (env-overridable)."""
-    env = os.environ.get("REPRO_RUNS")
-    if env:
-        return max(1, int(env))
-    return DEFAULT_RUNS.get(n, 10)
 
 
 def scheduling_params(n: int, p: int) -> SchedulingParams:
@@ -80,7 +68,8 @@ def run_bold_experiment(
     n: int,
     pe_counts: Sequence[int] = BOLD_PE_COUNTS,
     techniques: Sequence[str] = BOLD_TECHNIQUES,
-    runs: int | None = None,
+    *,
+    runs: int,
     simulator: str = "msg",
     seed: int = 2017,
     processes: int | None = None,
@@ -98,8 +87,6 @@ def run_bold_experiment(
     from clean ones.
     """
     get_backend(simulator)  # fail fast on unknown backends
-    if runs is None:
-        runs = default_runs(n)
     workload = ExponentialWorkload(BOLD_MU)
     result = BoldExperimentResult(
         n=n,

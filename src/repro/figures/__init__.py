@@ -27,6 +27,7 @@ from .registry import (
     ARTIFACTS,
     ArtifactData,
     ArtifactSpec,
+    Claim,
     artifact_ids,
     get_artifact,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "ArtifactData",
     "ArtifactManifest",
     "ArtifactSpec",
+    "Claim",
     "DriftFinding",
     "DriftReport",
     "MANIFEST_SCHEMA",

@@ -2,14 +2,15 @@
 
 ``repro-dls figures --check`` regenerates the quick artifacts and runs
 them through :func:`check_against_reference`, which diffs each
-artifact's CSV against the committed reference
-(``src/repro/experiments/data/figures/``) via
-:func:`repro.experiments.persistence.regression_check`, and each
-manifest field by field.  Findings are classified so the caller can
-tell *what* drifted:
+artifact's CSV cell by cell against the committed reference
+(``src/repro/experiments/data/figures/``), each manifest field by
+field, and reads the claim outcomes the current manifest recorded.
+Findings are classified so the caller can tell *what* drifted:
 
 * ``numeric`` — a cell moved beyond the tolerance (fatal),
 * ``structure`` — series/keys/files appeared or vanished (fatal),
+* ``claim`` — a registry claim did not hold on the artifact (fatal:
+  the output no longer shows what the paper reports),
 * ``seed`` / ``scenario`` / ``params`` — the inputs changed (fatal:
   matching numbers from different inputs are not a reproduction),
 * ``fallback`` — the backend degradations differ (fatal: the results
@@ -25,11 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from ..experiments.persistence import (
-    CampaignRecord,
-    ExperimentSeries,
-    regression_check,
-)
 from .manifest import ArtifactManifest
 from .registry import ARTIFACTS
 
@@ -59,7 +55,7 @@ class DriftFinding:
     """One detected deviation from the reference."""
 
     artifact: str
-    category: str        # numeric|structure|seed|scenario|params|fallback|environment
+    category: str        # numeric|structure|claim|seed|scenario|params|fallback|environment
     detail: str
     fatal: bool = True
 
@@ -96,61 +92,49 @@ class DriftReport:
         return "\n".join(lines)
 
 
-def _csv_record(artifact: str, path: Path) -> CampaignRecord:
-    from ..experiments.report import read_csv_series
-
-    series, keys, _ = read_csv_series(path)
-    record = CampaignRecord()
-    record.add(ExperimentSeries(
-        experiment=artifact, keys=list(keys), series=series,
-    ))
-    return record
-
-
-def _mask_zero_reference_cells(artifact: str, current: CampaignRecord,
-                               reference: CampaignRecord,
-                               report: DriftReport) -> None:
-    """Compare ref==0 cells exactly, then mask them out of the relative diff.
-
-    ``regression_check`` diffs cells relatively, which is undefined
-    against a zero reference (table2's X-matrix, zero fault counters).
-    Such cells must match *exactly*; after the exact comparison both
-    sides are set to 1.0 so the relative diff sees them as clean.
-    """
-    cur = current.experiments[artifact]
-    ref = reference.experiments[artifact]
-    for technique in set(cur.series) & set(ref.series):
-        cur_vals, ref_vals = cur.series[technique], ref.series[technique]
-        for i, (c, r) in enumerate(zip(cur_vals, ref_vals)):
-            if r != 0.0:
-                continue
-            if c != 0.0:
-                report.findings.append(DriftFinding(
-                    artifact, "numeric",
-                    f"{technique} @ {ref.keys[i]}: {c!r} vs reference 0.0",
-                ))
-            cur_vals[i] = ref_vals[i] = 1.0
-
-
 def _check_numeric(artifact: str, current_csv: Path, reference_csv: Path,
                    tolerance_percent: float,
                    report: DriftReport) -> None:
-    current = _csv_record(artifact, current_csv)
-    reference = _csv_record(artifact, reference_csv)
-    cur_keys = current.experiments[artifact].keys
-    ref_keys = reference.experiments[artifact].keys
+    """Diff two CSVs: series present on one side only, then every cell.
+
+    Cells are compared relatively, which is undefined against a zero
+    reference (table2's X-matrix, zero fault counters); such cells must
+    match *exactly*.
+    """
+    from ..experiments.report import read_csv_series
+
+    current, cur_keys, _ = read_csv_series(current_csv)
+    reference, ref_keys, _ = read_csv_series(reference_csv)
     if cur_keys != ref_keys:
         report.findings.append(DriftFinding(
             artifact, "structure",
             f"sweep keys differ: {cur_keys} vs reference {ref_keys}",
         ))
         return
-    _mask_zero_reference_cells(artifact, current, reference, report)
-    for problem in regression_check(current, reference, tolerance_percent):
-        category = (
-            "structure" if "only in the" in problem else "numeric"
-        )
-        report.findings.append(DriftFinding(artifact, category, problem))
+    for side, only in (("current", set(current) - set(reference)),
+                       ("reference", set(reference) - set(current))):
+        for technique in sorted(only):
+            report.findings.append(DriftFinding(
+                artifact, "structure",
+                f"{artifact} / {technique}: only in the {side} campaign",
+            ))
+    for technique in [t for t in current if t in reference]:
+        for key, cur, ref in zip(cur_keys, current[technique],
+                                 reference[technique], strict=True):
+            if ref == 0.0:
+                if cur != 0.0:
+                    report.findings.append(DriftFinding(
+                        artifact, "numeric",
+                        f"{technique} @ {key}: {cur!r} vs reference 0.0",
+                    ))
+                continue
+            relative = (cur - ref) / ref * 100.0
+            if abs(relative) > tolerance_percent:
+                report.findings.append(DriftFinding(
+                    artifact, "numeric",
+                    f"{artifact} / {technique} @ {key}: "
+                    f"{relative:+.1f}% vs reference",
+                ))
 
 
 def _check_manifest(artifact: str, current: ArtifactManifest,
@@ -258,10 +242,12 @@ def check_against_reference(
         _check_numeric(
             artifact, cur_csv, ref_csv, tolerance_percent, report
         )
+        current = ArtifactManifest.load(cur_manifest)
         _check_manifest(
-            artifact,
-            ArtifactManifest.load(cur_manifest),
-            ArtifactManifest.load(ref_manifest),
-            report,
+            artifact, current, ArtifactManifest.load(ref_manifest), report
+        )
+        report.findings.extend(
+            DriftFinding(artifact, "claim", f"claim failed: {name}")
+            for name, holds in current.claims.items() if not holds
         )
     return report

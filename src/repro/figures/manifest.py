@@ -6,7 +6,8 @@ the results.  Every artifact the pipeline (:mod:`repro.figures.pipeline`)
 emits therefore ships with an :class:`ArtifactManifest` — environment
 fingerprint, seeds, the backend actually chosen, fallback events, result
 cache traffic, scenario descriptors, and SHA-256 digests of every
-emitted file — and every pipeline run ships a :class:`RunManifest`
+emitted file, and the outcome of every registry claim it was checked
+against — and every pipeline run ships a :class:`RunManifest`
 aggregating them.  The drift layer (:mod:`repro.figures.drift`) diffs
 manifests field by field, distinguishing environment/seed/fallback
 drift from numeric drift.
@@ -56,7 +57,8 @@ class ArtifactManifest:
     every :class:`repro.backends.FallbackEvent` recorded while
     producing it — an empty list is a *claim* that every run stayed on
     its requested backend, and the drift check treats a change here as
-    provenance drift.
+    provenance drift.  ``claims`` maps each registry claim evaluated on
+    the artifact to whether it held (empty when none was evaluated).
     """
 
     artifact: str
@@ -73,6 +75,7 @@ class ArtifactManifest:
     scenario: str | None = None
     plot: str = "none"                      # "png" | "text" | "none"
     files: dict[str, str] = field(default_factory=dict)
+    claims: dict[str, bool] = field(default_factory=dict)
     elapsed_s: float = 0.0
     schema: int = MANIFEST_SCHEMA
 
@@ -93,6 +96,7 @@ class ArtifactManifest:
             "scenario": self.scenario,
             "plot": self.plot,
             "files": dict(self.files),
+            "claims": dict(self.claims),
             "elapsed_s": round(self.elapsed_s, 6),
         }
 
@@ -118,6 +122,7 @@ class ArtifactManifest:
             scenario=data.get("scenario"),
             plot=data.get("plot", "none"),
             files=dict(data.get("files", {})),
+            claims=dict(data.get("claims", {})),
             elapsed_s=float(data.get("elapsed_s", 0.0)),
             schema=int(data["schema"]),
         )
@@ -139,7 +144,8 @@ class RunManifest:
     ``files`` digests every *data* file the run emitted (CSV, text
     renderings, plots) — deliberately not the per-artifact manifests,
     which carry volatile wall-time fields; digest stability across two
-    identical runs is asserted on the data files.
+    identical runs is asserted on the data files.  ``claims`` collects
+    the artifact manifests' claim outcomes by artifact id.
     """
 
     mode: str = "full"
@@ -149,6 +155,7 @@ class RunManifest:
     cache: dict = field(default_factory=dict)
     fallbacks: int = 0
     files: dict[str, str] = field(default_factory=dict)
+    claims: dict[str, dict[str, bool]] = field(default_factory=dict)
     elapsed_s: float = 0.0
     schema: int = MANIFEST_SCHEMA
 
@@ -162,6 +169,7 @@ class RunManifest:
             "cache": dict(self.cache),
             "fallbacks": self.fallbacks,
             "files": dict(self.files),
+            "claims": {k: dict(v) for k, v in self.claims.items()},
             "elapsed_s": round(self.elapsed_s, 6),
         }
 
@@ -178,6 +186,7 @@ class RunManifest:
             cache=dict(data.get("cache", {})),
             fallbacks=int(data.get("fallbacks", 0)),
             files=dict(data.get("files", {})),
+            claims={k: dict(v) for k, v in data.get("claims", {}).items()},
             elapsed_s=float(data.get("elapsed_s", 0.0)),
             schema=int(data["schema"]),
         )
@@ -204,6 +213,15 @@ def _digest_problems(files: object, prefix: str) -> list[str]:
                 f"{prefix}: digest of {name!r} is not hex SHA-256"
             )
     return problems
+
+
+def _claim_problems(claims: object, where: str) -> list[str]:
+    if not isinstance(claims, Mapping):
+        return [f"{where} must be an object"]
+    return [
+        f"{where}: outcome of {name!r} is not a boolean"
+        for name, holds in claims.items() if not isinstance(holds, bool)
+    ]
 
 
 def validate_manifest(data: Mapping, kind: str = "artifact") -> list[str]:
@@ -243,6 +261,7 @@ def validate_manifest(data: Mapping, kind: str = "artifact") -> list[str]:
         plot = data.get("plot", "none")
         if plot not in ("png", "text", "none"):
             problems.append(f"'plot' must be png/text/none, got {plot!r}")
+        problems.extend(_claim_problems(data.get("claims", {}), "'claims'"))
     else:
         if not isinstance(data.get("artifacts"), list) or not all(
             isinstance(a, str) for a in data.get("artifacts", [])
@@ -250,4 +269,12 @@ def validate_manifest(data: Mapping, kind: str = "artifact") -> list[str]:
             problems.append("missing string list 'artifacts'")
         if not isinstance(data.get("fallbacks", 0), int):
             problems.append("'fallbacks' must be an integer")
+        claims = data.get("claims", {})
+        if not isinstance(claims, Mapping):
+            problems.append("'claims' must be an object")
+        else:
+            for artifact, outcomes in claims.items():
+                problems.extend(
+                    _claim_problems(outcomes, f"'claims' of {artifact!r}")
+                )
     return problems

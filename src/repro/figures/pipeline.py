@@ -12,11 +12,12 @@ active result cache, and writes per artifact:
   (:class:`repro.figures.manifest.ArtifactManifest`),
 
 plus a run-level ``run.manifest.json`` aggregating cache traffic,
-fallback totals, and the digests of every data file.  Each artifact is
-also journalled (``kind: "artifact"``) and counted in the metrics
-registry when those sinks are active.  :func:`produce_artifact` is the
-step ``repro-dls run ID`` shares with it: one artifact, plus the
-backend fallbacks it caused.
+fallback totals, claim outcomes and the digests of every data file.
+Each artifact is also journalled (``kind: "artifact"``) and counted in
+the metrics registry when those sinks are active.
+:func:`produce_artifact` is the step ``repro-dls run ID`` shares with
+it: one artifact, the backend fallbacks it caused, and the outcome of
+each registry claim on it.
 """
 
 from __future__ import annotations
@@ -63,18 +64,24 @@ def _cache_delta(before: dict | None, after: dict | None) -> dict:
 
 def produce_artifact(
     spec: ArtifactSpec, mode: str, **overrides
-) -> tuple[ArtifactData, list[FallbackEvent]]:
-    """Produce one artifact and the backend fallbacks it caused.
+) -> tuple[ArtifactData, list[FallbackEvent], dict[str, bool]]:
+    """Produce one artifact, its fallbacks and its claim outcomes.
 
     The process-wide fallback log is drained before the producer runs,
     so what is left in it afterwards belongs to this artifact; those
     events join the ones the producer attached itself, deduplicated in
-    order.  ``overrides`` replace parameters of ``mode``'s set.
+    order.  ``overrides`` replace parameters of ``mode``'s set.  The
+    spec's claims state what that set must show, so they are evaluated
+    only when ``overrides`` leave it unchanged; otherwise the outcome
+    map is empty.
     """
     drain_fallback_events()
     data = spec.produce(mode, **overrides)
     events = dict.fromkeys([*data.fallbacks, *drain_fallback_events()])
-    return data, list(events)
+    params = spec.params(mode)
+    claims = (spec.check_claims(mode, data)
+              if {**params, **overrides} == params else {})
+    return data, list(events), claims
 
 
 def generate_artifacts(
@@ -107,7 +114,7 @@ def generate_artifacts(
     for spec in specs:
         cache_before = _cache_counters()
         t0 = time.perf_counter()
-        data, events = produce_artifact(spec, mode)
+        data, events, claims = produce_artifact(spec, mode)
         elapsed = time.perf_counter() - t0
         fallbacks = [event.to_json() for event in events]
 
@@ -151,6 +158,7 @@ def generate_artifacts(
             scenario=params.get("scenario"),
             plot=plot_mode,
             files=files,
+            claims=claims,
             elapsed_s=elapsed,
         )
         manifest_path = out / f"{spec.id}.manifest.json"
@@ -160,6 +168,7 @@ def generate_artifacts(
         run.manifests.append(manifest_path.name)
         run.fallbacks += len(fallbacks)
         run.files.update(files)
+        run.claims[spec.id] = claims
 
         journal = obs_journal.active_journal()
         if journal is not None:
@@ -190,10 +199,12 @@ def generate_artifacts(
                     f"{manifest.cache['misses']}m"
                 )
             fb_note = f", {len(fallbacks)} fallback(s)" if fallbacks else ""
+            claim_note = (f", {sum(claims.values())}/{len(claims)} claim(s) "
+                          "hold" if claims else "")
             echo(
                 f"[{spec.id}] {spec.paper_artifact}: "
                 f"{len(files)} file(s) in {elapsed:.2f}s "
-                f"(plot={plot_mode}{cache_note}{fb_note})"
+                f"(plot={plot_mode}{cache_note}{fb_note}{claim_note})"
             )
 
     run.cache = _cache_delta(run_cache_before, _cache_counters())

@@ -18,6 +18,13 @@ reproduction campaign behind EXPERIMENTS.md: ``repro-dls figures``
 one.  A full sweep that covers the published reference's keys adds the
 paper's verification lines to the text: the TSS reproduced/not
 verdicts and the BOLD discrepancies against the reference.
+
+Each spec also states what its artifact must show: :class:`Claim`
+predicates taken from the paper and EXPERIMENTS.md (SS is the worst
+technique at p=2, CSS and TSS reproduce Figure 3, ...).  A claim holds
+in both modes unless it is marked ``full_only`` because it needs the
+full sweep or run counts.  :func:`repro.figures.pipeline.produce_artifact`
+evaluates them whenever a mode's parameter set is used unmodified.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "ARTIFACTS",
     "ArtifactData",
     "ArtifactSpec",
+    "Claim",
     "artifact_ids",
     "get_artifact",
 ]
@@ -59,8 +67,22 @@ class ArtifactData:
 
 
 @dataclass(frozen=True)
+class Claim:
+    """A named statement an artifact must show.
+
+    ``holds(data, params)`` receives the produced :class:`ArtifactData`
+    and the mode's parameter set.  A ``full_only`` claim needs the full
+    sweep or run counts, so quick mode skips it.
+    """
+
+    name: str
+    holds: Callable[[ArtifactData, Mapping], bool]
+    full_only: bool = False
+
+
+@dataclass(frozen=True)
 class ArtifactSpec:
-    """One registered artifact and how to produce it in either mode."""
+    """One registered artifact, how to produce it and what it must show."""
 
     id: str
     title: str
@@ -69,6 +91,7 @@ class ArtifactSpec:
     producer: Callable[..., ArtifactData]
     quick: Mapping = field(default_factory=dict)
     full: Mapping = field(default_factory=dict)
+    claims: tuple[Claim, ...] = ()
 
     def params(self, mode: str) -> dict:
         if mode not in ("quick", "full"):
@@ -78,6 +101,15 @@ class ArtifactSpec:
     def produce(self, mode: str, **overrides) -> ArtifactData:
         """The artifact from ``mode``'s parameters, ``overrides`` on top."""
         return self.producer(**{**self.params(mode), **overrides})
+
+    def check_claims(self, mode: str, data: ArtifactData) -> dict[str, bool]:
+        """The outcome of every claim ``mode`` evaluates, by name."""
+        params = self.params(mode)
+        return {
+            claim.name: bool(claim.holds(data, params))
+            for claim in self.claims
+            if mode == "full" or not claim.full_only
+        }
 
 
 def _seq(values: Sequence[float]) -> list[float]:
@@ -158,9 +190,15 @@ def _produce_tss(experiment: int, pe_counts: tuple, simulator: str,
         f"task_time={result.task_time:g}s, simulator={simulator}\n"
         + series_table(series, result.pe_counts, key_header="speedup\\PEs")
     )
+    extra = {
+        "overheads": {k: _seq(v) for k, v in result.overheads.items()},
+        "imbalances": {k: _seq(v) for k, v in result.imbalances.items()},
+    }
     if set(TSS_PUBLISHED_PES) <= set(result.pe_counts):
+        verdicts = tss_reproduction_verdicts(result)
+        extra["reproduced"] = {v.technique: v.reproduced for v in verdicts}
         text += "\n\nReproduction verdicts vs digitized published curves:"
-        for v in tss_reproduction_verdicts(result):
+        for v in verdicts:
             status = "reproduced" if v.reproduced else "NOT reproduced"
             text += (
                 f"\n  {v.technique:>8}: max |rel. discrepancy| = "
@@ -171,10 +209,7 @@ def _produce_tss(experiment: int, pe_counts: tuple, simulator: str,
         keys=result.pe_counts,
         key_header="pes",
         text=text,
-        extra={
-            "overheads": {k: _seq(v) for k, v in result.overheads.items()},
-            "imbalances": {k: _seq(v) for k, v in result.imbalances.items()},
-        },
+        extra=extra,
         platforms=_tss_platform_hashes(result.pe_counts),
     )
 
@@ -377,6 +412,91 @@ def _produce_tss_shapes(experiment: int, p: int, simulator: str,
     )
 
 
+# --- claims -----------------------------------------------------------------
+#
+# Each claim states a result of the paper, of EXPERIMENTS.md or of the
+# companion study an extension artifact reproduces.  A claim that needs
+# the full sweep or run counts is full-only.
+
+def _at(data: ArtifactData, key) -> dict[str, float]:
+    """Every series' value at sweep key ``key``."""
+    i = list(data.keys).index(key)
+    return {label: values[i] for label, values in data.series.items()}
+
+
+def _bold_overhead(params: Mapping, p: int) -> float:
+    """SS's wasted time h*n/p: one overhead h per task, n/p tasks per PE."""
+    from ..experiments.bold_experiments import BOLD_H
+
+    return BOLD_H * params["n"] / p
+
+
+def _ss_tracks_overhead(data: ArtifactData, params: Mapping) -> bool:
+    return all(
+        ss >= 0.8 * _bold_overhead(params, p)
+        for p, ss in zip(data.keys, data.series["SS"])
+        if _bold_overhead(params, p) > 20
+    )
+
+
+_BOLD_CLAIMS = (
+    Claim("every value is positive",
+          lambda d, _: all(v > 0 for vs in d.series.values() for v in vs)),
+    Claim("SS is the worst technique at p=2",
+          lambda d, _: _at(d, 2)["SS"] == max(_at(d, 2).values())),
+    Claim("FAC2 is below STAT at p=2",
+          lambda d, _: _at(d, 2)["FAC2"] < _at(d, 2)["STAT"]),
+    Claim("SS >= 0.8*h*n/p wherever h*n/p > 20 s", _ss_tracks_overhead),
+)
+
+
+def _converges_at_p_equals_n(data: ArtifactData, params: Mapping) -> bool:
+    at_pn = _at(data, params["n"]).values()
+    return max(at_pn) - min(at_pn) < 0.2 * max(at_pn)
+
+
+def _ss_dominates_at_p2(data: ArtifactData, params: Mapping) -> bool:
+    at_p2 = _at(data, 2)
+    ss = at_p2.pop("SS")
+    return ss > 1800 and ss > 10 * max(at_p2.values())
+
+
+def _ss_equals_overhead_at_p2(data: ArtifactData, params: Mapping) -> bool:
+    expected = _bold_overhead(params, 2)
+    return abs(_at(data, 2)["SS"] - expected) < 0.01 * expected
+
+
+def _fac_heavy_tail(data: ArtifactData, params: Mapping) -> bool:
+    return 0 < _at(data, "num_above")["FAC"] < 0.1 * params["runs"]
+
+
+def _fac_mean_collapses(data: ArtifactData, params: Mapping) -> bool:
+    mean = _at(data, "mean")["FAC"]
+    excluding = _at(data, "mean_excluding")["FAC"]
+    return excluding < mean and 5.0 < excluding < 120.0
+
+
+def _tss_verdicts(big_gss: str) -> Claim:
+    """Section IV-A's verdicts on the full sweep of Figure 3 or 4."""
+    expected = {"SS": False, "CSS": True, "GSS(1)": False, big_gss: True,
+                "TSS": True}
+    return Claim(
+        f"CSS, TSS and {big_gss} reproduce; SS and GSS(1) do not",
+        lambda d, _: d.extra["reproduced"] == expected,
+        full_only=True,
+    )
+
+
+def _table2_matches_publication(data: ArtifactData, params: Mapping) -> bool:
+    from ..experiments.tables import TABLE2_PUBLISHED
+
+    produced = {
+        label: {s for s, x in zip(data.keys, row) if x == 1.0}
+        for label, row in data.series.items()
+    }
+    return produced == {k: set(v) for k, v in TABLE2_PUBLISHED.items()}
+
+
 # --- the registry -----------------------------------------------------------
 
 _SPECS = [
@@ -386,6 +506,10 @@ _SPECS = [
         paper_artifact="Table II",
         kind="table",
         producer=_produce_table2,
+        claims=(
+            Claim("all eight techniques match the publication",
+                  _table2_matches_publication),
+        ),
     ),
     ArtifactSpec(
         id="table3",
@@ -405,6 +529,12 @@ _SPECS = [
         full={"experiment": 1,
               "pe_counts": (2, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80),
               "simulator": "msg", "seed": 1993},
+        claims=(
+            _tss_verdicts("GSS(80)"),
+            Claim("CSS and TSS exceed a speedup of 60 at 72 PEs",
+                  lambda d, _: min(_at(d, 72)["CSS"], _at(d, 72)["TSS"]) > 60,
+                  full_only=True),
+        ),
     ),
     ArtifactSpec(
         id="fig4",
@@ -417,6 +547,13 @@ _SPECS = [
         full={"experiment": 2,
               "pe_counts": (2, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80),
               "simulator": "msg", "seed": 1993},
+        claims=(
+            _tss_verdicts("GSS(5)"),
+            Claim("at 72 PEs CSS exceeds 60, GSS(5) 55 and SS 50",
+                  lambda d, _: _at(d, 72)["CSS"] > 60
+                  and _at(d, 72)["GSS(5)"] > 55 and _at(d, 72)["SS"] > 50,
+                  full_only=True),
+        ),
     ),
     ArtifactSpec(
         id="fig5",
@@ -428,6 +565,11 @@ _SPECS = [
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 1024, "pe_counts": (2, 8, 64, 256, 1024), "runs": 100,
               "simulator": "msg", "seed": 2017},
+        claims=_BOLD_CLAIMS + (
+            Claim("at p=n the spread across techniques is under 0.2x "
+                  "the largest value", _converges_at_p_equals_n,
+                  full_only=True),
+        ),
     ),
     ArtifactSpec(
         id="fig6",
@@ -439,6 +581,10 @@ _SPECS = [
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 8192, "pe_counts": (2, 8, 64, 256, 1024), "runs": 30,
               "simulator": "msg", "seed": 2017},
+        claims=_BOLD_CLAIMS + (
+            Claim("SS at p=2 is above 1,800 s and more than 10x every "
+                  "other technique", _ss_dominates_at_p2),
+        ),
     ),
     ArtifactSpec(
         id="fig7",
@@ -450,6 +596,12 @@ _SPECS = [
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 65536, "pe_counts": (2, 8, 64, 256, 1024), "runs": 8,
               "simulator": "msg", "seed": 2017},
+        claims=_BOLD_CLAIMS + (
+            Claim("FAC2 stays below 40 s",
+                  lambda d, _: max(d.series["FAC2"]) < 40),
+            Claim("STAT exceeds 40 s",
+                  lambda d, _: max(d.series["STAT"]) > 40),
+        ),
     ),
     ArtifactSpec(
         id="fig8",
@@ -461,6 +613,12 @@ _SPECS = [
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 524288, "pe_counts": (2, 8, 64, 256, 1024), "runs": 2,
               "simulator": "msg", "seed": 2017},
+        claims=_BOLD_CLAIMS + (
+            Claim("SS at p=2 is within 1% of h*n/p",
+                  _ss_equals_overhead_at_p2),
+            Claim("FAC2 stays below 200 s",
+                  lambda d, _: max(d.series["FAC2"]) < 200),
+        ),
     ),
     ArtifactSpec(
         id="fig9",
@@ -470,6 +628,12 @@ _SPECS = [
         producer=_produce_fig9,
         quick={"runs": 60, "simulator": "direct-batch", "seed": 1997},
         full={"runs": 1000, "simulator": "direct", "seed": 1997},
+        claims=(
+            Claim("more than 0 but fewer than 10% of runs are above 400 s",
+                  _fac_heavy_tail),
+            Claim("the outlier-excluded mean is below the mean and "
+                  "within 5-120 s", _fac_mean_collapses),
+        ),
     ),
     ArtifactSpec(
         id="robustness",
@@ -494,6 +658,17 @@ _SPECS = [
         full={"mode": "strong", "pe_counts": (2, 4, 8, 16, 32, 64, 128),
               "n_total": 16384, "runs": 5, "simulator": "direct",
               "seed": 2012},
+        claims=(
+            Claim("every technique's efficiency falls from the first PE "
+                  "count to the last",
+                  lambda d, _: all(v[0] > v[-1] for v in d.series.values())),
+            Claim("the most efficient technique at the last PE count is "
+                  "fac2, bold, tss or gss",
+                  lambda d, _: max(d.series, key=lambda t: d.series[t][-1])
+                  in ("fac2", "bold", "tss", "gss")),
+            Claim("SS's efficiency is below 0.2 at the last PE count",
+                  lambda d, _: d.series["ss"][-1] < 0.2, full_only=True),
+        ),
     ),
     ArtifactSpec(
         id="css-sweep",
@@ -505,6 +680,14 @@ _SPECS = [
                "simulator": "msg-fast", "seed": 1993},
         full={"k_values": (1, 10, 100, 500, 1389, 5000, 20000), "p": 72,
               "simulator": "msg", "seed": 1993},
+        claims=(
+            Claim("the speedup at k=1389 is above 65",
+                  lambda d, _: _at(d, 1389)["CSS"] > 65),
+            Claim("the speedup at k=1 is below that at k=1389",
+                  lambda d, _: _at(d, 1)["CSS"] < _at(d, 1389)["CSS"]),
+            Claim("the speedup at k=20000 is below 10",
+                  lambda d, _: _at(d, 20000)["CSS"] < 10),
+        ),
     ),
     ArtifactSpec(
         id="remote-ratio",
@@ -527,6 +710,13 @@ _SPECS = [
                "seed": 1993},
         full={"experiment": 1, "p": 64, "simulator": "msg",
               "seed": 1993},
+        claims=(
+            Claim("TSS is above 0.85*p on every shape",
+                  lambda d, params: min(d.series["TSS"]) > 0.85 * params["p"]),
+            Claim("TSS is at least CSS on the decreasing loop",
+                  lambda d, _: _at(d, "decreasing")["TSS"]
+                  >= _at(d, "decreasing")["CSS"]),
+        ),
     ),
 ]
 

@@ -20,8 +20,8 @@ instrumentation that makes a run auditable:
   :mod:`repro.experiments.runner` whenever a journal is active.
 * :func:`capture_provenance` (:mod:`repro.obs.provenance`) — the
   environment snapshot (package version, python, platform XML hash,
-  ``REPRO_WORKERS``) merged into ``CampaignRecord.metadata`` and
-  written as the first journal record.
+  ``REPRO_WORKERS``) recorded in every artifact manifest and cache
+  entry and written as the first journal record.
 * :func:`summarize_journal` (:mod:`repro.obs.report`) — the
   ``repro-dls stats`` summary (slowest tasks, fallback counts,
   events/sec per backend, wall-time histogram).

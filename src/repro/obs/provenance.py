@@ -5,8 +5,8 @@ series of numbers without the environment that produced them is not
 auditable.  :func:`capture_provenance` snapshots what matters for a
 rerun — package version, python/interpreter, machine, the
 ``REPRO_WORKERS`` override, and (when a platform is in play) a content
-hash of its XML serialisation — and is merged into
-``CampaignRecord.metadata`` on save and written as the first record of
+hash of its XML serialisation — and is recorded in every artifact
+manifest and result-cache entry and written as the first record of
 every run journal.
 """
 

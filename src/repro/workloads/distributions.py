@@ -16,8 +16,7 @@ start+size-1``.  Three access paths exist:
   stream identically to a scalar draw, so seeded results are unchanged.
 
 The scalar/batch equivalence is property-tested in
-``tests/test_batch_kernel.py`` and ``tests/test_distributions.py``, and
-the speed difference is measured by the ablation benchmarks.
+``tests/test_batch_kernel.py`` and ``tests/test_distributions.py``.
 
 Stationary workloads ignore ``start``; the position-dependent ones
 (increasing, decreasing, trace) use it, which is why chunk boundaries are

@@ -1,42 +1,8 @@
-"""Tests for the full-registry comparison and the ASCII histogram."""
+"""Tests for the ASCII histogram."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.experiments.all_techniques import (
-    all_techniques_report,
-    run_all_techniques,
-)
 from repro.experiments.report import ascii_histogram
-
-
-class TestRunAllTechniques:
-    def test_small_cell_covers_requested_techniques(self):
-        rows = run_all_techniques(
-            n=256, p=4, h=0.1, runs=2,
-            techniques=("ss", "stat", "fac2"),
-        )
-        assert {r.name for r in rows} == {"ss", "stat", "fac2"}
-
-    def test_rows_sorted_by_wasted_time(self):
-        rows = run_all_techniques(n=256, p=4, runs=2,
-                                  techniques=("ss", "fac2", "gss"))
-        values = [r.mean_wasted_time for r in rows]
-        assert values == sorted(values)
-
-    def test_defaults_cover_whole_registry(self):
-        from repro.core.registry import technique_names
-
-        rows = run_all_techniques(n=128, p=4, runs=1)
-        assert len(rows) == len(technique_names())
-
-    def test_report_contains_ranks(self):
-        rows = run_all_techniques(n=256, p=4, runs=1,
-                                  techniques=("ss", "fac2"))
-        text = all_techniques_report(rows)
-        assert text.splitlines()[1].strip().startswith("1")
-        assert "SS" in text and "FAC2" in text
 
 
 class TestAsciiHistogram:

@@ -122,6 +122,9 @@ class TestRunCommand:
         assert main(["run", "table2"]) == 0
         out = capsys.readouterr().out
         assert "matches publication: STAT=yes" in out
+        assert out.endswith(
+            "\nclaim holds: all eight techniques match the publication\n"
+        )
 
     def test_table3(self, capsys):
         assert main(["run", "table3"]) == 0
@@ -145,6 +148,8 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "n=1,024" in out
         assert "STAT" in out and "BOLD" in out
+        # fewer runs on another backend is not the full set: no claim
+        assert "claim" not in out
         # the full PE sweep covers the reference, so the paper's
         # discrepancy analysis follows the series
         absolute, relative = out.split(
@@ -209,9 +214,11 @@ class TestSimulatorRoundTrip:
             seen.append(simulator)
             return ArtifactData(series={}, keys=())
 
+        # the stand-in data shows nothing, so it is checked against no claim
         monkeypatch.setitem(
             ARTIFACTS, "fig5",
-            dataclasses.replace(ARTIFACTS["fig5"], producer=producer),
+            dataclasses.replace(ARTIFACTS["fig5"], producer=producer,
+                                claims=()),
         )
         for name in backend_names():
             assert main(["run", "fig5", "--simulator", name]) == 0

@@ -29,7 +29,10 @@ class TestDescriptorRegistry:
 
     def test_table_runners_return_text(self):
         assert "DLS" in ARTIFACTS["table2"].produce("full").text
-        assert "Figure 7" in ARTIFACTS["table3"].produce("full").text
+        table3 = ARTIFACTS["table3"].produce("full").text
+        for fragment in ("1,024", "8,192", "65,536", "524,288",
+                         "Figure 5", "Figure 6", "Figure 7", "Figure 8"):
+            assert fragment in table3
 
     def test_small_fig5_run_via_descriptor(self):
         text = ARTIFACTS["fig5"].produce(

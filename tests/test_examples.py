@@ -69,13 +69,6 @@ def test_reproduce_bold_cell_rejects_bad_p():
         run_example("reproduce_bold_cell.py", argv=["1024", "7"])
 
 
-def test_real_execution(capsys):
-    run_example("real_execution.py")
-    out = capsys.readouterr().out
-    assert "the image (downsampled)" in out
-    assert "FAC2" in out
-
-
 def test_fault_tolerance(capsys):
     run_example("fault_tolerance.py")
     out = capsys.readouterr().out

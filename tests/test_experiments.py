@@ -19,7 +19,7 @@ from repro.experiments import (
     tss_published_speedups,
     tss_reproduction_verdicts,
 )
-from repro.experiments.bold_experiments import default_runs, scheduling_params
+from repro.experiments.bold_experiments import scheduling_params
 from repro.workloads import ExponentialWorkload
 
 
@@ -94,12 +94,6 @@ class TestBoldExperiment:
             simulator="direct", seed=1,
         )
         assert result.value("SS", 2) == pytest.approx(64.0, rel=0.2)
-
-    def test_default_runs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNS", "7")
-        assert default_runs(1024) == 7
-        monkeypatch.delenv("REPRO_RUNS")
-        assert default_runs(1024) > 0
 
     def test_msg_and_direct_agree(self):
         kwargs = dict(

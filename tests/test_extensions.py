@@ -40,6 +40,19 @@ class TestScalingStudy:
         assert result.tasks_at[2] == 256
         assert result.tasks_at[4] == 512
 
+    def test_weak_scaling_holds_only_for_batched_techniques(self):
+        result = run_scaling_study(
+            mode="weak",
+            techniques=("ss", "gss", "fac2"),
+            pe_counts=(2, 128),
+            runs=2,
+        )
+        # batched techniques keep their efficiency as the problem grows...
+        assert result.efficiency["fac2"][-1] > 0.8
+        assert result.efficiency["gss"][-1] > 0.8
+        # ...while SS's per-task master contention never amortises
+        assert result.efficiency["ss"][-1] < 0.3
+
     def test_efficiency_between_zero_and_one(self):
         result = run_scaling_study(
             mode="strong",

@@ -145,6 +145,30 @@ class TestFluctuation:
         )
         assert n_ > q
 
+    def test_static_chunks_waste_most_at_every_intensity(self):
+        """Ref [2]'s flexibility finding: load noise raises every
+        technique's wasted time, and STAT wastes more than FAC2 at every
+        intensity (FAC2's frequent rebalancing absorbs the noise)."""
+        import statistics
+
+        params = SchedulingParams(n=4096, p=8, h=0.05, mu=1.0, sigma=1.0)
+        sigmas = (0.0, 0.25, 0.5, 1.0)
+        table = {}
+        for name in ("stat", "gss", "tss", "fac2", "bold"):
+            table[name] = [
+                statistics.mean(
+                    DirectSimulator(
+                        params, ExponentialWorkload(1.0),
+                        fluctuation=LognormalFluctuation(s) if s else None,
+                    ).run(make_factory(name), seed=i).average_wasted_time
+                    for i in range(5)
+                )
+                for s in sigmas
+            ]
+        for name, values in table.items():
+            assert values[-1] > values[0], name
+        assert all(s > f for s, f in zip(table["stat"], table["fac2"]))
+
     def test_step_fluctuation_applies_after_time(self):
         fluct = StepFluctuation({0: (10.0, 0.5)})
         rng = np.random.default_rng(0)

@@ -3,7 +3,8 @@
 Covers the provenance-manifest contract (schema round-trip, digest
 stability across identical runs, fallback and cache-corruption events
 surfacing in the manifest), the drift layer's fatal-vs-warning
-classification, the CSV round-trip the drift check depends on, and the
+classification, the CSV round-trip the drift check depends on, the
+registry claims (recorded, checked, and failing the run), and the
 ``repro-dls figures`` exit codes.  Compute-heavy registry entries are
 exercised elsewhere (the CI figures-smoke job runs the full quick
 registry); these tests stick to the cheap artifacts (tables, fig5) and
@@ -28,9 +29,11 @@ from repro.figures import (
     ArtifactData,
     ArtifactManifest,
     ArtifactSpec,
+    Claim,
     RunManifest,
     check_against_reference,
     generate_artifacts,
+    produce_artifact,
     sha256_file,
     validate_manifest,
 )
@@ -58,6 +61,8 @@ def make_artifact_manifest(**overrides) -> ArtifactManifest:
         scenario=None,
         plot="text",
         files={"fig5.csv": "ab" * 32},
+        claims={"SS is the worst technique at p=2": True,
+                "FAC2 is below STAT at p=2": False},
         elapsed_s=1.25,
     )
     kwargs.update(overrides)
@@ -84,7 +89,9 @@ class TestManifestRoundTrip:
             manifests=["table2.manifest.json"],
             environment={"python": "3.11.7"},
             cache={"hits": 1, "misses": 0, "stores": 0, "corrupt": 0},
-            fallbacks=0, files={"table2.csv": "cd" * 32}, elapsed_s=0.5,
+            fallbacks=0, files={"table2.csv": "cd" * 32},
+            claims={"table2": {"all eight techniques match": True}},
+            elapsed_s=0.5,
         )
         assert RunManifest.from_json(run.to_json()) == run
         path = tmp_path / "run.manifest.json"
@@ -121,6 +128,14 @@ class TestManifestValidation:
         data = make_artifact_manifest().to_json()
         data["plot"] = "svg"
         assert any("plot" in p for p in validate_manifest(data))
+
+    def test_non_boolean_claim_outcome_rejected(self):
+        data = make_artifact_manifest().to_json()
+        data["claims"] = {"SS is the worst technique at p=2": "yes"}
+        assert any("not a boolean" in p for p in validate_manifest(data))
+        run = RunManifest(mode="quick", claims={"fig5": {"SS": 1}}).to_json()
+        assert any("not a boolean" in p
+                   for p in validate_manifest(run, kind="run"))
 
     def test_run_kind_checks_artifact_list(self):
         data = {"schema": MANIFEST_SCHEMA, "mode": "quick",
@@ -189,6 +204,21 @@ class TestPipeline:
             )
         assert warm.cache["misses"] == 0
         assert warm.cache["hits"] > 0
+
+    def test_quick_manifests_record_the_quick_claims(self, tmp_path):
+        only = ["table2", "fig3", "fig5", "fig9", "css-sweep"]
+        run = generate_artifacts(tmp_path, only=only, plot=False)
+        for artifact in only:
+            manifest = ArtifactManifest.load(
+                tmp_path / f"{artifact}.manifest.json"
+            )
+            quick = [claim.name for claim in ARTIFACTS[artifact].claims
+                     if not claim.full_only]
+            assert sorted(manifest.claims) == sorted(quick)
+            assert all(manifest.claims.values())
+            assert run.claims[artifact] == manifest.claims
+        # Figure 3's claims need the full PE sweep
+        assert run.claims["fig3"] == {}
 
     def test_unknown_only_id_is_actionable(self, tmp_path):
         with pytest.raises(ValueError, match="table2"):
@@ -366,6 +396,30 @@ class TestDriftDetection:
         assert not report.ok
         assert any(f.category == "numeric" for f in report.fatal)
 
+    @pytest.mark.parametrize("edit, category, detail", [
+        (lambda lines: lines[:1], "structure",
+         "table3 / figure: only in the reference campaign"),
+        (lambda lines: [*lines, "extra,1.0,1.0,1.0,1.0"], "structure",
+         "table3 / extra: only in the current campaign"),
+        (lambda lines: [lines[0].replace("524288", "1048576"), lines[1]],
+         "structure",
+         "sweep keys differ: ['1024', '8192', '65536', '1048576'] vs "
+         "reference ['1024', '8192', '65536', '524288']"),
+        (lambda lines: [lines[0], lines[1].replace("6.0", "6.6")],
+         "numeric", "table3 / figure @ 8192: +10.0% vs reference"),
+    ], ids=["series-only-in-reference", "series-only-in-current",
+            "keys-differ", "finding-names-the-cell"])
+    def test_csv_edit_is_classified(self, tmp_path, edit, category, detail):
+        out, ref = make_reference(tmp_path, ["table3"])
+        csv = out / "table3.csv"
+        csv.write_text("\n".join(edit(csv.read_text().splitlines())) + "\n")
+        report = check_against_reference(
+            out, reference_dir=ref, artifacts=["table3"]
+        )
+        assert [(f.category, f.detail) for f in report.fatal] == [
+            (category, detail)
+        ]
+
     def test_seed_drift_is_fatal(self, tmp_path):
         out, ref = make_reference(tmp_path, ["table3"])
         path = out / "table3.manifest.json"
@@ -429,6 +483,95 @@ class TestDriftDetection:
             )
             assert manifest.artifact == artifact
             assert manifest.mode == "quick"
+
+
+def constant_producer(seed: int) -> ArtifactData:
+    """A registry-shaped producer whose data is fixed: SS at 2 s."""
+    return ArtifactData(series={"SS": [2.0]}, keys=(2,), text="claimed")
+
+
+@pytest.fixture
+def claimed_spec(monkeypatch):
+    spec = ArtifactSpec(
+        id="claimed",
+        title="an artifact that fails one of its claims",
+        paper_artifact="(test)",
+        kind="lines",
+        producer=constant_producer,
+        quick={"seed": 7},
+        full={"seed": 7},
+        claims=(
+            Claim("SS is positive", lambda d, _: d.series["SS"][0] > 0),
+            Claim("SS is below 1 s", lambda d, _: d.series["SS"][0] < 1),
+        ),
+    )
+    monkeypatch.setitem(figures_registry.ARTIFACTS, "claimed", spec)
+    return spec
+
+
+class TestClaims:
+    def test_check_reports_a_failed_claim_as_drift(
+        self, tmp_path, capsys, claimed_spec
+    ):
+        _, ref = make_reference(tmp_path, ["claimed"])
+        code = main([
+            "figures", "--check", "--no-plot",
+            "--out", str(tmp_path / "cli-out"),
+            "--only", "claimed", "--reference", str(ref),
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "1 drift(s)" in out
+        assert "[DRIFT:claim] claimed: claim failed: SS is below 1 s" in out
+
+    def test_full_figures_exits_one_and_names_the_claim(
+        self, tmp_path, capsys, claimed_spec
+    ):
+        code = main([
+            "figures", "--no-plot", "--out", str(tmp_path),
+            "--only", "claimed",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert ("claims: 1/2 hold\n"
+                "claim FAILED: claimed: SS is below 1 s") in out
+        manifest = ArtifactManifest.load(tmp_path / "claimed.manifest.json")
+        assert manifest.claims == {"SS is positive": True,
+                                   "SS is below 1 s": False}
+
+    def test_run_exits_one_and_names_the_claim(self, capsys, claimed_spec):
+        assert main(["run", "claimed"]) == 1
+        assert capsys.readouterr().out == (
+            "claimed\nclaim holds: SS is positive\n"
+            "claim FAILED: SS is below 1 s\n"
+        )
+
+    def test_only_the_unmodified_parameter_set_is_checked(
+        self, claimed_spec
+    ):
+        assert produce_artifact(claimed_spec, "full", seed=8)[2] == {}
+        # restating the full set's own value leaves it unmodified
+        assert produce_artifact(claimed_spec, "full", seed=7)[2] == {
+            "SS is positive": True, "SS is below 1 s": False,
+        }
+
+    def test_docs_claims_table_in_sync(self):
+        from pathlib import Path
+
+        rows = [
+            f"| `{spec.id}` | {claim.name} | "
+            f"{'full' if claim.full_only else 'quick, full'} |"
+            for spec in ARTIFACTS.values() for claim in spec.claims
+        ]
+        text = Path(__file__).parent.parent.joinpath(
+            "docs", "reproducing.md"
+        ).read_text()
+        embedded = text.split("<!-- artifact-claims:begin -->")[1].split(
+            "<!-- artifact-claims:end -->"
+        )[0].strip().splitlines()
+        assert embedded == [
+            "| artifact | claim | modes |", "| --- | --- | --- |", *rows
+        ]
 
 
 class TestCsvRoundTrip:

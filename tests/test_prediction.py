@@ -88,6 +88,40 @@ class TestRanking:
         assert names[-1] == "SS"
         assert names[0] in ("GSS", "FAC", "FAC2", "BOLD")
 
+    #: (n, p, h) cells spanning light to heavy scheduling overhead
+    GRID = ((1024, 8, 0.5), (4096, 16, 0.1), (8192, 8, 0.01),
+            (4096, 64, 1.0), (16384, 32, 0.05))
+    PAPER_EIGHT = ("stat", "ss", "fsc", "gss", "tss", "fac", "fac2",
+                   "bold")
+
+    def test_never_recommends_ss_under_overhead(self):
+        # SS pays h on every task, so any h > 0 puts it behind a
+        # batching technique
+        for n, p, h in self.GRID:
+            best = predict_all(params(n=n, p=p, h=h), self.PAPER_EIGHT)[0]
+            assert best.technique != "SS", (n, p, h)
+
+    def test_recommendation_is_near_the_simulated_best(self):
+        """The paper's future-work goal, measured: the technique picked
+        before execution wastes little more than the simulated best."""
+        regrets = []
+        for n, p, h in self.GRID:
+            pr = params(n=n, p=p, h=h)
+            sim = DirectSimulator(pr, ExponentialWorkload(1.0))
+            measured = {
+                name: statistics.mean(
+                    sim.run(make_factory(name), seed=i).average_wasted_time
+                    for i in range(6)
+                )
+                for name in self.PAPER_EIGHT
+            }
+            picked = recommend_technique(pr, self.PAPER_EIGHT)
+            regrets.append(
+                measured[picked.technique.lower()] / min(measured.values())
+            )
+        assert all(regret < 2.5 for regret in regrets), regrets
+        assert statistics.geometric_mean(regrets) < 1.6
+
     def test_recommendation_depends_on_overhead(self):
         # With huge overhead, coarse chunking wins; with none, variance
         # smoothing wins.
