@@ -9,8 +9,8 @@ The package provides:
   simulator with a master-worker DLS application;
 * :mod:`repro.directsim` — a replica of Hagerup's (1997) chunk-level
   simulator;
-* :mod:`repro.workloads` — task-time generators including an exact
-  ``rand48`` reproduction;
+* :mod:`repro.workloads` — task-time distributions, trace files and the
+  replication seeds;
 * :mod:`repro.metrics` — wasted time, speedup, overhead/imbalance degrees,
   discrepancies;
 * :mod:`repro.experiments` — the runners behind every table and figure

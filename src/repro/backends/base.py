@@ -59,19 +59,12 @@ class BackendCapabilities:
     #: techniques whose chunk sequence depends on which worker requests
     #: (WF, PLS, RND) — anything without a precomputable schedule
     nondeterministic_schedules: bool = False
-    #: max-min-fair bandwidth sharing among concurrent transfers
-    contention: bool = False
     #: platform-aware network modelling (latencies, heterogeneous hosts)
     platforms: bool = False
     #: per-worker relative speeds passed directly (without a platform)
     per_worker_speeds: bool = False
     #: per-worker staggered start times
     staggered_starts: bool = False
-    #: ``max_events`` simulation budgets
-    max_events: bool = False
-    #: block-level replication execution (one schedule precomputation
-    #: amortised over a whole block of replications)
-    pooled_blocks: bool = False
     #: per-chunk execution logs (``RunResult.chunk_log``) on request
     #: (``RunTask.collect_chunk_log``)
     chunk_log: bool = False
@@ -87,12 +80,9 @@ class BackendCapabilities:
 CAPABILITY_DESCRIPTIONS: dict[str, str] = {
     "adaptive_techniques": "adaptive techniques (AWF*, AF, BOLD)",
     "nondeterministic_schedules": "worker-dependent schedules (WF, PLS, RND)",
-    "contention": "bandwidth contention (flow network)",
     "platforms": "platform-aware network modelling",
     "per_worker_speeds": "direct per-worker speeds",
     "staggered_starts": "staggered start times",
-    "max_events": "max_events budgets",
-    "pooled_blocks": "pooled replication blocks",
     "chunk_log": "per-chunk execution logs (collect_chunk_log)",
     "fluctuation_scenarios": "scenario speed fluctuations (wave/step/noise)",
     "fault_scenarios": "scenario fail-stop faults (work loss)",
@@ -109,22 +99,16 @@ class FallbackEvent:
     """One recorded degradation: requested backend -> chosen.
 
     Recorded by ``resolve_backend`` whenever a requested backend cannot
-    serve a task and dispatch moves to its declared fallback; surfaced
-    in the artifact manifests and as ``note:`` lines of
-    ``repro-dls run fig5 ...`` instead of the degradation happening
-    silently.
-
-    ``category`` separates the degradation kinds in reports
-    (``repro-dls stats``): ``"capability"`` for capability-checked
-    dispatch hops, anything else (e.g. ``"pickle"``, ``"runtime"``) for
-    degradations recorded outside the capability walk.
+    serve a task and dispatch moves to its declared fallback — the one
+    place anything falls back; surfaced in the artifact manifests and
+    as ``note:`` lines of ``repro-dls run fig5 ...`` instead of the
+    degradation happening silently.
     """
 
     task_key: str
     requested: str
     chosen: str
     reason: str
-    category: str = "capability"
 
     def describe(self) -> str:
         return (
@@ -138,7 +122,6 @@ class FallbackEvent:
             "requested": self.requested,
             "chosen": self.chosen,
             "reason": self.reason,
-            "category": self.category,
         }
 
 
@@ -152,14 +135,15 @@ class ReplicationBlock:
 
     Blocks distribute over the process pool like individual ``RunTask``
     objects, but each block amortises the chunk-schedule precomputation
-    (and, for the batch kernel, samples its chunk times in bulk).  Two
-    seeding styles exist, mirroring the two pooled-block backends:
+    (and, for the batch kernel, samples its chunk times in bulk).  Both
+    seeding styles take their entropy tuples from
+    :func:`repro.workloads.replication_entropies`:
 
-    * ``seed_entropies`` — one entropy tuple per replication, derived
-      exactly as ``expand_replications`` derives them (MSG fast path);
-      the block partitioning cannot affect results.
-    * ``seed_entropy`` — one entropy tuple for the whole block, whose
-      RNG stream the batch kernel consumes in bulk (direct-batch).
+    * ``seed_entropies`` — one tuple per replication, the same tuples
+      ``expand_replications`` gives per-run tasks (MSG fast path); the
+      block partitioning cannot affect results.
+    * ``seed_entropy`` — one tuple for the whole block, whose RNG
+      stream the batch kernel consumes in bulk (direct-batch).
     """
 
     backend: str

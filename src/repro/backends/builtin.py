@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.params import SchedulingParams
 from ..core.registry import get_technique
+from ..workloads.generator import replication_entropies
 from .base import (
     BATCH_BLOCK_RUNS,
     BackendCapabilities,
@@ -51,18 +52,6 @@ def _scheduler_factory(
     cls = get_technique(task.technique)
     kwargs = task.technique_kwargs
     return lambda params: cls(params, **kwargs)
-
-
-def _spawned_entropies(
-    campaign_seed: int | None, count: int
-) -> list[tuple[int, ...]]:
-    """Per-child entropy tuples, exactly as ``expand_replications``."""
-    seeds = np.random.SeedSequence(campaign_seed).spawn(count)
-    return [
-        tuple(int(v) for v in np.atleast_1d(seq.entropy))
-        + tuple(seq.spawn_key)
-        for seq in seeds
-    ]
 
 
 def _scenario_models(task: "RunTask"):
@@ -140,12 +129,9 @@ class MsgBackend(_MsgBackendBase):
     capabilities = BackendCapabilities(
         adaptive_techniques=True,
         nondeterministic_schedules=True,
-        contention=True,
         platforms=True,
         per_worker_speeds=False,
         staggered_starts=True,
-        max_events=True,
-        pooled_blocks=False,
         chunk_log=True,
     )
     #: the MSG stack has no fault/fluctuation models, so scenario tasks
@@ -170,12 +156,9 @@ class MsgFastBackend(_MsgBackendBase):
     capabilities = BackendCapabilities(
         adaptive_techniques=False,
         nondeterministic_schedules=False,
-        contention=False,
         platforms=True,
         per_worker_speeds=False,
         staggered_starts=True,
-        max_events=False,
-        pooled_blocks=True,
         chunk_log=True,
     )
     fallback = "msg"
@@ -194,11 +177,11 @@ class MsgFastBackend(_MsgBackendBase):
     ) -> list[ReplicationBlock]:
         """Consecutive blocks that share one schedule precomputation.
 
-        Per-run seed entropies are derived exactly as
-        ``expand_replications`` derives them, so the block partitioning
-        cannot affect results — every run keeps its own seed.
+        Every run keeps the seed ``expand_replications`` would give it
+        (:func:`~repro.workloads.replication_entropies`), so the block
+        partitioning cannot affect results.
         """
-        entropies = _spawned_entropies(campaign_seed, runs)
+        entropies = replication_entropies(campaign_seed, runs)
         return [
             ReplicationBlock(
                 backend=self.name,
@@ -230,12 +213,9 @@ class DirectBackend(SimulationBackend):
     capabilities = BackendCapabilities(
         adaptive_techniques=True,
         nondeterministic_schedules=True,
-        contention=False,
         platforms=False,
         per_worker_speeds=True,
         staggered_starts=True,
-        max_events=False,
-        pooled_blocks=False,
         chunk_log=True,
         fluctuation_scenarios=True,
         fault_scenarios=True,
@@ -277,12 +257,9 @@ class DirectBatchBackend(SimulationBackend):
     capabilities = BackendCapabilities(
         adaptive_techniques=True,
         nondeterministic_schedules=True,
-        contention=False,
         platforms=False,
         per_worker_speeds=True,
         staggered_starts=True,
-        max_events=False,
-        pooled_blocks=True,
         fluctuation_scenarios=True,
         fault_scenarios=True,
     )
@@ -373,7 +350,7 @@ class DirectBatchBackend(SimulationBackend):
         counts = [BATCH_BLOCK_RUNS] * (runs // BATCH_BLOCK_RUNS)
         if runs % BATCH_BLOCK_RUNS:
             counts.append(runs % BATCH_BLOCK_RUNS)
-        entropies = _spawned_entropies(campaign_seed, len(counts))
+        entropies = replication_entropies(campaign_seed, len(counts))
         return [
             ReplicationBlock(
                 backend=self.name,

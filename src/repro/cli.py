@@ -48,6 +48,7 @@ from .backends import backend_names
 from .core.base import chunk_sizes
 from .core.params import SchedulingParams
 from .core.registry import get_technique, iter_techniques
+from .workloads import WORKLOAD_DISTS, workload_from_spec
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
@@ -76,6 +77,33 @@ def _cache_dir_from_args(args: argparse.Namespace) -> str | None:
     if args.no_cache:
         return None
     return args.cache or default_cache_dir()
+
+
+def _add_workload_options(parser: argparse.ArgumentParser) -> None:
+    """--dist and --mean: the task-time workload a simulating command runs."""
+    parser.add_argument("--dist", choices=WORKLOAD_DISTS, default="exponential")
+    parser.add_argument("--mean", type=float, default=1.0)
+
+
+def _workload_params(args: argparse.Namespace) -> SchedulingParams:
+    """The params of a command taking --dist/--mean: mu = sigma = --mean."""
+    return SchedulingParams(
+        n=args.n, p=args.p, h=args.h, mu=args.mean, sigma=args.mean
+    )
+
+
+def _chunk_logged_task(args: argparse.Namespace, simulator: str):
+    """The one seeded run of ``args``'s cell, recording its chunk log."""
+    from .experiments.runner import RunTask
+
+    return RunTask(
+        technique=args.technique,
+        params=_workload_params(args),
+        workload=workload_from_spec(args.dist, args.mean),
+        simulator=simulator,
+        seed_entropy=(args.seed,),
+        collect_chunk_log=True,
+    )
 
 
 def _add_scenario_option(parser: argparse.ArgumentParser) -> None:
@@ -156,12 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     simu.add_argument("--n", type=int, required=True)
     simu.add_argument("--p", type=int, required=True)
     simu.add_argument("--h", type=float, default=0.0)
-    simu.add_argument(
-        "--dist",
-        choices=("constant", "exponential", "uniform", "gamma"),
-        default="exponential",
-    )
-    simu.add_argument("--mean", type=float, default=1.0)
+    _add_workload_options(simu)
     simu.add_argument("--runs", type=int, default=1)
     simu.add_argument("--seed", type=int, default=0)
     simu.add_argument("--simulator", choices=backend_names(), default="msg")
@@ -308,12 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_export.add_argument("--n", type=int, default=None)
     trace_export.add_argument("--p", type=int, default=None)
     trace_export.add_argument("--h", type=float, default=0.0)
-    trace_export.add_argument(
-        "--dist",
-        choices=("constant", "exponential", "uniform", "gamma"),
-        default="exponential",
-    )
-    trace_export.add_argument("--mean", type=float, default=1.0)
+    _add_workload_options(trace_export)
     trace_export.add_argument("--seed", type=int, default=0)
     trace_export.add_argument(
         "--simulator", choices=backend_names(), default="msg-fast",
@@ -328,11 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--technique", required=True)
     files.add_argument("--n", type=int, required=True)
     files.add_argument("--h", type=float, default=0.0)
-    files.add_argument(
-        "--dist", choices=("constant", "exponential", "uniform", "gamma"),
-        default="exponential",
-    )
-    files.add_argument("--mean", type=float, default=1.0)
+    _add_workload_options(files)
     files.add_argument("--seed", type=int, default=0)
 
     serve = sub.add_parser(
@@ -381,11 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     gantt.add_argument("--n", type=int, required=True)
     gantt.add_argument("--p", type=int, required=True)
     gantt.add_argument("--h", type=float, default=0.0)
-    gantt.add_argument(
-        "--dist", choices=("constant", "exponential", "uniform", "gamma"),
-        default="exponential",
-    )
-    gantt.add_argument("--mean", type=float, default=1.0)
+    _add_workload_options(gantt)
     gantt.add_argument("--seed", type=int, default=0)
     gantt.add_argument("--width", type=int, default=72)
     gantt.add_argument(
@@ -477,36 +487,15 @@ def _cmd_backends() -> int:
     return 0
 
 
-def _params_from_args(args: argparse.Namespace) -> SchedulingParams:
-    return SchedulingParams(
-        n=args.n,
-        p=args.p,
-        h=args.h,
-        mu=getattr(args, "mu", None) or getattr(args, "mean", 1.0),
-        sigma=getattr(args, "sigma", None) or getattr(args, "mean", 1.0),
-        min_chunk=getattr(args, "min_chunk", 1),
-        chunk_size=getattr(args, "chunk_size", None),
-    )
-
-
-def _workload_from_args(args: argparse.Namespace):
-    from .workloads import (
-        ConstantWorkload,
-        ExponentialWorkload,
-        GammaWorkload,
-        UniformWorkload,
-    )
-
-    return {
-        "constant": lambda: ConstantWorkload(args.mean),
-        "exponential": lambda: ExponentialWorkload(args.mean),
-        "uniform": lambda: UniformWorkload(0.0, 2 * args.mean),
-        "gamma": lambda: GammaWorkload(2.0, args.mean / 2.0),
-    }[args.dist]()
-
-
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    try:
+        params = SchedulingParams(
+            n=args.n, p=args.p, h=args.h, mu=args.mu, sigma=args.sigma,
+            min_chunk=args.min_chunk, chunk_size=args.chunk_size,
+        )
+    except ValueError as exc:
+        print(f"schedule: {exc}", file=sys.stderr)
+        return 2
     scheduler = get_technique(args.technique)(params)
     sizes = chunk_sizes(scheduler)
     print(f"{scheduler.label}: {len(sizes)} chunks, sum={sum(sizes)}")
@@ -524,8 +513,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .experiments.runner import RunTask, run_campaign
     from .obs import journal_to, metrics_to, progress_to, stream_renderer
 
-    params = _params_from_args(args)
-    workload = _workload_from_args(args)
+    params = _workload_params(args)
+    workload = workload_from_spec(args.dist, args.mean)
     try:
         scenario = _scenario_from_args(args)
     except ValueError as exc:
@@ -811,18 +800,8 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from .experiments.runner import RunTask
-
-        task = RunTask(
-            technique=args.technique,
-            params=_params_from_args(args),
-            workload=_workload_from_args(args),
-            simulator=args.simulator,
-            seed_entropy=(args.seed,),
-            collect_chunk_log=True,
-        )
         try:
-            result = task.execute()
+            result = _chunk_logged_task(args, args.simulator).execute()
             trace = chrome_trace_from_results([result])
         except ValueError as exc:
             print(f"trace-export: {exc}", file=sys.stderr)
@@ -846,21 +825,10 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_files(args: argparse.Namespace) -> int:
     from .simgrid.app import ApplicationConfig, run_from_files
-    from .workloads import (
-        ConstantWorkload,
-        ExponentialWorkload,
-        GammaWorkload,
-        UniformWorkload,
-    )
 
-    workload = {
-        "constant": lambda: ConstantWorkload(args.mean),
-        "exponential": lambda: ExponentialWorkload(args.mean),
-        "uniform": lambda: UniformWorkload(0.0, 2 * args.mean),
-        "gamma": lambda: GammaWorkload(2.0, args.mean / 2.0),
-    }[args.dist]()
     app = ApplicationConfig(
-        technique=args.technique, n=args.n, workload=workload, h=args.h
+        technique=args.technique, n=args.n,
+        workload=workload_from_spec(args.dist, args.mean), h=args.h,
     )
     result = run_from_files(
         args.platform, args.deployment, app, seed=args.seed
@@ -876,28 +844,13 @@ def _cmd_simulate_files(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
-    from .directsim import DirectSimulator
     from .simgrid.visualization import (
         ascii_gantt,
         save_paje_trace,
         utilization_summary,
     )
-    from .workloads import (
-        ConstantWorkload,
-        ExponentialWorkload,
-        GammaWorkload,
-        UniformWorkload,
-    )
 
-    params = _params_from_args(args)
-    workload = {
-        "constant": lambda: ConstantWorkload(args.mean),
-        "exponential": lambda: ExponentialWorkload(args.mean),
-        "uniform": lambda: UniformWorkload(0.0, 2 * args.mean),
-        "gamma": lambda: GammaWorkload(2.0, args.mean / 2.0),
-    }[args.dist]()
-    sim = DirectSimulator(params, workload, record_chunks=True)
-    result = sim.run(get_technique(args.technique), seed=args.seed)
+    result = _chunk_logged_task(args, "direct").execute()
     try:
         chart = ascii_gantt(result, width=args.width)
     except ValueError as exc:

@@ -1,12 +1,7 @@
 """Replica of Hagerup's (1997) chunk-level direct simulator."""
 
 from .accounting import OverheadModel, average_wasted_time
-from .batch import (
-    BatchDirectSimulator,
-    BatchScheduleUnavailableError,
-    batch_replicate,
-    batch_supported,
-)
+from .batch import BatchDirectSimulator, batch_supported
 from .faults import (
     AllWorkersFailedError,
     CompositeFluctuation,
@@ -17,12 +12,11 @@ from .faults import (
     SimulationError,
     StepFluctuation,
 )
-from .simulator import ChunkExecution, DirectSimulator, RunResult, replicate
+from .simulator import ChunkExecution, DirectSimulator, RunResult
 
 __all__ = [
     "AllWorkersFailedError",
     "BatchDirectSimulator",
-    "BatchScheduleUnavailableError",
     "ChunkExecution",
     "CompositeFluctuation",
     "CyclicFluctuation",
@@ -35,7 +29,5 @@ __all__ = [
     "SimulationError",
     "StepFluctuation",
     "average_wasted_time",
-    "batch_replicate",
     "batch_supported",
-    "replicate",
 ]

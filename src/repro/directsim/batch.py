@@ -106,10 +106,6 @@ def batch_supported(technique: str | type[Scheduler]) -> bool:
     return closed_form_supported(technique) or stepping_supported(technique)
 
 
-#: backward-compatible alias: the shared precomputation error
-BatchScheduleUnavailableError = ScheduleUnavailableError
-
-
 class _PerturbationArrays:
     """Fault/fluctuation models lowered to per-worker arrays.
 
@@ -684,15 +680,3 @@ class BatchDirectSimulator:
             )
             for r in range(reps)
         ]
-
-
-def batch_replicate(
-    simulator: BatchDirectSimulator,
-    factory: Callable[[SchedulingParams], Scheduler],
-    runs: int,
-    seed: int | None = None,
-) -> list[RunResult]:
-    """Batched counterpart of :func:`repro.directsim.simulator.replicate`."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    return simulator.run_batch(factory, runs, np.random.SeedSequence(seed))

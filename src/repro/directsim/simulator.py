@@ -220,16 +220,3 @@ class DirectSimulator:
                 wall_time=time.perf_counter() - t_wall,
             ),
         )
-
-
-def replicate(
-    simulator: DirectSimulator,
-    factory: Callable[[SchedulingParams], Scheduler],
-    runs: int,
-    seed: int | None = None,
-) -> list[RunResult]:
-    """Run ``runs`` independent replications with spawned seeds."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    return [simulator.run(factory, s) for s in seeds]

@@ -30,11 +30,17 @@ Two throughput layers compose here:
   tuned chunksize.  The pool size defaults to ``os.cpu_count()`` and can
   be overridden with the ``REPRO_WORKERS`` environment variable or the
   ``processes`` argument (CLI: ``REPRO_WORKERS=N repro-dls figures``).
-* **Block-level batching** — backends declaring ``pooled_blocks``
-  (``direct-batch``, ``msg-fast``) split whole replication sweeps into
-  :class:`~repro.backends.ReplicationBlock` objects that amortise the
-  chunk-schedule precomputation (and, for the batch kernel, sample chunk
-  times in bulk) instead of paying one Python event loop per replication.
+* **Block-level batching** — backends that implement
+  ``replication_blocks`` (``direct-batch``, ``msg-fast``) split whole
+  replication sweeps into :class:`~repro.backends.ReplicationBlock`
+  objects that amortise the chunk-schedule precomputation (and, for the
+  batch kernel, sample chunk times in bulk) instead of paying one Python
+  event loop per replication.
+
+Replication seeds come from one function,
+:func:`repro.workloads.replication_entropies`: per-run tasks and both
+kinds of block draw their entropy from it, so a (task, runs, campaign
+seed) triple names one set of replications on every backend.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import multiprocessing
 import os
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
 
 import numpy as np
@@ -71,6 +77,7 @@ from ..obs.journal import active_journal
 from ..results import RunResult
 from ..simgrid.platform import Platform
 from ..workloads.distributions import Workload
+from ..workloads.generator import replication_entropies
 
 if TYPE_CHECKING:
     from ..scenarios import Scenario
@@ -209,7 +216,6 @@ def _replay_entry_fallbacks(entry) -> None:
                 requested=event["requested"],
                 chosen=event["chosen"],
                 reason=event["reason"],
-                category=event.get("category", "capability"),
             ))
         except (KeyError, TypeError):  # foreign/legacy provenance shape
             continue
@@ -395,21 +401,10 @@ def expand_replications(task: RunTask, runs: int,
     """Clone ``task`` into ``runs`` tasks with independent spawned seeds."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    seeds = np.random.SeedSequence(campaign_seed).spawn(runs)
-    out = []
-    for seq in seeds:
-        entropy = tuple(int(v) for v in np.atleast_1d(seq.entropy)) + tuple(
-            seq.spawn_key
-        )
-        out.append(
-            RunTask(
-                **{
-                    **task.__dict__,
-                    "seed_entropy": entropy,
-                }
-            )
-        )
-    return out
+    return [
+        replace(task, seed_entropy=entropy)
+        for entropy in replication_entropies(campaign_seed, runs)
+    ]
 
 
 # -- run journal ----------------------------------------------------------

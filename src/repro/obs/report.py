@@ -242,29 +242,20 @@ def summarize_journal(
         )
 
     if fallbacks:
-        by_category: dict[str, dict[tuple[str, str, str], int]] = {}
+        counts: dict[tuple[str, str, str], int] = {}
         for record in fallbacks:
-            category = record.get("category", "capability")
-            counts = by_category.setdefault(category, {})
             key = (
                 record.get("requested", "?"),
                 record.get("chosen", "?"),
                 record.get("reason", ""),
             )
             counts[key] = counts.get(key, 0) + 1
-        for category in sorted(by_category, key=lambda c: (
-            c != "capability", c
-        )):
-            lines.append("")
-            if category == "capability":
-                lines.append("capability fallbacks:")
-            else:
-                lines.append(f"other fallbacks ({category}):")
-            counts = by_category[category]
-            for (requested, chosen, reason), count in sorted(counts.items()):
-                lines.append(f"  {requested} -> {chosen}  x{count}")
-                if reason:
-                    lines.append(f"    {reason}")
+        lines.append("")
+        lines.append("capability fallbacks:")
+        for (requested, chosen, reason), count in sorted(counts.items()):
+            lines.append(f"  {requested} -> {chosen}  x{count}")
+            if reason:
+                lines.append(f"    {reason}")
     elif tasks:
         lines.append("")
         lines.append(

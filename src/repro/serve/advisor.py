@@ -53,12 +53,7 @@ from ..experiments.runner import RunTask, run_replicated_batch
 from ..metrics.summary import summarize
 from ..obs import metrics as obs_metrics
 from ..obs.journal import active_journal
-from ..workloads import (
-    ConstantWorkload,
-    ExponentialWorkload,
-    GammaWorkload,
-    UniformWorkload,
-)
+from ..workloads import WORKLOAD_DISTS, workload_from_spec
 
 if TYPE_CHECKING:
     from ..results import RunResult
@@ -71,7 +66,6 @@ __all__ = [
     "Advisor",
     "RankedTechnique",
     "SweepBatcher",
-    "workload_from_spec",
 ]
 
 #: replications per candidate technique when the query does not say
@@ -81,9 +75,6 @@ DEFAULT_SIMULATOR = "direct-batch"
 #: hard per-query replication ceiling — the advisor is a service, and a
 #: single query must not be able to occupy the box for minutes
 MAX_RUNS = 1024
-
-#: workload distributions a query may name (mirrors the CLI ``--dist``)
-WORKLOAD_DISTS = ("constant", "exponential", "uniform", "gamma")
 
 
 class AdviseValidationError(ValueError):
@@ -105,17 +96,6 @@ class AdviseValidationError(ValueError):
             "field": self.field,
             "message": self.message,
         }
-
-
-def workload_from_spec(dist: str, mean: float):
-    """The workload a (dist, mean) pair describes (CLI semantics)."""
-    factories = {
-        "constant": lambda: ConstantWorkload(mean),
-        "exponential": lambda: ExponentialWorkload(mean),
-        "uniform": lambda: UniformWorkload(0.0, 2 * mean),
-        "gamma": lambda: GammaWorkload(2.0, mean / 2.0),
-    }
-    return factories[dist]()
 
 
 def _require_int(payload: dict, key: str, *, minimum: int,

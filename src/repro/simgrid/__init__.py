@@ -8,16 +8,8 @@ from .app import (
     split_deployment,
 )
 from .engine import Effect, Engine, Process, SimulationError, Timeout
-from .fastpath import (
-    FastMasterWorkerSimulation,
-    fastpath_ineligibility,
-    replicate_msg_fast,
-)
-from .masterworker import (
-    MasterWorkerConfig,
-    MasterWorkerSimulation,
-    replicate_msg,
-)
+from .fastpath import FastMasterWorkerSimulation, fastpath_ineligibility
+from .masterworker import MasterWorkerConfig, MasterWorkerSimulation
 from .msg import (
     ComputeTask,
     Execute,
@@ -73,7 +65,6 @@ __all__ = [
     "Execute",
     "FastMasterWorkerSimulation",
     "fastpath_ineligibility",
-    "replicate_msg_fast",
     "Host",
     "Link",
     "Mailbox",
@@ -107,6 +98,5 @@ __all__ = [
     "parse_latency",
     "parse_speed",
     "platform_to_xml",
-    "replicate_msg",
     "star_platform",
 ]

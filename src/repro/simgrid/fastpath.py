@@ -43,24 +43,32 @@ at strictly increasing receipt times).  The pending-request heap keys on
 exactly that tuple, so ties in arrival time break as the event heap
 would break them.
 
-Configurations the flattening cannot express fall back transparently to
-the event-driven path: bandwidth contention (transfer times depend on
-concurrent flows), adaptive or schedule-nondeterministic techniques
-(chunk sizes depend on run-time feedback), and ``max_events`` budgets
-(the fast path has no comparable event count).
+Configurations the flattening cannot express raise
+:class:`~repro.core.schedule.ScheduleUnavailableError` naming the
+reason: bandwidth contention (transfer times depend on concurrent
+flows), adaptive or schedule-nondeterministic techniques (chunk sizes
+depend on run-time feedback), and ``max_events`` budgets (the fast path
+has no comparable event count).  The one place that falls back is the
+backend registry: ``msg-fast`` declares ``msg`` as its fallback and
+records a :class:`~repro.backends.FallbackEvent` for every task it
+hands over.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..core.base import ChunkRecord, Scheduler
 from ..core.params import SchedulingParams
-from ..core.schedule import precompute_schedule, schedule_ineligibility
+from ..core.schedule import (
+    ScheduleUnavailableError,
+    precompute_schedule,
+    schedule_ineligibility,
+)
 from ..metrics.wasted_time import OverheadModel
 from ..obs.stats import RunStats
 from ..results import ChunkExecution, RunResult
@@ -76,8 +84,9 @@ def fastpath_ineligibility(
     Config checks are local; the technique checks are the shared
     closed-form predicate (:func:`repro.core.schedule.
     schedule_ineligibility`) both fast paths use.  The returned string
-    is a short human-readable reason, used by the fallback log hook and
-    the docs' eligibility matrix.
+    is a short human-readable reason, carried by the
+    :class:`~repro.core.schedule.ScheduleUnavailableError` the fast path
+    raises.
     """
     if config.contention:
         return "contention: transfer times depend on concurrent flows"
@@ -87,18 +96,24 @@ def fastpath_ineligibility(
 
 
 class FastMasterWorkerSimulation(MasterWorkerSimulation):
-    """Drop-in :class:`MasterWorkerSimulation` with a compiled fast path.
+    """:class:`MasterWorkerSimulation` with a compiled fast path.
 
     :meth:`run` produces bit-identical :class:`RunResult` objects to the
-    event-driven simulator whenever the configuration is eligible (see
-    :func:`fastpath_ineligibility`); ineligible runs transparently fall
-    back to the inherited event-driven protocol.  All constructor
-    arguments, overhead models, heterogeneous platforms, custom message
-    sizes and staggered start times behave exactly as in the parent.
+    event-driven simulator for every eligible configuration (see
+    :func:`fastpath_ineligibility`); an ineligible one raises
+    :class:`~repro.core.schedule.ScheduleUnavailableError` instead of
+    running.  All constructor arguments, overhead models, heterogeneous
+    platforms, custom message sizes and staggered start times behave
+    exactly as in the parent.
     """
 
-    #: set by every :meth:`run` call: True when the last run was flattened
-    last_run_fast: bool = False
+    def _require_eligible(self, scheduler: Scheduler) -> None:
+        reason = fastpath_ineligibility(scheduler, self.config)
+        if reason is not None:
+            raise ScheduleUnavailableError(
+                f"{scheduler.label or scheduler.name} cannot take the MSG "
+                f"fast path ({reason}); use MasterWorkerSimulation"
+            )
 
     def run(
         self,
@@ -107,14 +122,11 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
     ) -> RunResult:
         if not isinstance(scheduler, Scheduler):
             scheduler = scheduler(self.params)
-        if fastpath_ineligibility(scheduler, self.config) is not None:
-            self.last_run_fast = False
-            return super().run(scheduler, seed)
+        self._require_eligible(scheduler)
         schedule = precompute_schedule(scheduler)
         # Closed-form chunk_schedule leaves the instance untouched; mark
         # it consumed so reuse is rejected exactly as on the event path.
         scheduler.state.scheduled_chunks = schedule.num_chunks
-        self.last_run_fast = True
         return self._fast_run(schedule, make_rng(seed))
 
     def run_many(
@@ -125,20 +137,12 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         """Independent replications sharing one schedule precomputation.
 
         Each seed produces exactly the result :meth:`run` would produce
-        for it; eligible cells compute the chunk schedule once and replay
-        it per seed, ineligible cells loop the event-driven simulator
-        with a fresh scheduler per run.
+        for it: the chunk schedule is computed once and replayed per
+        seed.
         """
-        seeds = list(seeds)
         probe = factory(self.params)
-        if fastpath_ineligibility(probe, self.config) is not None:
-            self.last_run_fast = False
-            return [
-                MasterWorkerSimulation.run(self, factory, seed)
-                for seed in seeds
-            ]
+        self._require_eligible(probe)
         schedule = precompute_schedule(probe)
-        self.last_run_fast = True
         return [
             self._fast_run(schedule, make_rng(seed)) for seed in seeds
         ]
@@ -285,22 +289,3 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
             ),
         )
 
-
-def replicate_msg_fast(
-    simulation: FastMasterWorkerSimulation,
-    factory: Callable[[SchedulingParams], Scheduler],
-    runs: int,
-    seed: int | None = None,
-) -> list[RunResult]:
-    """Fast-path counterpart of :func:`repro.simgrid.replicate_msg`.
-
-    Uses the same spawned-seed derivation, so for eligible configurations
-    the results are bit-identical to ``replicate_msg`` on the event-driven
-    simulator.
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    seeds: Sequence[np.random.SeedSequence] = (
-        np.random.SeedSequence(seed).spawn(runs)
-    )
-    return simulation.run_many(factory, seeds)

@@ -282,87 +282,3 @@ class MasterWorkerSimulation:
             ),
         )
 
-
-#: below this many runs the pool overhead dominates; stay serial
-MSG_POOL_THRESHOLD = 8
-
-
-@dataclass(frozen=True)
-class _MsgReplicationBlock:
-    """A picklable block of replications for the process pool.
-
-    Replications keep their individually spawned seeds, so the
-    block partitioning (and therefore the worker count) cannot change
-    any result.  Simulations that provide ``run_many`` (the fast path)
-    amortise the per-block schedule precomputation.
-    """
-
-    simulation: MasterWorkerSimulation
-    factory: Callable[[SchedulingParams], Scheduler]
-    seeds: tuple[np.random.SeedSequence, ...]
-
-    def execute(self) -> list[RunResult]:
-        run_many = getattr(self.simulation, "run_many", None)
-        if run_many is not None:
-            return run_many(self.factory, list(self.seeds))
-        return [self.simulation.run(self.factory, s) for s in self.seeds]
-
-
-def replicate_msg(
-    simulation: MasterWorkerSimulation,
-    factory: Callable[[SchedulingParams], Scheduler],
-    runs: int,
-    seed: int | None = None,
-    processes: int | None = None,
-) -> list[RunResult]:
-    """Run ``runs`` independent replications with spawned seeds.
-
-    Large replication counts fan out over the shared process pool of
-    :mod:`repro.experiments.runner` in fixed-size blocks; because every
-    replication carries its own spawned seed, results are bit-identical
-    to the serial loop regardless of the worker count.  Small counts
-    (< :data:`MSG_POOL_THRESHOLD`), single-worker configurations and
-    unpicklable simulations/factories stay serial.
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    if runs < MSG_POOL_THRESHOLD:
-        return [simulation.run(factory, s) for s in seeds]
-    # Imported lazily: the runner module imports this one at top level.
-    from ..experiments.runner import BATCH_BLOCK_RUNS, _run_pooled, resolve_workers
-
-    processes = resolve_workers(processes)
-    if processes <= 1:
-        return [simulation.run(factory, s) for s in seeds]
-    blocks = [
-        _MsgReplicationBlock(
-            simulation=simulation,
-            factory=factory,
-            seeds=tuple(seeds[i:i + BATCH_BLOCK_RUNS]),
-        )
-        for i in range(0, runs, BATCH_BLOCK_RUNS)
-    ]
-    try:
-        import pickle
-
-        pickle.dumps(blocks[0])
-    except Exception as exc:
-        from ..backends.base import FallbackEvent
-        from ..backends.registry import record_fallback
-
-        record_fallback(FallbackEvent(
-            task_key=(
-                f"replicate_msg(n={simulation.params.n}, "
-                f"p={simulation.params.p})"
-            ),
-            requested="process-pool",
-            chosen="serial",
-            reason=f"simulation/factory does not pickle: {exc!r}",
-            category="pickle",
-        ))
-        return [simulation.run(factory, s) for s in seeds]
-    if len(blocks) == 1:
-        return blocks[0].execute()
-    results = _run_pooled(blocks, processes)
-    return [r for block in results for r in block]

@@ -1,6 +1,7 @@
 """Workload (task execution time) generation — Figure 2's application inputs."""
 
 from .distributions import (
+    WORKLOAD_DISTS,
     BimodalWorkload,
     ConstantWorkload,
     ExponentialWorkload,
@@ -13,10 +14,9 @@ from .distributions import (
     Workload,
     decreasing_workload,
     increasing_workload,
+    workload_from_spec,
 )
-from .generator import make_rng, run_seed, spawn_seeds
-from .hagerup import HagerupExponentialWorkload
-from .rand48 import Rand48
+from .generator import make_rng, replication_entropies
 from .traces import load_trace, load_trace_workload, save_trace
 
 __all__ = [
@@ -24,20 +24,19 @@ __all__ = [
     "ConstantWorkload",
     "ExponentialWorkload",
     "GammaWorkload",
-    "HagerupExponentialWorkload",
     "LinearWorkload",
     "NormalWorkload",
     "PerTaskSampling",
-    "Rand48",
     "TraceWorkload",
     "UniformWorkload",
+    "WORKLOAD_DISTS",
     "Workload",
     "decreasing_workload",
     "increasing_workload",
     "load_trace",
     "load_trace_workload",
     "make_rng",
-    "run_seed",
+    "replication_entropies",
     "save_trace",
-    "spawn_seeds",
+    "workload_from_spec",
 ]

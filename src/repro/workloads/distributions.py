@@ -478,3 +478,19 @@ class TraceWorkload(Workload):
         if not hasattr(self, "_csum"):
             self._csum = np.concatenate(([0.0], np.cumsum(self.times)))
         return self._csum[starts + np.maximum(sizes, 0)] - self._csum[starts]
+
+
+#: the distributions a ``(dist, mean)`` workload spec may name: the CLI's
+#: ``--dist`` choices and the advisor's ``dist`` field
+WORKLOAD_DISTS = ("constant", "exponential", "uniform", "gamma")
+
+
+def workload_from_spec(dist: str, mean: float) -> Workload:
+    """The workload a ``(dist, mean)`` spec describes, with mean ``mean``."""
+    factories = {
+        "constant": lambda: ConstantWorkload(mean),
+        "exponential": lambda: ExponentialWorkload(mean),
+        "uniform": lambda: UniformWorkload(0.0, 2 * mean),
+        "gamma": lambda: GammaWorkload(2.0, mean / 2.0),
+    }
+    return factories[dist]()

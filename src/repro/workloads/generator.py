@@ -17,19 +17,20 @@ def make_rng(seed: int | np.random.SeedSequence | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_seeds(seed: int | None, count: int) -> list[np.random.SeedSequence]:
-    """``count`` independent child seed sequences of ``seed``."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return np.random.SeedSequence(seed).spawn(count)
+def replication_entropies(
+    campaign_seed: int | None, count: int
+) -> list[tuple[int, ...]]:
+    """The seed entropy of each of ``count`` replications of one cell.
 
-
-def run_seed(campaign_seed: int | None, run_index: int) -> np.random.SeedSequence:
-    """The seed of replication ``run_index`` within a campaign.
-
-    Deterministic in ``(campaign_seed, run_index)`` and independent across
-    indices, so a campaign can be resumed or sharded across workers.
+    Child ``i`` of ``SeedSequence(campaign_seed)`` contributes its
+    entropy followed by its spawn key; a run's seed is
+    ``SeedSequence(entropy=list(entropy))``.  The one seeding convention
+    of the package: per-run replications (``RunTask.seed_entropy``),
+    msg-fast blocks and direct-batch blocks all draw from it, so a
+    (cell, runs, campaign seed) names one set of replications.
     """
-    if run_index < 0:
-        raise ValueError("run_index must be non-negative")
-    return np.random.SeedSequence(campaign_seed).spawn(run_index + 1)[run_index]
+    return [
+        tuple(int(v) for v in np.atleast_1d(child.entropy))
+        + tuple(child.spawn_key)
+        for child in np.random.SeedSequence(campaign_seed).spawn(count)
+    ]

@@ -20,9 +20,13 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.core.params import SchedulingParams
-from repro.experiments.runner import RunTask, run_replicated
+from repro.experiments.runner import RunTask, expand_replications, run_replicated
 from repro.simgrid.platform import star_platform
-from repro.workloads import ConstantWorkload, ExponentialWorkload
+from repro.workloads import (
+    ConstantWorkload,
+    ExponentialWorkload,
+    replication_entropies,
+)
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "simulators.md"
 
@@ -88,7 +92,6 @@ class TestResolution:
         assert resolve_backend(task).name == "msg"
         (event,) = drain_fallback_events()
         assert (event.requested, event.chosen) == ("msg-fast", "msg")
-        assert event.category == "capability"
 
     def test_worker_dependent_schedule_serves_natively(self):
         for technique in ("wf", "pls", "rnd"):
@@ -105,7 +108,6 @@ class TestResolution:
         assert resolve_backend(task).name == "direct"
         (event,) = drain_fallback_events()
         assert "chunk" in event.reason
-        assert event.category == "capability"
 
     def test_no_fallback_raises_resolution_error(self):
         task = make_task("gss", simulator="direct",
@@ -162,13 +164,28 @@ class TestExecution:
         b = run_replicated(direct, 3, campaign_seed=11, processes=1)
         assert [r.makespan for r in a] == [r.makespan for r in b]
 
-    def test_pooled_blocks_partition_runs(self):
+    def test_replication_blocks_partition_runs(self):
         backend = get_backend("direct-batch")
         blocks = backend.replication_blocks(
             make_task("gss", simulator="direct-batch"), 130, 3
         )
         assert [b.runs for b in blocks] == [64, 64, 2]
         assert all(isinstance(b, ReplicationBlock) for b in blocks)
+
+    def test_every_replication_path_draws_one_seed_convention(self):
+        """Per-run tasks, msg-fast blocks and direct-batch blocks all
+        take their entropy from replication_entropies."""
+        task = make_task("gss", simulator="msg-fast")
+        per_run = [t.seed_entropy for t in expand_replications(task, 130, 3)]
+        assert per_run == replication_entropies(3, 130)
+        fast_blocks = get_backend("msg-fast").replication_blocks(task, 130, 3)
+        assert [e for b in fast_blocks for e in b.seed_entropies] == per_run
+        batch_blocks = get_backend("direct-batch").replication_blocks(
+            make_task("gss", simulator="direct-batch"), 130, 3
+        )
+        assert [b.seed_entropy for b in batch_blocks] == (
+            replication_entropies(3, 3)
+        )
 
     def test_run_block_not_implemented_on_scalar_backends(self):
         block = ReplicationBlock(
@@ -232,12 +249,4 @@ class TestFallbackEvent:
             "requested": "a",
             "chosen": "b",
             "reason": "r",
-            "category": "capability",
         }
-
-    def test_category_distinguishes_non_capability_degradations(self):
-        event = FallbackEvent(
-            task_key="replicate_msg(n=1, p=2)", requested="process-pool",
-            chosen="serial", reason="does not pickle", category="pickle",
-        )
-        assert event.to_json()["category"] == "pickle"

@@ -9,9 +9,9 @@ import pytest
 from repro.core.base import chunk_sizes
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique
+from repro.core.schedule import ScheduleUnavailableError
 from repro.directsim import (
     BatchDirectSimulator,
-    BatchScheduleUnavailableError,
     DirectSimulator,
     OverheadModel,
     batch_supported,
@@ -164,7 +164,7 @@ class TestKernelDistribution:
                 return 1
 
         batch = BatchDirectSimulator(params(), ConstantWorkload(1.0))
-        with pytest.raises(BatchScheduleUnavailableError):
+        with pytest.raises(ScheduleUnavailableError):
             batch.run_batch(_Opaque, 2, seed=0)
 
 

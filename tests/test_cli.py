@@ -52,6 +52,21 @@ class TestScheduleCommand:
         out = capsys.readouterr().out
         assert "4 4 2" in out
 
+    def test_sigma_zero_is_read_as_zero(self, capsys):
+        """--sigma 0 is a valid value, not a missing one: FSC at h=0.5
+        plans far fewer chunks without variability than with sigma=1."""
+        cell = ["schedule", "--technique", "fsc", "--n", "1000", "--p", "4",
+                "--h", "0.5"]
+        assert main([*cell, "--sigma", "0"]) == 0
+        assert "FSC: 4 chunks, sum=1000" in capsys.readouterr().out
+        assert main([*cell, "--sigma", "1"]) == 0
+        assert "FSC: 35 chunks, sum=1000" in capsys.readouterr().out
+
+    def test_invalid_params_exit_two(self, capsys):
+        assert main(["schedule", "--technique", "fsc", "--n", "1000",
+                     "--p", "4", "--mu", "0"]) == 2
+        assert "mu must be positive" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_direct_simulator(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.params import SchedulingParams
 from repro.core.registry import create, make_factory
-from repro.directsim import DirectSimulator, OverheadModel, replicate
+from repro.directsim import DirectSimulator, OverheadModel
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 
 from conftest import BOLD_EIGHT
@@ -158,19 +158,7 @@ class TestChunkLog:
                 assert b.start_time >= a.end_time - 1e-9
 
 
-class TestReplicate:
-    def test_count_and_determinism(self):
-        sim = make_sim(workload=ExponentialWorkload(1.0))
-        a = replicate(sim, make_factory("fac2"), runs=5, seed=9)
-        b = replicate(sim, make_factory("fac2"), runs=5, seed=9)
-        assert len(a) == 5
-        assert [r.makespan for r in a] == [r.makespan for r in b]
-
-    def test_runs_validated(self):
-        sim = make_sim()
-        with pytest.raises(ValueError):
-            replicate(sim, make_factory("ss"), runs=0)
-
+class TestAdaptive:
     def test_adaptive_techniques_run(self):
         sim = make_sim(n=512, p=4, workload=ExponentialWorkload(1.0))
         for name in ("awf-b", "awf-c", "af"):

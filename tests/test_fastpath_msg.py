@@ -12,18 +12,13 @@ import pytest
 
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique
+from repro.core.schedule import ScheduleUnavailableError
 from repro.metrics.wasted_time import OverheadModel
 from repro.simgrid.fastpath import (
     FastMasterWorkerSimulation,
     fastpath_ineligibility,
-    replicate_msg_fast,
 )
-from repro.simgrid.masterworker import (
-    MSG_POOL_THRESHOLD,
-    MasterWorkerConfig,
-    MasterWorkerSimulation,
-    replicate_msg,
-)
+from repro.simgrid.masterworker import MasterWorkerConfig, MasterWorkerSimulation
 from repro.simgrid.platform import star_platform
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 
@@ -67,7 +62,7 @@ def test_bold_configuration_bit_identical(technique, workload_cls):
     fast = FastMasterWorkerSimulation(PARAMS, workload, config=cfg)
     result_slow = slow.run(factory_for(technique), seed=42)
     result_fast = fast.run(factory_for(technique), seed=42)
-    assert fast.last_run_fast
+    assert result_fast.stats.fast_path
     assert_bit_identical(result_slow, result_fast)
 
 
@@ -78,11 +73,11 @@ def test_overhead_models_bit_identical(model):
     slow = MasterWorkerSimulation(PARAMS, workload, config=cfg)
     fast = FastMasterWorkerSimulation(PARAMS, workload, config=cfg)
     for technique in ("ss", "gss", "fac2"):
+        result_fast = fast.run(factory_for(technique), seed=7)
+        assert result_fast.stats.fast_path
         assert_bit_identical(
-            slow.run(factory_for(technique), seed=7),
-            fast.run(factory_for(technique), seed=7),
+            slow.run(factory_for(technique), seed=7), result_fast
         )
-        assert fast.last_run_fast
 
 
 def test_heterogeneous_platform_and_staggered_starts_bit_identical():
@@ -95,44 +90,43 @@ def test_heterogeneous_platform_and_staggered_starts_bit_identical():
                                   config=cfg)
     fast = FastMasterWorkerSimulation(PARAMS, workload, platform=platform,
                                       config=cfg)
-    assert_bit_identical(
-        slow.run(factory_for("fac"), seed=11),
-        fast.run(factory_for("fac"), seed=11),
-    )
-    assert fast.last_run_fast
+    result_fast = fast.run(factory_for("fac"), seed=11)
+    assert result_fast.stats.fast_path
+    assert_bit_identical(slow.run(factory_for("fac"), seed=11), result_fast)
 
 
+def run_entry(fast, entry, technique):
+    """Call ``fast.run`` or ``fast.run_many`` for one seeded run."""
+    if entry == "run":
+        return fast.run(factory_for(technique), seed=3)
+    return fast.run_many(factory_for(technique), [3])
+
+
+@pytest.mark.parametrize("entry", ["run", "run_many"])
 @pytest.mark.parametrize("technique", ["awf", "awf-c", "af", "bold", "wf"])
-def test_fallback_techniques_still_bit_identical(technique):
-    """Adaptive / nondeterministic techniques fall back — same results."""
-    workload = ExponentialWorkload(1.0)
-    slow = MasterWorkerSimulation(PARAMS, workload)
-    fast = FastMasterWorkerSimulation(PARAMS, workload)
-    assert_bit_identical(
-        slow.run(factory_for(technique), seed=3),
-        fast.run(factory_for(technique), seed=3),
-    )
-    assert not fast.last_run_fast
+def test_ineligible_techniques_raise(technique, entry):
+    """Adaptive / worker-dependent techniques have no fast path; the
+    simulator refuses them with the reason (the backend registry is the
+    one place that falls back to msg)."""
+    fast = FastMasterWorkerSimulation(PARAMS, ExponentialWorkload(1.0))
+    reason = fastpath_ineligibility(get_technique(technique), fast.config)
+    with pytest.raises(ScheduleUnavailableError) as err:
+        run_entry(fast, entry, technique)
+    assert reason in str(err.value)
 
 
-def test_contention_triggers_fallback():
-    workload = ExponentialWorkload(1.0)
-    cfg = MasterWorkerConfig(contention=True)
-    fast = FastMasterWorkerSimulation(PARAMS, workload, config=cfg)
-    slow = MasterWorkerSimulation(PARAMS, workload, config=cfg)
-    assert_bit_identical(
-        slow.run(factory_for("ss"), seed=3),
-        fast.run(factory_for("ss"), seed=3),
-    )
-    assert not fast.last_run_fast
-
-
-def test_max_events_triggers_fallback():
-    workload = ConstantWorkload(1.0)
-    cfg = MasterWorkerConfig(max_events=10_000_000)
-    fast = FastMasterWorkerSimulation(PARAMS, workload, config=cfg)
-    fast.run(factory_for("ss"), seed=3)
-    assert not fast.last_run_fast
+@pytest.mark.parametrize("entry", ["run", "run_many"])
+@pytest.mark.parametrize("config", [
+    MasterWorkerConfig(contention=True),
+    MasterWorkerConfig(max_events=10_000_000),
+], ids=["contention", "max_events"])
+def test_ineligible_configs_raise(config, entry):
+    fast = FastMasterWorkerSimulation(PARAMS, ConstantWorkload(1.0),
+                                      config=config)
+    reason = fastpath_ineligibility(get_technique("ss"), config)
+    with pytest.raises(ScheduleUnavailableError) as err:
+        run_entry(fast, entry, "ss")
+    assert reason in str(err.value)
 
 
 def test_ineligibility_reasons():
@@ -163,28 +157,6 @@ def test_run_many_matches_individual_runs():
     batch = fast.run_many(factory_for("fac2"), seeds)
     for seed, result in zip(seeds, batch):
         assert_bit_identical(fast.run(factory_for("fac2"), seed), result)
-
-
-def test_run_many_fallback_matches_event_path():
-    workload = ExponentialWorkload(1.0)
-    fast = FastMasterWorkerSimulation(PARAMS, workload)
-    slow = MasterWorkerSimulation(PARAMS, workload)
-    seeds = np.random.SeedSequence(22).spawn(3)
-    batch = fast.run_many(factory_for("awf"), seeds)
-    assert not fast.last_run_fast
-    for seed, result in zip(seeds, batch):
-        assert_bit_identical(slow.run(factory_for("awf"), seed), result)
-
-
-def test_replicate_msg_fast_matches_replicate_msg():
-    workload = ExponentialWorkload(1.0)
-    slow = MasterWorkerSimulation(PARAMS, workload)
-    fast = FastMasterWorkerSimulation(PARAMS, workload)
-    runs = MSG_POOL_THRESHOLD - 1  # keep both sides serial and in-process
-    a = replicate_msg(slow, factory_for("gss"), runs, seed=123)
-    b = replicate_msg_fast(fast, factory_for("gss"), runs, seed=123)
-    for x, y in zip(a, b):
-        assert_bit_identical(x, y)
 
 
 def test_both_paths_carry_run_stats():

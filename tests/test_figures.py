@@ -269,10 +269,8 @@ class TestProvenanceEvents:
     def test_forced_fallback_lands_in_manifest(self, tmp_path, probe_spec):
         generate_artifacts(tmp_path, only=["probe"], plot=False)
         manifest = ArtifactManifest.load(tmp_path / "probe.manifest.json")
-        assert [(e["requested"], e["chosen"], e["category"])
-                for e in manifest.fallbacks] == [
-            ("msg-fast", "msg", "capability")
-        ]
+        assert [(e["requested"], e["chosen"])
+                for e in manifest.fallbacks] == [("msg-fast", "msg")]
         assert manifest.backends == ["msg", "msg-fast"]
         assert manifest.requested_simulator == "msg-fast"
 

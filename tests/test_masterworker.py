@@ -11,7 +11,6 @@ from repro.simgrid import (
     MasterWorkerConfig,
     MasterWorkerSimulation,
     fast_network_platform,
-    replicate_msg,
     star_platform,
 )
 from repro.workloads import ConstantWorkload, ExponentialWorkload
@@ -144,15 +143,3 @@ class TestChunkLogAndReplication:
         result = make_sim(config=config).run(make_factory("gss"))
         assert len(result.chunk_log) == result.num_chunks
         assert sum(c.record.size for c in result.chunk_log) == 100
-
-    def test_replicate_msg(self):
-        sim = make_sim(workload=ExponentialWorkload(1.0))
-        results = replicate_msg(sim, make_factory("fac2"), runs=4, seed=1)
-        assert len(results) == 4
-        makespans = {r.makespan for r in results}
-        assert len(makespans) == 4  # independent draws
-
-    def test_replicate_msg_validates_runs(self):
-        sim = make_sim()
-        with pytest.raises(ValueError):
-            replicate_msg(sim, make_factory("ss"), runs=0)

@@ -225,21 +225,6 @@ class TestStatsSummary:
         assert "slowest task" in text
         assert "fac2(n=256, p=4)" in text
 
-    def test_summary_groups_fallbacks_by_category(self):
-        records = [
-            {"kind": "task", "backend": "msg", "requested": "msg-fast",
-             "runs": 1, "wall_time_s": 0.1, "events": 10},
-            {"kind": "fallback", "requested": "msg-fast", "chosen": "msg",
-             "reason": "adaptive technique", "category": "capability"},
-            {"kind": "fallback", "requested": "process-pool",
-             "chosen": "serial", "reason": "does not pickle",
-             "category": "pickle"},
-        ]
-        text = summarize_journal(records)
-        assert "capability fallbacks:" in text
-        assert "other fallbacks (pickle):" in text
-        assert "process-pool -> serial" in text
-
     def test_summary_zero_fallbacks_reads_as_such(self):
         records = [
             {"kind": "task", "backend": "direct-batch",

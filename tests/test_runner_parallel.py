@@ -14,12 +14,12 @@ from repro.experiments.bold_experiments import scheduling_params
 from repro.workloads import ExponentialWorkload
 
 
-def make_task() -> RunTask:
+def make_task(simulator: str = "direct") -> RunTask:
     return RunTask(
         technique="fac2",
         params=scheduling_params(256, 4),
         workload=ExponentialWorkload(1.0),
-        simulator="direct",
+        simulator=simulator,
     )
 
 
@@ -108,13 +108,17 @@ class TestMsgFastCampaign:
         ]
 
     def test_msg_fast_adaptive_falls_back_but_matches(self):
-        """Adaptive techniques route through the fallback inside the
-        block — still identical to the plain msg campaign."""
-        ref = run_replicated(make_msg_task("msg", "awf"), 3, campaign_seed=17,
-                             processes=1)
-        fast = run_replicated(make_msg_task("msg-fast", "awf"), 3,
-                              campaign_seed=17, processes=1)
-        assert [r.makespan for r in ref] == [r.makespan for r in fast]
+        """Techniques without a fast path fall back to msg in the
+        registry — still identical to the plain msg campaign."""
+        for technique in ("awf", "awf-c", "af", "bold", "wf"):
+            ref = run_replicated(make_msg_task("msg", technique), 3,
+                                 campaign_seed=17, processes=1)
+            fast = run_replicated(make_msg_task("msg-fast", technique), 3,
+                                  campaign_seed=17, processes=1)
+            assert [r.makespan for r in ref] == [
+                r.makespan for r in fast
+            ], technique
+            assert all(r.stats.backend == "msg" for r in fast), technique
 
     def test_msg_fast_derived_entropy_matches_msg(self):
         """Un-seeded msg-fast tasks reproduce un-seeded msg tasks."""
@@ -124,38 +128,13 @@ class TestMsgFastCampaign:
 
 class TestPooledReplicateMsg:
     def test_pooled_matches_serial(self):
-        from repro.core.registry import get_technique
-        from repro.simgrid.masterworker import (
-            MasterWorkerSimulation,
-            replicate_msg,
-        )
-
-        sim = MasterWorkerSimulation(
-            scheduling_params(256, 4), ExponentialWorkload(1.0)
-        )
-        factory = get_technique("fac2")  # class: picklable
-        serial = replicate_msg(sim, factory, 10, seed=5, processes=1)
-        pooled = replicate_msg(sim, factory, 10, seed=5, processes=2)
+        """msg replications dispatched over the process pool match the
+        in-process path exactly, extras included."""
+        task = make_task("msg")
+        serial = run_replicated(task, 10, campaign_seed=5, processes=1)
+        pooled = run_replicated(task, 10, campaign_seed=5, processes=2)
         assert [r.makespan for r in serial] == [r.makespan for r in pooled]
         assert [r.extras for r in serial] == [r.extras for r in pooled]
-
-    def test_unpicklable_factory_falls_back_to_serial(self):
-        from repro.core.registry import get_technique
-        from repro.simgrid.masterworker import (
-            MasterWorkerSimulation,
-            replicate_msg,
-        )
-
-        sim = MasterWorkerSimulation(
-            scheduling_params(128, 4), ExponentialWorkload(1.0)
-        )
-        factory = lambda p: get_technique("gss")(p)  # noqa: E731
-        results = replicate_msg(sim, factory, 9, seed=5, processes=2)
-        assert len(results) == 9
-        assert [r.makespan for r in results] == [
-            r.makespan
-            for r in replicate_msg(sim, factory, 9, seed=5, processes=1)
-        ]
 
 
 class TestSharedPoolSafety:

@@ -1,20 +1,10 @@
-"""Tests for trace files, seed management and the Hagerup workload."""
+"""Tests for trace files and seed management."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.workloads import (
-    HagerupExponentialWorkload,
-    Rand48,
-    load_trace,
-    load_trace_workload,
-    make_rng,
-    run_seed,
-    save_trace,
-    spawn_seeds,
-)
+from repro.workloads import load_trace, load_trace_workload, make_rng, save_trace
 
 
 class TestTraceFiles:
@@ -53,57 +43,3 @@ class TestSeeds:
     def test_make_rng_deterministic(self):
         assert make_rng(7).random() == make_rng(7).random()
 
-    def test_spawn_seeds_count(self):
-        assert len(spawn_seeds(0, 5)) == 5
-
-    def test_spawn_seeds_independent_streams(self):
-        a, b = spawn_seeds(0, 2)
-        assert make_rng(a).random() != make_rng(b).random()
-
-    def test_run_seed_deterministic(self):
-        x = make_rng(run_seed(10, 3)).random()
-        y = make_rng(run_seed(10, 3)).random()
-        assert x == y
-
-    def test_run_seed_varies_with_index(self):
-        x = make_rng(run_seed(10, 0)).random()
-        y = make_rng(run_seed(10, 1)).random()
-        assert x != y
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            run_seed(0, -1)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
-
-
-class TestHagerupWorkload:
-    def test_moments(self):
-        w = HagerupExponentialWorkload(mean=2.0, seed=0)
-        assert w.mean == 2.0
-        assert w.std == 2.0
-
-    def test_sequential_stream_matches_rand48(self):
-        w = HagerupExponentialWorkload(mean=1.0, seed=5)
-        ref = Rand48(5)
-        xs = w.sample(0, 5, rng=None)
-        expected = [ref.exponential(1.0) for _ in range(5)]
-        assert xs.tolist() == pytest.approx(expected)
-
-    def test_chunk_time_consumes_stream_in_order(self):
-        a = HagerupExponentialWorkload(mean=1.0, seed=9)
-        b = HagerupExponentialWorkload(mean=1.0, seed=9)
-        total = a.chunk_time(0, 10, rng=None)
-        parts = b.sample(0, 4, None).sum() + b.sample(0, 6, None).sum()
-        assert total == pytest.approx(parts)
-
-    def test_statistical_mean(self):
-        w = HagerupExponentialWorkload(mean=1.0, seed=123)
-        xs = w.sample(0, 20_000, None)
-        assert xs.mean() == pytest.approx(1.0, rel=0.05)
-
-    def test_rejects_bad_mean(self):
-        with pytest.raises(ValueError):
-            HagerupExponentialWorkload(mean=0.0)
