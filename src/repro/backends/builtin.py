@@ -12,7 +12,7 @@ Each backend wraps one execution substrate behind the uniform
   for closed-form techniques; degrades to ``msg`` otherwise.
 * ``direct`` — the scalar Hagerup-style chunk-level simulator; the only
   backend supporting *every* scenario model on every technique.
-* ``direct-batch`` — the vectorized batch-replication kernel; degrades
+* ``direct-batch`` — the batch-replication kernel; degrades
   to ``direct`` for techniques without a precomputable schedule and for
   fail-stop scenarios on closed-form techniques (dynamic requeueing
   invalidates a precomputed schedule).
@@ -250,10 +250,12 @@ class DirectBackend(SimulationBackend):
 
 @register_backend
 class DirectBatchBackend(SimulationBackend):
-    """The vectorized batch-replication kernel."""
+    """The batch-replication kernel."""
 
     name = "direct-batch"
-    description = "vectorized batch-replication kernel (NumPy argmin loop)"
+    description = (
+        "batch-replication kernel (heap walk or NumPy lock-step loop)"
+    )
     capabilities = BackendCapabilities(
         adaptive_techniques=True,
         nondeterministic_schedules=True,
@@ -272,6 +274,12 @@ class DirectBatchBackend(SimulationBackend):
     #: from per-run seed streams to block sampling, so those cells'
     #: observables changed — their scalar-era entries must miss cleanly.
     STEPPING_RESULT_VERSION = 2
+    #: result version of the *closed-form* cells.  Their kernel sums
+    #: ``total_task_time`` (and so ``speedup``) in chunk order, like
+    #: ``DirectSimulator``, instead of NumPy's pairwise row sum; every
+    #: other field is unchanged, but the last ulp moved on many cells,
+    #: so their earlier entries must miss cleanly.
+    CLOSED_FORM_RESULT_VERSION = 2
 
     def unsupported_reason(self, task: "RunTask") -> str | None:
         reason = super().unsupported_reason(task)
@@ -301,9 +309,9 @@ class DirectBatchBackend(SimulationBackend):
     def result_version_for(self, task: "RunTask") -> int:
         from ..core.schedule import closed_form_supported
 
-        if closed_form_supported(task.technique) or (
-            task.workload.deterministic
-        ):
+        if closed_form_supported(task.technique):
+            return self.CLOSED_FORM_RESULT_VERSION
+        if task.workload.deterministic:
             return self.result_version
         return self.STEPPING_RESULT_VERSION
 

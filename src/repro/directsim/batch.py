@@ -1,30 +1,36 @@
-"""Vectorized batch-replication kernel for the direct simulator.
+"""Batch-replication kernel for the direct simulator.
 
 The BOLD reproduction needs up to 1,000 replications per (technique, n,
 p) cell; :class:`~repro.directsim.simulator.DirectSimulator` executes
 each replication through a pure-Python heap loop with one RNG draw and
 one scheduler call per chunk — half a million Python iterations per SS
-replication at n = 524,288.  This module simulates all R replications of
-one cell in bulk NumPy operations instead, in three layers:
+replication at n = 524,288.  This module simulates the R replications
+of one cell without the per-chunk scheduler calls and RNG draws, in
+three layers:
 
 1. **Chunk-schedule precomputation** — for techniques whose chunk
    sequence is a pure function of ``(n, p, params)``
    (:attr:`~repro.core.base.Scheduler.deterministic_schedule`), the
-   ``(start, size)`` sequence is computed once per cell via
+   size sequence is computed once per cell via
    :meth:`~repro.core.base.Scheduler.chunk_schedule` and reused across
    all replications.
-2. **Bulk sampling** — :meth:`~repro.workloads.distributions.Workload.
-   chunk_times_batch` draws the whole ``(R, C)`` matrix of chunk times
-   in one vectorised call per cell (Gamma for exponential, ``k * v``
-   for constant, ...).
-3. **Vectorized worker assignment** — the heap is replaced by an
-   argmin-over-ready-times loop operating on the whole ``(R, p)`` ready
-   matrix at once.  Chunks are assigned in the same earliest-ready,
-   lowest-index order as the scalar simulator, so for deterministic
-   workloads the per-replication results are *identical* to
-   ``DirectSimulator`` and for stochastic workloads they are equal in
-   distribution (the scalar simulator remains the reference oracle; see
-   ``tests/test_batch_kernel.py``).
+2. **Bulk sampling** — the :class:`~repro.core.schedule.
+   PrecomputedSchedule` draws the chunk times: a block's whole ``(R,
+   C)`` matrix in one :meth:`~repro.workloads.distributions.Workload.
+   chunk_times_batch` call, or a single replication in 2,048-chunk
+   segments, so SS at n = 524,288 never holds an n-sized matrix.
+3. **Worker assignment** — one of two loops, chosen from the block's
+   shape and scenario and returning the same results: a heap walk per
+   replication (``DirectSimulator``'s ``(time, worker)`` heap on plain
+   floats, with the scheduler replaced by the drawn chunk times), or,
+   for wide blocks and load noise, an argmin loop over the whole ``(R,
+   p)`` ready matrix at once.  Both pop the earliest-ready,
+   lowest-index worker, repeat the scalar loop's float operations in
+   its order and sum ``total_task_time`` in chunk order, so for
+   deterministic workloads the per-replication results are *identical*
+   to ``DirectSimulator`` and for stochastic workloads they are equal
+   in distribution (the scalar simulator remains the reference oracle;
+   see ``tests/test_batch_kernel.py`` and ``tests/test_differential.py``).
 
 Techniques whose chunk sequence *cannot* be precomputed — the adaptive
 feedback loops (AWF family, AF, BOLD) and the worker-dependent
@@ -38,7 +44,7 @@ the same fidelity contract as the closed-form path (bit-identical for
 deterministic workloads, equal in distribution otherwise; see
 ``tests/test_stepping_kernel.py`` and docs/simulators.md).
 
-Perturbation scenarios run vectorized too: per-chunk speed-fluctuation
+Perturbation scenarios run on this kernel too: per-chunk speed-fluctuation
 multipliers (triangle waves, step slowdowns, lognormal load noise —
 the models a :class:`repro.scenarios.Scenario` compiles to) apply on
 both paths, and fail-stop fault injection with work loss runs on the
@@ -56,14 +62,16 @@ closed-form path keeps its log-free fast lane.
 
 from __future__ import annotations
 
+import heapq
 import time
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..core.base import ChunkRecord, Scheduler
 from ..core.params import SchedulingParams
 from ..core.schedule import (
+    PrecomputedSchedule,
     ScheduleUnavailableError,
     closed_form_supported,
     precompute_schedule,
@@ -84,14 +92,37 @@ from .faults import (
     StepFluctuation,
 )
 
-#: cap on R * C elements per simulated block (~128 MB of float64), so
-#: huge cells (SS at n = 524,288) stream through in replication blocks.
+#: cap on R * C elements of a block's chunk-time matrix (~128 MB of
+#: float64), so huge cells stream through in smaller replication
+#: blocks; a block of one replication is drawn in segments instead.
 DEFAULT_MAX_BLOCK_ELEMENTS = 1 << 24
 
 #: the stepping path holds ~this many (R, p) state arrays alive at once
 #: (kernel counters plus the technique state), so its replication blocks
 #: are sized to keep the total near ``max_block_elements`` elements.
 _STEPPING_STATE_ARRAYS = 8
+
+
+#: the closed-form loop crossover.  The lock-step loop pays a fixed
+#: NumPy cost per chunk for the whole block, the heap walk a cost per
+#: chunk and replication that grows with log p, so up to p = 1,024 the
+#: lock-step loop wins from ``LOCKSTEP_REPS - LOCKSTEP_REPS_PER_LEVEL *
+#: p.bit_length()`` replications on; beyond that its argmin over the
+#: ``(reps, p)`` matrix dominates and the heap walk wins or ties.
+#: Measured with SS on exponential times (2-vCPU x86 host, NumPy 2.4),
+#: the crossover fell at 64 replications for p = 2, 46 for p = 8, 32
+#: for p = 64 and 19 for p = 1,024; at p = 4,096 the heap walk was as
+#: fast or faster up to 64 replications.
+LOCKSTEP_REPS = 64
+LOCKSTEP_REPS_PER_LEVEL = 4
+LOCKSTEP_MAX_P = 1024
+
+
+def _lockstep_wins(reps: int, p: int) -> bool:
+    """Whether the lock-step loop beats the heap walk on a block."""
+    return p <= LOCKSTEP_MAX_P and (
+        reps >= LOCKSTEP_REPS - LOCKSTEP_REPS_PER_LEVEL * p.bit_length()
+    )
 
 
 def batch_supported(technique: str | type[Scheduler]) -> bool:
@@ -193,6 +224,11 @@ class _PerturbationArrays:
     def has_fluctuation(self) -> bool:
         return bool(self._components)
 
+    @property
+    def has_noise(self) -> bool:
+        """True when a component draws from the RNG (lognormal noise)."""
+        return any(c[0] == "noise" for c in self._components)
+
     def speed_multipliers(
         self, w: np.ndarray, t: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray | None:
@@ -230,13 +266,12 @@ class BatchDirectSimulator:
 
     Takes the same cell description (params, workload, overhead model,
     speeds, start times, failures, fluctuation) but simulates ``reps``
-    independent replications per :meth:`run_batch` call using the
-    vectorized kernel.  Fluctuation applies on both paths; fail-stop
-    fault injection runs on the stepping path only (a precomputed
-    closed-form schedule cannot absorb requeued work — use the scalar
-    simulator there).  ``record_chunks`` keeps per-chunk execution logs
-    on the stepping path only (the closed-form path has no per-chunk
-    loop to log from).
+    independent replications per :meth:`run_batch` call.  Fluctuation
+    applies on both paths; fail-stop fault injection runs on the
+    stepping path only (a precomputed closed-form schedule cannot
+    absorb requeued work — use the scalar simulator there).
+    ``record_chunks`` keeps per-chunk execution logs on the stepping
+    path only (the closed-form path keeps none).
     """
 
     def __init__(
@@ -322,13 +357,12 @@ class BatchDirectSimulator:
                     "simulator for fault scenarios on this technique"
                 )
             schedule = precompute_schedule(scheduler)
-            label, starts, sizes = (
-                schedule.label, schedule.starts, schedule.sizes
+            block = max(
+                1, self.max_block_elements // max(1, schedule.num_chunks)
             )
-            block = max(1, self.max_block_elements // max(1, sizes.size))
             while done < reps:
                 r = min(block, reps - done)
-                results.extend(self._run_block(label, starts, sizes, r, rng))
+                results.extend(self._run_block(schedule, r, rng))
                 done += r
         elif stepping_supported(scheduler):
             block = max(
@@ -348,32 +382,130 @@ class BatchDirectSimulator:
             )
         return results
 
-    # -- the kernel ------------------------------------------------------
+    # -- the closed-form kernel ------------------------------------------
     def _run_block(
         self,
-        label: str,
-        starts: np.ndarray,
-        sizes: np.ndarray,
+        schedule: PrecomputedSchedule,
         reps: int,
         rng: np.random.Generator,
     ) -> list[RunResult]:
+        """Simulate ``reps`` replications of a precomputed schedule.
+
+        The loop is chosen from the block's shape and scenario, never
+        from a setting, and both loops return the same results for the
+        same block: the lock-step loop when the block is wide enough
+        for it to win (:func:`_lockstep_wins`) or under load noise,
+        whose per-chunk draws for the whole block fix the RNG order;
+        the heap walk otherwise.
+        """
         t_wall = time.perf_counter()
+        perturb = self._perturb
+        if (perturb is not None and perturb.has_noise) or _lockstep_wins(
+            reps, self.params.p
+        ):
+            rows = self._run_lockstep(
+                schedule.block_times(self.workload, reps, rng), rng
+            )
+        else:
+            rows = [
+                self._walk(times, rng) for times in
+                schedule.replication_times(self.workload, reps, rng)
+            ]
+        num_chunks = schedule.num_chunks
+        p, h, model = self.params.p, self.params.h, self.overhead_model
+        # Each replication carries its share of the block's wall time;
+        # ``events`` is the chunk-assignment count, as on the scalar path.
+        wall_share = (time.perf_counter() - t_wall) / reps
+        return [
+            RunResult(
+                technique=schedule.label,
+                n=self.params.n,
+                p=p,
+                h=h,
+                overhead_model=model,
+                makespan=makespan,
+                compute_times=compute,
+                chunks_per_worker=counts,
+                num_chunks=num_chunks,
+                total_task_time=total,
+                extras={"lost_chunks": 0, "lost_tasks": 0},
+                stats=RunStats(
+                    fast_path=True,
+                    events=num_chunks,
+                    heap_peak=p,
+                    live_peak=p,
+                    wall_time=wall_share,
+                    extra={"block_reps": reps},
+                ),
+            )
+            for makespan, compute, counts, total in rows
+        ]
+
+    def _walk(
+        self, task_times: Iterable[float], rng: np.random.Generator
+    ) -> tuple[float, list[float], list[int], float]:
+        """One replication through :class:`DirectSimulator`'s heap loop.
+
+        The scheduler is replaced by the schedule's chunk times; the
+        ``(time, worker)`` heap, its lowest-index tie-break and the
+        float operations are the scalar loop's, in its order, and
+        ``total_task_time`` is summed in chunk order.  Returns
+        ``(makespan, compute_times, chunks_per_worker, total)``.
+        """
+        p, h = self.params.p, self.params.h
+        per_worker = self.overhead_model is OverheadModel.PER_WORKER
+        serialized = self.overhead_model is OverheadModel.SERIALIZED_MASTER
+        fluctuation = self.fluctuation
+        speeds = self.speeds.tolist()
+        ready = [(t, w) for w, t in enumerate(self.start_times.tolist())]
+        heapq.heapify(ready)
+        replace = heapq.heapreplace
+        compute = [0.0] * p
+        counts = [0] * p
+        total = 0.0
+        master_free = 0.0
+        for task_time in task_times:
+            t, w = ready[0]
+            speed = speeds[w]
+            if fluctuation is not None:
+                speed *= fluctuation.multiplier(w, t, rng)
+            elapsed = task_time / speed
+            if per_worker:
+                begin = t + h
+            elif serialized:
+                master_free = max(master_free, t) + h
+                begin = master_free
+            else:  # POST_HOC — scheduling is free inside the simulation
+                begin = t
+            end = begin + elapsed
+            replace(ready, (end, w))
+            compute[w] += elapsed
+            counts[w] += 1
+            total += task_time
+        # A worker's chunk ends only ever grow, so its heap entry is its
+        # last end: the scalar max(finish) over the workers given work.
+        makespan = max([0.0] + [t for t, w in ready if counts[w]])
+        return makespan, compute, counts, total
+
+    def _run_lockstep(
+        self, task_times: np.ndarray, rng: np.random.Generator
+    ) -> list[tuple[float, list[float], list[int], float]]:
+        """All rows of ``task_times`` in lock-step, one chunk at a time.
+
+        The argmin over the ``(reps, p)`` ready matrix pops the same
+        worker as the scalar heap — ties break toward the lowest worker
+        index, as argmin does — and the float operations are
+        :meth:`_walk`'s, so both loops agree bit for bit.
+        """
+        reps, num_chunks = task_times.shape
         p = self.params.p
         h = self.params.h
         model = self.overhead_model
-        num_chunks = sizes.size
-
-        # Layer 2: one vectorised draw for every (replication, chunk).
-        task_times = self.workload.chunk_times_batch(starts, sizes, reps, rng)
-
-        # Layer 3: argmin-over-ready-times assignment, all replications
-        # at once.  Matches the scalar heap exactly: the heap holds one
-        # entry per worker, pops the (time, worker) minimum — ties break
-        # toward the lowest worker index, as argmin does.
         ready = np.tile(self.start_times, (reps, 1))
         compute = np.zeros((reps, p))
         counts = np.zeros((reps, p), dtype=np.int64)
         makespan = np.zeros(reps)
+        total = np.zeros(reps)
         rows = np.arange(reps)
         if model is OverheadModel.SERIALIZED_MASTER:
             master_free = np.zeros(reps)
@@ -382,18 +514,19 @@ class BatchDirectSimulator:
         for c in range(num_chunks):
             w = np.argmin(ready, axis=1)
             t = ready[rows, w]
+            task_time = task_times[:, c]
             # True division (not multiplication by a reciprocal) so the
             # ready times match the scalar simulator bit-for-bit; the
             # scalar loop multiplies the fluctuation factor into the
             # speed before dividing, so the perturbed branch does too.
             if perturb is None:
-                elapsed = task_times[:, c] / self.speeds[w]
+                elapsed = task_time / self.speeds[w]
             else:
                 mult = perturb.speed_multipliers(w, t, rng)
                 speed = self.speeds[w] if mult is None else (
                     self.speeds[w] * mult
                 )
-                elapsed = task_times[:, c] / speed
+                elapsed = task_time / speed
             if model is OverheadModel.PER_WORKER:
                 begin = t + h
             elif model is OverheadModel.SERIALIZED_MASTER:
@@ -406,36 +539,13 @@ class BatchDirectSimulator:
             ready[rows, w] = end
             compute[rows, w] += elapsed
             counts[rows, w] += 1
+            total += task_time
             np.maximum(makespan, end, out=makespan)
 
-        total = task_times.sum(axis=1)
-        # Each replication carries its share of the block's wall time;
-        # ``events`` is the chunk-assignment count, as on the scalar path.
-        wall_share = (time.perf_counter() - t_wall) / reps
-        return [
-            RunResult(
-                technique=label,
-                n=self.params.n,
-                p=p,
-                h=h,
-                overhead_model=model,
-                makespan=float(makespan[r]),
-                compute_times=compute[r].tolist(),
-                chunks_per_worker=counts[r].tolist(),
-                num_chunks=num_chunks,
-                total_task_time=float(total[r]),
-                extras={"lost_chunks": 0, "lost_tasks": 0},
-                stats=RunStats(
-                    fast_path=True,
-                    events=num_chunks,
-                    heap_peak=p,
-                    live_peak=p,
-                    wall_time=wall_share,
-                    extra={"block_reps": reps},
-                ),
-            )
-            for r in range(reps)
-        ]
+        return list(zip(
+            makespan.tolist(), compute.tolist(), counts.tolist(),
+            total.tolist(),
+        ))
 
     # -- the stepping kernel ---------------------------------------------
     def _run_stepping_block(

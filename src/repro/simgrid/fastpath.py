@@ -10,11 +10,11 @@ over master scheduling operations:
 
 1. the chunk-size sequence is precomputed once via
    :meth:`~repro.core.base.Scheduler.chunk_schedule`;
-2. all chunk execution times are pre-sampled in one
-   :meth:`~repro.workloads.distributions.Workload.chunk_times_batch`
-   call, which consumes the RNG stream *identically* to the per-chunk
-   draws of the event-driven path (chunks are drawn in assignment
-   order in both);
+2. chunk execution times are drawn in segments of the schedule
+   (:meth:`~repro.core.schedule.PrecomputedSchedule.replication_times`),
+   which consume the RNG stream *identically* to the per-chunk draws of
+   the event-driven path (chunks are drawn in assignment order in both)
+   while holding one segment at a time;
 3. the master's serialised request servicing is replayed directly: the
    master always serves pending work requests in global delivery order,
    so a small heap of at most ``p`` pending requests replaces the event
@@ -159,16 +159,11 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         per_worker = model is OverheadModel.PER_WORKER
 
         label = schedule.label
-        sizes, starts = schedule.sizes, schedule.starts
+        sizes = schedule.sizes
         num_chunks = schedule.num_chunks
-        # One batched draw for every chunk, in assignment order — consumes
-        # the RNG exactly as the event path's per-chunk draws do.
-        if num_chunks:
-            task_times = self.workload.chunk_times_batch(
-                starts, sizes, 1, rng
-            )[0].tolist()
-        else:
-            task_times = []
+        # Drawn in assignment order, a segment at a time — consumes the
+        # RNG exactly as the event path's per-chunk draws do.
+        (task_times,) = schedule.replication_times(self.workload, 1, rng)
 
         platform = self.platform
         master = self.master_host.name
@@ -211,6 +206,7 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         log_entries: list[tuple[float, ChunkExecution]] | None = (
             [] if config.record_chunks else None
         )
+        first_task = 0                  # start of chunk c, for the log
         master_messages = 0
         master_busy_time = 0.0
         master_free = 0.0
@@ -229,17 +225,18 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
                 receipt = t + d_work[w]
                 wait_times[w] += receipt - t_request[w]
                 begin = receipt + h if (per_worker and h > 0) else receipt
-                task_time = task_times[c]
+                task_time = next(task_times)
                 end = begin + task_time / speeds[w]
                 elapsed = end - begin
                 compute_times[w] += elapsed
                 task_time_acc[w] += task_time
                 chunk_counts[w] += 1
                 if log_entries is not None:
+                    size = int(sizes[c])
                     record = ChunkRecord(
-                        index=c, worker=w,
-                        start=int(starts[c]), size=int(sizes[c]),
+                        index=c, worker=w, start=first_task, size=size,
                     )
+                    first_task += size
                     log_entries.append(
                         (end, ChunkExecution(record, begin, elapsed))
                     )

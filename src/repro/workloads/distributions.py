@@ -9,11 +9,13 @@ start+size-1``.  Three access paths exist:
   *single* closed-form dispatch point: distributions with an exact
   closed-form sum override it (constant → ``k * value``; exponential →
   ``Gamma(k, mean)``), which is statistically identical and faster.
-* :meth:`Workload.chunk_time` — the sum of one chunk's task times; it
-  delegates to :meth:`chunk_times_batch` with ``reps=1``, so the scalar
-  and batch paths share one implementation (no duplicated closed forms).
-  For the closed-form distributions the delegated draw consumes the RNG
-  stream identically to a scalar draw, so seeded results are unchanged.
+* :meth:`Workload.chunk_time` — the sum of one chunk's task times, the
+  per-chunk draw of the scalar simulators.  By default it delegates to
+  :meth:`chunk_times_batch` with ``reps=1``; the constant, exponential
+  and gamma distributions override it with the same closed form on
+  plain floats (one ``rng.gamma`` call, or no draw), which returns the
+  same value and leaves the RNG in the same state as the delegated
+  draw without building two 1-element arrays per chunk.
 
 The scalar/batch equivalence is property-tested in
 ``tests/test_batch_kernel.py`` and ``tests/test_distributions.py``.
@@ -77,8 +79,9 @@ class Workload(ABC):
     def chunk_time(self, start: int, size: int, rng: np.random.Generator) -> float:
         """Total execution time of a chunk (sum of its task times).
 
-        Delegates to :meth:`chunk_times_batch` with a single replication
-        so both paths share one closed-form dispatch.
+        Delegates to :meth:`chunk_times_batch` with a single replication;
+        an override must return the same value and consume the RNG
+        identically.
         """
         if size <= 0:
             return 0.0
@@ -99,9 +102,10 @@ class Workload(ABC):
         independent draws of the total time of the chunk ``(starts[c],
         sizes[c])``.  The default draws per-task times through
         :meth:`sample` and sums them (the faithful path); distributions
-        with an exact closed-form sum override this method, and the
-        scalar :meth:`chunk_time` inherits the closed form through
-        delegation.
+        with an exact closed-form sum override this method (and, on
+        plain floats, :meth:`chunk_time`).  A replication's chunks are
+        drawn in chunk order, so drawing consecutive chunk ranges in
+        successive calls consumes the RNG as one call over all of them.
         """
         starts, sizes, reps = _validate_batch(starts, sizes, reps)
         out = np.zeros((reps, sizes.size), dtype=np.float64)
@@ -174,6 +178,9 @@ class ConstantWorkload(Workload):
     def sample(self, start, size, rng) -> np.ndarray:
         return np.full(size, self.value)
 
+    def chunk_time(self, start, size, rng) -> float:
+        return float(size) * self.value if size > 0 else 0.0
+
     def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
         starts, sizes, reps = _validate_batch(starts, sizes, reps)
         # Exact: a chunk of k tasks always takes k * value seconds.  The
@@ -204,6 +211,11 @@ class ExponentialWorkload(Workload):
 
     def sample(self, start, size, rng) -> np.ndarray:
         return rng.exponential(self._mean, size=size)
+
+    def chunk_time(self, start, size, rng) -> float:
+        if size <= 0:
+            return 0.0
+        return float(rng.gamma(float(size), self._mean))
 
     def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
         # Sum of k iid Exp(mean) is Gamma(k, mean): one draw per chunk,
@@ -281,6 +293,11 @@ class GammaWorkload(Workload):
 
     def sample(self, start, size, rng) -> np.ndarray:
         return rng.gamma(self.shape, self.scale, size=size)
+
+    def chunk_time(self, start, size, rng) -> float:
+        if size <= 0:
+            return 0.0
+        return float(rng.gamma(self.shape * float(size), self.scale))
 
     def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
         # Sum of k iid Gamma(a, theta) is Gamma(k a, theta): exact.
@@ -459,7 +476,7 @@ class TraceWorkload(Workload):
             raise IndexError(
                 f"chunks outside trace of {self.times.size} tasks"
             )
-        csum = np.concatenate(([0.0], np.cumsum(self.times)))
+        csum = self._prefix_sums()
         row = csum[starts + np.maximum(sizes, 0)] - csum[starts]
         return np.broadcast_to(row, (reps, sizes.size))
 
@@ -473,11 +490,15 @@ class TraceWorkload(Workload):
             raise IndexError(
                 f"chunks outside trace of {self.times.size} tasks"
             )
-        # Same prefix-sum differences as chunk_times_batch, cached:
-        # the stepping kernel calls this once per scheduling round.
+        csum = self._prefix_sums()
+        return csum[starts + np.maximum(sizes, 0)] - csum[starts]
+
+    def _prefix_sums(self) -> np.ndarray:
+        # Cached: the stepping kernel asks once per scheduling round and
+        # the closed-form kernels once per segment of a replication.
         if not hasattr(self, "_csum"):
             self._csum = np.concatenate(([0.0], np.cumsum(self.times)))
-        return self._csum[starts + np.maximum(sizes, 0)] - self._csum[starts]
+        return self._csum
 
 
 #: the distributions a ``(dist, mean)`` workload spec may name: the CLI's

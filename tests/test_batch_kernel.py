@@ -3,13 +3,19 @@ direct simulator (the reference oracle), plus the runner integration."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.base import chunk_sizes
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique
-from repro.core.schedule import ScheduleUnavailableError
+from repro.core.schedule import (
+    SEGMENT_CHUNKS,
+    ScheduleUnavailableError,
+    precompute_schedule,
+)
 from repro.directsim import (
     BatchDirectSimulator,
     DirectSimulator,
@@ -18,8 +24,16 @@ from repro.directsim import (
 )
 from repro.experiments.bold_experiments import scheduling_params
 from repro.experiments.runner import RunTask, run_replicated
+from repro.simgrid.fastpath import FastMasterWorkerSimulation
 from repro.workloads import ConstantWorkload, ExponentialWorkload
-from repro.workloads.distributions import GammaWorkload
+from repro.workloads.distributions import (
+    GammaWorkload,
+    PerTaskSampling,
+    TraceWorkload,
+    UniformWorkload,
+    decreasing_workload,
+    increasing_workload,
+)
 from repro.workloads.generator import make_rng
 
 #: every technique on the closed-form fast path
@@ -75,26 +89,38 @@ class TestChunkSchedule:
             sched.chunk_schedule()
 
 
+#: deterministic cells of the identity test: ``(n, p, workload)``.  The
+#: non-integer task times make ``total_task_time`` depend on the order
+#: of summation (FAC at n=1000, p=4 on the decreasing loop: 1150.0 in
+#: chunk order, 1149.9999999999998 pairwise).
+IDENTITY_CELLS = [(257, 3, ConstantWorkload(1.0))] + [
+    (n, p, workload)
+    for n, p in ((1000, 4), (5000, 8), (777, 3))
+    for workload in (
+        decreasing_workload(n, 2.0, 0.3),
+        increasing_workload(n, 0.3, 2.0),
+        ConstantWorkload(0.3),
+    )
+]
+
+
 class TestKernelIdentity:
     """Per-replication equality with the scalar oracle on deterministic
-    workloads: same makespan, compute times, chunk counts — bit for bit."""
+    workloads: every result field, ``total_task_time`` included — bit
+    for bit."""
 
     @pytest.mark.parametrize("name", BATCHABLE)
     @pytest.mark.parametrize("model", list(OverheadModel))
     def test_constant_workload(self, name, model):
-        pr = params()
-        workload = ConstantWorkload(1.0)
         factory = get_technique(name)
-        scalar = DirectSimulator(pr, workload, overhead_model=model)
-        batch = BatchDirectSimulator(pr, workload, overhead_model=model)
-        want = scalar.run(factory, seed=0)
-        got = batch.run_batch(factory, 3, seed=0)
-        for r in got:
-            assert r.makespan == want.makespan
-            assert r.compute_times == want.compute_times
-            assert r.chunks_per_worker == want.chunks_per_worker
-            assert r.num_chunks == want.num_chunks
-            assert r.total_task_time == want.total_task_time
+        for n, p, workload in IDENTITY_CELLS:
+            pr = params(n=n, p=p)
+            scalar = DirectSimulator(pr, workload, overhead_model=model)
+            batch = BatchDirectSimulator(pr, workload, overhead_model=model)
+            want = scalar.run(factory, seed=0)
+            for reps in (1, 3):
+                got = batch.run_batch(factory, reps, seed=0)
+                assert got == [want] * reps, (n, p, workload, reps)
 
     def test_heterogeneous_speeds_and_start_times(self):
         pr = params(n=511, p=4)
@@ -189,6 +215,28 @@ class TestChunkTimesBatchDispatch:
         b = workload.chunk_time(3, size, make_rng(9))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ConstantWorkload(1.5),
+            ExponentialWorkload(2.0),
+            GammaWorkload(2.0, 0.5),
+        ],
+        ids=lambda w: type(w).__name__,
+    )
+    def test_scalar_chunk_time_draws_like_the_batch_path(self, workload):
+        """The scalar overrides return the delegated draw's value and
+        leave the RNG in the same state, for every size (0 included)."""
+        from repro.workloads.distributions import Workload
+
+        for size in [*range(300), 1000, 65536, 524288]:
+            a, b = make_rng(size), make_rng(size)
+            got = workload.chunk_time(3, size, a)
+            want = Workload.chunk_time(workload, 3, size, b)
+            assert type(got) is float
+            assert got == want, size
+            assert a.bit_generator.state == b.bit_generator.state, size
+
     def test_batch_shape_and_positivity(self):
         workload = ExponentialWorkload(1.0)
         sizes = np.asarray([4, 1, 9], dtype=np.int64)
@@ -196,6 +244,62 @@ class TestChunkTimesBatchDispatch:
         out = workload.chunk_times_batch(starts, sizes, 5, make_rng(0))
         assert out.shape == (5, 3)
         assert (out > 0).all()
+
+
+class TestReplicationTimes:
+    """One replication's chunk times, drawn segment by segment."""
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ConstantWorkload(0.3),
+            ExponentialWorkload(2.0),
+            GammaWorkload(2.0, 0.5),
+            UniformWorkload(0.0, 2.0),
+            PerTaskSampling(ExponentialWorkload(1.0)),
+            decreasing_workload(3 * SEGMENT_CHUNKS + 17, 2.0, 0.3),
+            TraceWorkload(np.linspace(0.1, 3.0, 3 * SEGMENT_CHUNKS + 17)),
+        ],
+        ids=lambda w: type(w).__name__,
+    )
+    def test_segments_draw_like_one_block(self, workload):
+        """Same values, in chunk order, and the same RNG state after as
+        one ``(reps, C)`` block draw; the schedule spans four segments."""
+        schedule = precompute_schedule(
+            get_technique("ss")(params(n=3 * SEGMENT_CHUNKS + 17, p=4))
+        )
+        for reps in (1, 3):
+            a, b = make_rng(5), make_rng(5)
+            got = [list(t) for t in schedule.replication_times(
+                workload, reps, a)]
+            want = schedule.block_times(workload, reps, b).tolist()
+            assert got == want
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("simulator", ["direct-batch", "msg-fast"])
+    def test_single_replication_peak_memory(self, simulator):
+        """SS at n = 2**16 holds its chunk sizes and one segment, not
+        n-sized chunk-time, shape and start arrays."""
+        workload = ExponentialWorkload(1.0)
+        factory = get_technique("ss")
+
+        def run(n):
+            pr = params(n=n, p=8)
+            if simulator == "direct-batch":
+                BatchDirectSimulator(pr, workload).run_batch(factory, 1, 1)
+            else:
+                FastMasterWorkerSimulation(pr, workload).run(factory, 1)
+
+        run(64)  # imports and first-call caches are not the run's memory
+        n = 1 << 16
+        tracemalloc.start()
+        try:
+            run(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sizes_nbytes = np.ones(n, dtype=np.int64).nbytes
+        assert peak < 2 * sizes_nbytes, peak / sizes_nbytes
 
 
 class TestRunnerIntegration:

@@ -203,6 +203,83 @@ def test_result_version_bump_invalidates_keys(tmp_path, monkeypatch):
     assert cache.task_key(task) != before
 
 
+#: task and sweep keys (4 runs, campaign seed 1) of cells whose results
+#: did not change when the closed-form direct-batch kernel started
+#: summing ``total_task_time`` in chunk order; their entries stay hits
+UNCHANGED_KEYS = {
+    ("fac2", "direct", "exponential", None): (
+        "696bd7d6fa3e1cd4f9a983d1ba5939c94346db424ad4d433e469e8cb69a9e1b8",
+        "16dd5a17cd49cf81d253531daee5a94639a4e7a4384e77b80064a366900e42df",
+    ),
+    ("fac2", "msg", "exponential", None): (
+        "c003a1bcd03625256c55279123be046d3279d87c697796b3f66d1afcc49f1c40",
+        "940ed90901605080e414e3f5eef5164b6a1a2ff21adb31a68117b3b4e4199029",
+    ),
+    ("fac2", "msg-fast", "exponential", None): (
+        "c003a1bcd03625256c55279123be046d3279d87c697796b3f66d1afcc49f1c40",
+        "940ed90901605080e414e3f5eef5164b6a1a2ff21adb31a68117b3b4e4199029",
+    ),
+    # the stepping path, stochastic and deterministic
+    ("awf-c", "direct-batch", "exponential", None): (
+        "c6d0122a48c89a107d67df94e4521e2eccb4ef568bbb8447e8b17d99d084f40a",
+        "3ccebe7e4631f7484e424ac2cc1208eb7c224a4f69d11e5e97ca0cc7ea5b281b",
+    ),
+    ("awf-c", "direct-batch", "constant", None): (
+        "f09746e7026c32bb2d76fed3fa71285ba8c86ea94e375210b3bbc3ad798f405f",
+        "ff1999fb510cffda033d3712bb2e67bdde0075eecf54eb75c6392146e57b4bc7",
+    ),
+}
+#: the keys closed-form direct-batch cells had before that change;
+#: their entries must miss
+OLD_CLOSED_FORM_KEYS = {
+    ("fac2", "direct-batch", "exponential", None): (
+        "71b199c72a7f5182e2a5dc4127e7a9e52ca69a8148a7af385bd343c5aad83782",
+        "ffe07435ca957a716dc3fb57a571891f09eee3847bedcbb183902b3dcca0a725",
+    ),
+    ("ss", "direct-batch", "constant", None): (
+        "c49c63f2cd884e63ede9d294c5febd126b5dcbfff8632d19a6b3ec6d7783a79a",
+        "b2bf58af4bd6d7acfc868085a18fc9f87a6d699a665d9a40c1a6b427605ec575",
+    ),
+    # keyed by the task, not by the backend that serves it: fail-stop
+    # faults send this one to direct, whose results did not change
+    ("gss", "direct-batch", "constant", "failstop-quarter"): (
+        "5bd7ddf39066aefe2c5a2e4c397307c2a479596a427d58be0910f73afb3b9a83",
+        "0d99cb7bb465db53572e2aedb90e7977cad544854b2cde63124c9321a51c0246",
+    ),
+}
+
+
+def _keys(cache, technique, simulator, dist, scenario):
+    task = RunTask(
+        technique=technique,
+        params=SchedulingParams(n=256, p=4, h=0.5, mu=1.0, sigma=1.0),
+        workload=(
+            ExponentialWorkload(1.0) if dist == "exponential"
+            else ConstantWorkload(1.0)
+        ),
+        simulator=simulator,
+        scenario=None if scenario is None else get_scenario(scenario),
+    )
+    return cache.task_key(task), cache.sweep_key(task, 4, 1)
+
+
+@pytest.mark.parametrize("cell", sorted(UNCHANGED_KEYS, key=str), ids=str)
+def test_unchanged_simulators_keep_their_keys(tmp_path, cell):
+    cache = ResultCache(tmp_path / "cache")
+    assert _keys(cache, *cell) == UNCHANGED_KEYS[cell]
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(OLD_CLOSED_FORM_KEYS, key=str), ids=str
+)
+def test_closed_form_direct_batch_keys_changed(tmp_path, cell):
+    cache = ResultCache(tmp_path / "cache")
+    task_key, sweep_key = _keys(cache, *cell)
+    old_task_key, old_sweep_key = OLD_CLOSED_FORM_KEYS[cell]
+    assert task_key != old_task_key
+    assert sweep_key != old_sweep_key
+
+
 def test_sweep_key_ignores_seed_entropy_but_not_runs(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     base = small_task()

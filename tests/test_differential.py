@@ -1,0 +1,174 @@
+"""Differential properties: each fast path against its scalar oracle.
+
+* ``direct-batch`` ≡ ``direct`` per replication, for every technique
+  (closed-form or stepping), on the deterministic workloads (constant,
+  decreasing, increasing), clean or under the deterministic
+  ``wave-mild`` and ``slow-quarter`` scenarios;
+* ``msg-fast`` ≡ ``msg`` run for run, for every closed-form technique
+  on any workload;
+* the closed-form kernel's two loops, the heap walk and the lock-step
+  loop, return the same results for the same block.
+
+Every comparison is ``==`` on whole :class:`RunResult` objects, whose
+equality covers every simulated field (the kernel stats are excluded).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.params import SchedulingParams
+from repro.core.registry import get_technique, technique_names
+from repro.core.schedule import closed_form_supported, precompute_schedule
+from repro.directsim import BatchDirectSimulator, DirectSimulator, OverheadModel
+from repro.scenarios import get_scenario
+from repro.simgrid.fastpath import FastMasterWorkerSimulation
+from repro.simgrid.masterworker import MasterWorkerConfig, MasterWorkerSimulation
+from repro.simgrid.platform import star_platform
+from repro.workloads import ConstantWorkload, ExponentialWorkload
+from repro.workloads.distributions import (
+    BimodalWorkload,
+    GammaWorkload,
+    PerTaskSampling,
+    TraceWorkload,
+    UniformWorkload,
+    decreasing_workload,
+    increasing_workload,
+)
+from repro.workloads.generator import make_rng
+
+TECHNIQUES = technique_names()
+CLOSED_FORM = tuple(t for t in TECHNIQUES if closed_form_supported(t))
+
+
+@st.composite
+def cells(draw, techniques, max_p):
+    """A cell: technique, params, overhead model, starts and replications."""
+    n = draw(st.integers(min_value=1, max_value=2048))
+    p = draw(st.integers(min_value=1, max_value=max_p))
+    return {
+        "technique": draw(st.sampled_from(techniques)),
+        "params": SchedulingParams(
+            n=n, p=p, h=draw(st.sampled_from([0.0, 0.1, 1.0])),
+            mu=1.0, sigma=1.0,
+        ),
+        "model": draw(st.sampled_from(list(OverheadModel))),
+        "speeds": draw(st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=p, max_size=p
+        )),
+        "start_times": draw(st.lists(
+            st.sampled_from([0.0, 0.25, 2.0]), min_size=p, max_size=p
+        )),
+        "reps": draw(st.sampled_from([1, 2, 5])),
+        "seed": draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    }
+
+
+def deterministic_workloads(n):
+    return st.sampled_from([
+        ConstantWorkload(1.0),
+        ConstantWorkload(0.3),
+        decreasing_workload(n, 2.0, 0.3),
+        increasing_workload(n, 0.3, 2.0),
+    ])
+
+
+def any_workloads(n):
+    return st.sampled_from([
+        ConstantWorkload(0.3),
+        ExponentialWorkload(1.0),
+        GammaWorkload(2.0, 0.5),
+        UniformWorkload(0.1, 2.0),
+        BimodalWorkload(0.2, 3.0),
+        PerTaskSampling(ExponentialWorkload(1.0)),
+        decreasing_workload(n, 2.0, 0.3),
+        TraceWorkload(np.linspace(0.1, 3.0, n)),
+    ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cell=cells(TECHNIQUES, max_p=64),
+    scenario=st.sampled_from([None, "wave-mild", "slow-quarter"]),
+    data=st.data(),
+)
+def test_direct_batch_equals_direct(cell, scenario, data):
+    params = cell["params"]
+    workload = data.draw(deterministic_workloads(params.n))
+    fluctuation = (
+        None if scenario is None
+        else get_scenario(scenario).fluctuation_model(params.p)
+    )
+    kwargs = dict(
+        overhead_model=cell["model"],
+        speeds=cell["speeds"],
+        start_times=cell["start_times"],
+        fluctuation=fluctuation,
+    )
+    factory = get_technique(cell["technique"])
+    want = DirectSimulator(params, workload, **kwargs).run(factory, seed=0)
+    got = BatchDirectSimulator(params, workload, **kwargs).run_batch(
+        factory, cell["reps"], seed=cell["seed"]
+    )
+    assert got == [want] * cell["reps"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=cells(CLOSED_FORM, max_p=64),
+    record_chunks=st.booleans(),
+    data=st.data(),
+)
+def test_msg_fast_equals_msg(cell, record_chunks, data):
+    params = cell["params"]
+    workload = data.draw(any_workloads(params.n))
+    platform = star_platform(params.p, worker_speed=cell["speeds"])
+    config = MasterWorkerConfig(
+        overhead_model=cell["model"],
+        start_times=cell["start_times"],
+        record_chunks=record_chunks,
+    )
+    factory = get_technique(cell["technique"])
+    seeds = [
+        np.random.SeedSequence([cell["seed"], i]) for i in range(cell["reps"])
+    ]
+    slow = MasterWorkerSimulation(
+        params, workload, platform=platform, config=config
+    )
+    fast = FastMasterWorkerSimulation(
+        params, workload, platform=platform, config=config
+    )
+    assert fast.run_many(factory, seeds) == [
+        slow.run(factory, seed) for seed in seeds
+    ]
+
+
+@pytest.mark.parametrize(
+    "workload", [ConstantWorkload(1.0), ExponentialWorkload(1.0)],
+    ids=lambda w: type(w).__name__,
+)
+@pytest.mark.parametrize("scenario", [None, "wave-mild", "slow-quarter"])
+@pytest.mark.parametrize("model", list(OverheadModel))
+def test_heap_walk_and_lockstep_agree(model, scenario, workload):
+    """One block through both closed-form loops (constant times make
+    every pop a tie, so the tie-break is exercised too)."""
+    params = SchedulingParams(n=2000, p=8, h=0.1, mu=1.0, sigma=1.0)
+    simulator = BatchDirectSimulator(
+        params,
+        workload,
+        overhead_model=model,
+        speeds=[1.0, 2.0, 0.5, 1.5, 1.0, 1.0, 2.0, 0.5],
+        start_times=[0.0, 2.0, 0.25, 0.0, 0.0, 2.0, 0.0, 0.25],
+        fluctuation=(
+            None if scenario is None
+            else get_scenario(scenario).fluctuation_model(params.p)
+        ),
+    )
+    schedule = precompute_schedule(get_technique("ss")(params))
+    times = schedule.block_times(workload, 5, make_rng(3))
+    rng = make_rng(4)
+    heap = [simulator._walk(row.tolist(), rng) for row in times]
+    assert heap == simulator._run_lockstep(times, rng)

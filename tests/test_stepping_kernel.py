@@ -302,7 +302,9 @@ class TestCacheRegression:
         assert backend.result_version_for(sto) == (
             backend.STEPPING_RESULT_VERSION
         )
-        assert backend.result_version_for(closed) == backend.result_version
+        assert backend.result_version_for(closed) == (
+            backend.CLOSED_FORM_RESULT_VERSION
+        )
 
     def test_deterministic_scalar_era_entry_is_a_clean_hit(self, tmp_path):
         """In the scalar era this cell fell back to direct but was keyed
