@@ -61,10 +61,6 @@ class BackendCapabilities:
     nondeterministic_schedules: bool = False
     #: platform-aware network modelling (latencies, heterogeneous hosts)
     platforms: bool = False
-    #: per-worker relative speeds passed directly (without a platform)
-    per_worker_speeds: bool = False
-    #: per-worker staggered start times
-    staggered_starts: bool = False
     #: per-chunk execution logs (``RunResult.chunk_log``) on request
     #: (``RunTask.collect_chunk_log``)
     chunk_log: bool = False
@@ -81,8 +77,6 @@ CAPABILITY_DESCRIPTIONS: dict[str, str] = {
     "adaptive_techniques": "adaptive techniques (AWF*, AF, BOLD)",
     "nondeterministic_schedules": "worker-dependent schedules (WF, PLS, RND)",
     "platforms": "platform-aware network modelling",
-    "per_worker_speeds": "direct per-worker speeds",
-    "staggered_starts": "staggered start times",
     "chunk_log": "per-chunk execution logs (collect_chunk_log)",
     "fluctuation_scenarios": "scenario speed fluctuations (wave/step/noise)",
     "fault_scenarios": "scenario fail-stop faults (work loss)",
@@ -228,16 +222,6 @@ class SimulationBackend(ABC):
             return (
                 "platform-aware network modelling is not supported by "
                 f"the {self.name!r} backend"
-            )
-        if task.speeds is not None and not caps.per_worker_speeds:
-            return (
-                f"the {self.name!r} backend takes no per-worker speeds "
-                "(model them as host speeds on a platform)"
-            )
-        if task.start_times is not None and not caps.staggered_starts:
-            return (
-                "staggered start times are not supported by the "
-                f"{self.name!r} backend"
             )
         if task.collect_chunk_log and not caps.chunk_log:
             return (

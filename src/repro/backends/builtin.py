@@ -103,9 +103,6 @@ class _MsgBackendBase(SimulationBackend):
 
         config = MasterWorkerConfig(
             overhead_model=task.overhead_model,
-            start_times=(
-                list(task.start_times) if task.start_times else None
-            ),
             record_chunks=task.collect_chunk_log,
         )
         return self.simulation_cls(
@@ -130,14 +127,12 @@ class MsgBackend(_MsgBackendBase):
         adaptive_techniques=True,
         nondeterministic_schedules=True,
         platforms=True,
-        per_worker_speeds=False,
-        staggered_starts=True,
         chunk_log=True,
     )
     #: the MSG stack has no fault/fluctuation models, so scenario tasks
     #: degrade (with a recorded event) to the direct family — the one
-    #: that does.  Tasks combining a scenario with an MSG-only axis
-    #: (platforms, contention) exhaust the chain and fail loudly.
+    #: that does.  Tasks combining a scenario with a platform (an
+    #: MSG-only axis) exhaust the chain and fail loudly.
     fallback = "direct"
 
     @property
@@ -157,8 +152,6 @@ class MsgFastBackend(_MsgBackendBase):
         adaptive_techniques=False,
         nondeterministic_schedules=False,
         platforms=True,
-        per_worker_speeds=False,
-        staggered_starts=True,
         chunk_log=True,
     )
     fallback = "msg"
@@ -214,8 +207,6 @@ class DirectBackend(SimulationBackend):
         adaptive_techniques=True,
         nondeterministic_schedules=True,
         platforms=False,
-        per_worker_speeds=True,
-        staggered_starts=True,
         chunk_log=True,
         fluctuation_scenarios=True,
         fault_scenarios=True,
@@ -233,10 +224,6 @@ class DirectBackend(SimulationBackend):
             task.params,
             task.workload,
             overhead_model=task.overhead_model,
-            speeds=list(task.speeds) if task.speeds else None,
-            start_times=(
-                list(task.start_times) if task.start_times else None
-            ),
             record_chunks=task.collect_chunk_log,
             failures=failures,
             fluctuation=fluctuation,
@@ -260,8 +247,6 @@ class DirectBatchBackend(SimulationBackend):
         adaptive_techniques=True,
         nondeterministic_schedules=True,
         platforms=False,
-        per_worker_speeds=True,
-        staggered_starts=True,
         fluctuation_scenarios=True,
         fault_scenarios=True,
     )
@@ -323,10 +308,6 @@ class DirectBatchBackend(SimulationBackend):
             task.params,
             task.workload,
             overhead_model=task.overhead_model,
-            speeds=list(task.speeds) if task.speeds else None,
-            start_times=(
-                list(task.start_times) if task.start_times else None
-            ),
             failures=failures,
             fluctuation=fluctuation,
         )

@@ -14,10 +14,12 @@ The cache key is a SHA-256 over
 
 * the task's ``derived_entropy()`` — itself a content hash of every
   field that seeds a run (technique, params, workload, the backend's
-  *entropy namespace*, overhead model, platform XML, per-worker speeds,
-  start times, technique kwargs).  Backends that are bit-identical to
-  another share its namespace (``msg-fast`` uses ``msg``), so a cache
-  populated by one serves the other;
+  *entropy namespace*, overhead model, platform XML, technique kwargs,
+  and two constant slots where per-worker speeds and start times sat
+  before they stopped being task fields, so keys did not move).
+  Backends that are bit-identical to another share its namespace
+  (``msg-fast`` uses ``msg``), so a cache populated by one serves the
+  other;
 * the explicit ``seed_entropy`` (distinct replications are distinct
   entries);
 * ``collect_chunk_log`` — a traced run carries a populated
@@ -249,15 +251,12 @@ class ResultCache:
         self,
         root: str | Path,
         verify_fraction: float = 0.0,
-        verify_rng: random.Random | None = None,
     ):
         if not 0.0 <= verify_fraction <= 1.0:
             raise ValueError("verify_fraction must be in [0, 1]")
         self.root = Path(root)
         self.verify_fraction = verify_fraction
-        self._verify_rng = verify_rng if verify_rng is not None else (
-            random.Random()
-        )
+        self._verify_rng = random.Random()
         self.stats = CacheStats()
         self._session_flushed = False
 

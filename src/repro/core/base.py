@@ -13,7 +13,6 @@ technique module focused on its formula.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -290,7 +289,7 @@ class Scheduler(ABC):
         )
 
 
-def chunk_sizes(scheduler: Scheduler, round_robin: bool = True) -> list[int]:
+def chunk_sizes(scheduler: Scheduler) -> list[int]:
     """Drain ``scheduler`` with round-robin worker requests; return sizes.
 
     A convenience used by tests, docs and Table II generation: it assumes
@@ -309,18 +308,5 @@ def chunk_sizes(scheduler: Scheduler, round_robin: bool = True) -> list[int]:
         # Feed back an idealised elapsed time so adaptive techniques can
         # be drained too.
         scheduler.record_finished(worker, size, elapsed=size * mu)
-        if round_robin:
-            worker = (worker + 1) % p
+        worker = (worker + 1) % p
     return sizes
-
-
-def expected_chunks_upper_bound(n: int, p: int) -> int:
-    """A safe upper bound on scheduling operations for sanity checks."""
-    return max(n, p) + p
-
-
-def positive_finite(x: float, name: str) -> float:
-    """Validate that ``x`` is positive and finite; return it."""
-    if not math.isfinite(x) or x <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {x}")
-    return x

@@ -56,8 +56,8 @@ scenarios are equal in distribution only.  Fail-stop on a *closed-form*
 technique is the one unsupported combination (dynamic requeueing
 invalidates a precomputed schedule) — callers fall back to the scalar
 simulator there.  Per-chunk execution logs are recorded only on request
-(``record_chunks=True``) and only on the stepping path — the
-closed-form path keeps its log-free fast lane.
+(``record_chunks=True``) and only on the stepping path; the closed-form
+path refuses the request, as it refuses fail-stop.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ from .faults import (
 #: cap on R * C elements of a block's chunk-time matrix (~128 MB of
 #: float64), so huge cells stream through in smaller replication
 #: blocks; a block of one replication is drawn in segments instead.
-DEFAULT_MAX_BLOCK_ELEMENTS = 1 << 24
+MAX_BLOCK_ELEMENTS = 1 << 24
 
 #: the stepping path holds ~this many (R, p) state arrays alive at once
 #: (kernel counters plus the technique state), so its replication blocks
-#: are sized to keep the total near ``max_block_elements`` elements.
+#: are sized to keep the total near ``MAX_BLOCK_ELEMENTS`` elements.
 _STEPPING_STATE_ARRAYS = 8
 
 
@@ -270,8 +270,8 @@ class BatchDirectSimulator:
     applies on both paths; fail-stop fault injection runs on the
     stepping path only (a precomputed closed-form schedule cannot
     absorb requeued work — use the scalar simulator there).
-    ``record_chunks`` keeps per-chunk execution logs on the stepping
-    path only (the closed-form path keeps none).
+    ``record_chunks`` keeps per-chunk execution logs; only the stepping
+    path records them, and a closed-form technique refuses the request.
     """
 
     def __init__(
@@ -281,7 +281,6 @@ class BatchDirectSimulator:
         overhead_model: OverheadModel = OverheadModel.POST_HOC,
         speeds: Sequence[float] | None = None,
         start_times: Sequence[float] | None = None,
-        max_block_elements: int = DEFAULT_MAX_BLOCK_ELEMENTS,
         record_chunks: bool = False,
         failures: FailStop | None = None,
         fluctuation: Fluctuation | None = None,
@@ -305,9 +304,6 @@ class BatchDirectSimulator:
         if any(t < 0 for t in start_times):
             raise ValueError("start times must be non-negative")
         self.start_times = np.asarray(start_times, dtype=np.float64)
-        if max_block_elements < 1:
-            raise ValueError("max_block_elements must be >= 1")
-        self.max_block_elements = int(max_block_elements)
         self.record_chunks = record_chunks
         self.failures = failures
         self.fluctuation = fluctuation
@@ -356,10 +352,14 @@ class BatchDirectSimulator:
                     "requeueing would invalidate; use the scalar "
                     "simulator for fault scenarios on this technique"
                 )
+            if self.record_chunks:
+                raise ScheduleUnavailableError(
+                    f"{scheduler.label or scheduler.name} runs on the "
+                    "closed-form path, which records no chunk log; use "
+                    "the scalar simulator to collect one"
+                )
             schedule = precompute_schedule(scheduler)
-            block = max(
-                1, self.max_block_elements // max(1, schedule.num_chunks)
-            )
+            block = max(1, MAX_BLOCK_ELEMENTS // max(1, schedule.num_chunks))
             while done < reps:
                 r = min(block, reps - done)
                 results.extend(self._run_block(schedule, r, rng))
@@ -367,7 +367,7 @@ class BatchDirectSimulator:
         elif stepping_supported(scheduler):
             block = max(
                 1,
-                self.max_block_elements
+                MAX_BLOCK_ELEMENTS
                 // (_STEPPING_STATE_ARRAYS * max(1, self.params.p)),
             )
             while done < reps:

@@ -118,8 +118,6 @@ class RunTask:
     simulator: str = "msg"
     overhead_model: OverheadModel = OverheadModel.POST_HOC
     platform: Platform | None = None
-    speeds: tuple[float, ...] | None = None
-    start_times: tuple[float, ...] | None = None
     technique_kwargs: dict = field(default_factory=dict)
     seed_entropy: tuple[int, ...] = ()
     #: populate ``RunResult.chunk_log`` (timeline export); backends that
@@ -163,8 +161,11 @@ class RunTask:
             get_backend(self.simulator).entropy_namespace,
             self.overhead_model.value,
             self._platform_key(),
-            repr(self.speeds),
-            repr(self.start_times),
+            # the slots of two retired fields (per-worker speeds and
+            # start times, never set on a task), kept so every derived
+            # seed and cache key stays put
+            "None",
+            "None",
             repr(sorted(self.technique_kwargs.items())),
         ]
         # Appended only when set, so every clean task keeps its

@@ -71,9 +71,9 @@ class RunJournal:
     complete lines.
     """
 
-    def __init__(self, path: str | Path, mode: str = "w"):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh = self.path.open(mode)
+        self._fh = self.path.open("w")
         self._t0 = time.monotonic()
         self.records_written = 0
         self.write({"kind": "provenance", **capture_provenance()})

@@ -8,7 +8,7 @@ from .app import (
     split_deployment,
 )
 from .engine import Effect, Engine, Process, SimulationError, Timeout
-from .fastpath import FastMasterWorkerSimulation, fastpath_ineligibility
+from .fastpath import FastMasterWorkerSimulation
 from .masterworker import MasterWorkerConfig, MasterWorkerSimulation
 from .msg import (
     ComputeTask,
@@ -18,13 +18,11 @@ from .msg import (
     Receive,
     Send,
 )
-from .network import ContendedSend, Flow, FlowNetwork, max_min_rates
 from .platform import (
     Host,
     Link,
     Platform,
     Route,
-    cluster_platform,
     fast_network_platform,
     star_platform,
 )
@@ -53,10 +51,6 @@ from .xmlio import (
 __all__ = [
     "ApplicationConfig",
     "ComputeTask",
-    "ContendedSend",
-    "Flow",
-    "FlowNetwork",
-    "max_min_rates",
     "run_from_files",
     "simulation_from_files",
     "split_deployment",
@@ -64,7 +58,6 @@ __all__ = [
     "Engine",
     "Execute",
     "FastMasterWorkerSimulation",
-    "fastpath_ineligibility",
     "Host",
     "Link",
     "Mailbox",
@@ -82,7 +75,6 @@ __all__ = [
     "Timeout",
     "WorkerTrace",
     "ascii_gantt",
-    "cluster_platform",
     "paje_trace",
     "save_paje_trace",
     "utilization_summary",

@@ -145,14 +145,13 @@ class Engine:
         return len(self._live)
 
     # -- running ------------------------------------------------------------
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Process events until the heap drains (or a limit hits).
+    def run(self, until: Optional[float] = None) -> float:
+        """Process events until the heap drains (or the time bound hits).
 
         Returns the final simulated time.  ``until`` stops the clock at a
         time bound; the clock never rewinds, so a bound already in the
         past (``until < now``) processes nothing and leaves the clock
-        where it is.  ``max_events`` guards against runaway simulations.
+        where it is.
         """
         count = 0
         heap = self._heap
@@ -171,10 +170,6 @@ class Engine:
                 self.now = time
                 action(*args)
                 count += 1
-                if max_events is not None and count >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at t={self.now}"
-                    )
         finally:
             self.events_processed += count
         if self._live:

@@ -3,10 +3,10 @@
 :class:`MasterWorkerSimulation` drives the Figure 1 protocol through the
 full DES stack — generator processes, mailboxes, send/receive effects,
 and one RNG draw per chunk.  For the campaign configurations that
-dominate the reproduction (non-adaptive techniques, no bandwidth
-contention), every run of that protocol is determined by a handful of
-scalars, so the whole simulation can be *flattened* into a single loop
-over master scheduling operations:
+dominate the reproduction (non-adaptive techniques), every run of that
+protocol is determined by a handful of scalars, so the whole simulation
+can be *flattened* into a single loop over master scheduling
+operations:
 
 1. the chunk-size sequence is precomputed once via
    :meth:`~repro.core.base.Scheduler.chunk_schedule`;
@@ -43,15 +43,13 @@ at strictly increasing receipt times).  The pending-request heap keys on
 exactly that tuple, so ties in arrival time break as the event heap
 would break them.
 
-Configurations the flattening cannot express raise
+Techniques the flattening cannot express — adaptive ones, whose chunk
+sizes depend on run-time feedback, and worker-dependent ones
+(:func:`~repro.core.schedule.schedule_ineligibility`) — raise
 :class:`~repro.core.schedule.ScheduleUnavailableError` naming the
-reason: bandwidth contention (transfer times depend on concurrent
-flows), adaptive or schedule-nondeterministic techniques (chunk sizes
-depend on run-time feedback), and ``max_events`` budgets (the fast path
-has no comparable event count).  The one place that falls back is the
-backend registry: ``msg-fast`` declares ``msg`` as its fallback and
-records a :class:`~repro.backends.FallbackEvent` for every task it
-hands over.
+reason.  The one place that falls back is the backend registry:
+``msg-fast`` declares ``msg`` as its fallback and records a
+:class:`~repro.backends.FallbackEvent` for every task it hands over.
 """
 
 from __future__ import annotations
@@ -74,41 +72,23 @@ from ..obs.stats import RunStats
 from ..results import ChunkExecution, RunResult
 from ..workloads.generator import make_rng
 from .masterworker import MasterWorkerSimulation
-
-
-def fastpath_ineligibility(
-    scheduler: Scheduler | type[Scheduler], config
-) -> str | None:
-    """Why ``(scheduler, config)`` cannot take the fast path (None = can).
-
-    Config checks are local; the technique checks are the shared
-    closed-form predicate (:func:`repro.core.schedule.
-    schedule_ineligibility`) both fast paths use.  The returned string
-    is a short human-readable reason, carried by the
-    :class:`~repro.core.schedule.ScheduleUnavailableError` the fast path
-    raises.
-    """
-    if config.contention:
-        return "contention: transfer times depend on concurrent flows"
-    if config.max_events is not None:
-        return "max_events budget: the fast path has no event counter"
-    return schedule_ineligibility(scheduler)
+from .msg import FINALIZE_SIZE, REQUEST_SIZE, WORK_MESSAGE_SIZE
 
 
 class FastMasterWorkerSimulation(MasterWorkerSimulation):
     """:class:`MasterWorkerSimulation` with a compiled fast path.
 
     :meth:`run` produces bit-identical :class:`RunResult` objects to the
-    event-driven simulator for every eligible configuration (see
-    :func:`fastpath_ineligibility`); an ineligible one raises
-    :class:`~repro.core.schedule.ScheduleUnavailableError` instead of
-    running.  All constructor arguments, overhead models, heterogeneous
-    platforms, custom message sizes and staggered start times behave
-    exactly as in the parent.
+    event-driven simulator for every closed-form technique (see
+    :func:`~repro.core.schedule.schedule_ineligibility`); any other
+    technique raises :class:`~repro.core.schedule.
+    ScheduleUnavailableError` instead of running.  All constructor
+    arguments, overhead models, heterogeneous platforms and staggered
+    start times behave exactly as in the parent.
     """
 
     def _require_eligible(self, scheduler: Scheduler) -> None:
-        reason = fastpath_ineligibility(scheduler, self.config)
+        reason = schedule_ineligibility(scheduler)
         if reason is not None:
             raise ScheduleUnavailableError(
                 f"{scheduler.label or scheduler.name} cannot take the MSG "
@@ -170,15 +150,15 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         worker_names = [host.name for host in self.worker_hosts]
         speeds = [host.speed for host in self.worker_hosts]
         d_req = [
-            platform.transfer_time(name, master, config.request_size)
+            platform.transfer_time(name, master, REQUEST_SIZE)
             for name in worker_names
         ]
         d_work = [
-            platform.transfer_time(master, name, config.work_size)
+            platform.transfer_time(master, name, WORK_MESSAGE_SIZE)
             for name in worker_names
         ]
         d_fin = [
-            platform.transfer_time(master, name, config.finalize_size)
+            platform.transfer_time(master, name, FINALIZE_SIZE)
             for name in worker_names
         ]
 

@@ -42,7 +42,6 @@ from .msg import (
     Receive,
     Send,
 )
-from .network import ContendedSend, FlowNetwork
 from .platform import Platform, fast_network_platform
 from .trace import SimulationTrace
 
@@ -53,20 +52,14 @@ class MasterWorkerConfig:
 
     ``overhead_model`` selects where the scheduling overhead ``h`` is
     charged (see :mod:`repro.metrics.wasted_time`); the BOLD reproduction
-    uses the default POST_HOC model on a free network.  Message sizes are
-    control-message sized because the application data is replicated.
+    uses the default POST_HOC model on a free network.  Messages are the
+    control-message sized constants of :mod:`repro.simgrid.msg`, because
+    the application data is replicated.
     """
 
     overhead_model: OverheadModel = OverheadModel.POST_HOC
-    request_size: float = REQUEST_SIZE
-    work_size: float = WORK_MESSAGE_SIZE
-    finalize_size: float = FINALIZE_SIZE
     start_times: Sequence[float] | None = None
     record_chunks: bool = False
-    max_events: int | None = None
-    #: route messages through the max-min-fair flow network so concurrent
-    #: transfers contend for link bandwidth (SimGrid's flow model)
-    contention: bool = False
 
 
 class MasterWorkerSimulation:
@@ -111,19 +104,11 @@ class MasterWorkerSimulation:
             raise ValueError("start times must be non-negative")
         self.start_times = list(map(float, starts))
 
-
-    def _send_effect(self, network, src_host, mailbox, payload, size):
-        """The configured send effect (plain or contention-aware)."""
-        if network is not None:
-            return ContendedSend(network, src_host, mailbox, payload, size)
-        return Send(self.platform, src_host, mailbox, payload, size)
-
     # -- processes ----------------------------------------------------------
     def _worker_proc(
         self,
         w: int,
         engine: Engine,
-        network: FlowNetwork | None,
         master_mb: Mailbox,
         my_mb: Mailbox,
         trace: SimulationTrace,
@@ -139,9 +124,9 @@ class MasterWorkerSimulation:
         while True:
             wtrace.record_request(engine.now)
             t_request = engine.now
-            yield self._send_effect(
-                network, host, master_mb,
-                ("request", w, report), self.config.request_size,
+            yield Send(
+                self.platform, host, master_mb, ("request", w, report),
+                REQUEST_SIZE,
             )
             report = None
             msg = yield Receive(my_mb)
@@ -167,7 +152,6 @@ class MasterWorkerSimulation:
     def _master_proc(
         self,
         engine: Engine,
-        network: FlowNetwork | None,
         scheduler: Scheduler,
         master_mb: Mailbox,
         worker_mbs: list[Mailbox],
@@ -194,17 +178,17 @@ class MasterWorkerSimulation:
                 trace.master_busy_time += engine.now - busy_from
             size = scheduler.next_chunk(w)
             if size == 0:
-                yield self._send_effect(
-                    network, self.master_host, worker_mbs[w],
-                    ("finalize",), self.config.finalize_size,
+                yield Send(
+                    self.platform, self.master_host, worker_mbs[w],
+                    ("finalize",), FINALIZE_SIZE,
                 )
                 finalized += 1
             else:
                 record = scheduler.last_chunk
                 chunk_records[record.start] = record
-                yield self._send_effect(
-                    network, self.master_host, worker_mbs[w],
-                    ("work", record.start, record.size), self.config.work_size,
+                yield Send(
+                    self.platform, self.master_host, worker_mbs[w],
+                    ("work", record.start, record.size), WORK_MESSAGE_SIZE,
                 )
 
     # -- driving ------------------------------------------------------------
@@ -231,15 +215,10 @@ class MasterWorkerSimulation:
             [] if self.config.record_chunks else None
         )
         chunk_records: dict[int, object] = {}
-        network = (
-            FlowNetwork(engine, self.platform)
-            if self.config.contention
-            else None
-        )
 
         engine.spawn(
             self._master_proc(
-                engine, network, scheduler, master_mb, worker_mbs, trace,
+                engine, scheduler, master_mb, worker_mbs, trace,
                 chunk_records,
             ),
             name="master",
@@ -247,13 +226,13 @@ class MasterWorkerSimulation:
         for w in range(p):
             engine.spawn(
                 self._worker_proc(
-                    w, engine, network, master_mb, worker_mbs[w], trace,
+                    w, engine, master_mb, worker_mbs[w], trace,
                     self.params.h, rng, log, chunk_records,
                 ),
                 name=f"worker-{w}",
                 start_at=self.start_times[w],
             )
-        makespan = engine.run(max_events=self.config.max_events)
+        makespan = engine.run()
 
         return RunResult(
             technique=scheduler.label or scheduler.name,

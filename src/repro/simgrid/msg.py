@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from .engine import Effect, Engine, Process, SimulationError
+from .engine import Effect, Engine, Process
 from .platform import Host, Platform
 
 #: bytes in a worker's work-request message
@@ -170,9 +170,3 @@ class Execute(Effect):
 
     def apply(self, engine: Engine, process: Process) -> None:
         engine.schedule(self.task.duration_on(self.host), process.resume, None)
-
-
-def require_alive(process: Process) -> None:
-    """Guard helper for library internals."""
-    if not process.alive:
-        raise SimulationError(f"process {process.name!r} is dead")

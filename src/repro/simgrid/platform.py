@@ -13,7 +13,7 @@ This module models exactly that.
 
 Factories build the platforms the experiments use: :func:`star_platform`
 (master in the centre, as the MSG master-worker model of Figure 1) and
-:func:`cluster_platform` (a homogeneous cluster behind a shared backbone).
+:func:`fast_network_platform` (the star with free communication).
 """
 
 from __future__ import annotations
@@ -180,32 +180,6 @@ def star_platform(
             Link(f"link-{i}", bandwidth=bandwidth, latency=latency)
         )
         platform.add_route("master", host.name, [link])
-    return platform
-
-
-def cluster_platform(
-    workers: int,
-    speed: float = 1.0,
-    link_bandwidth: float = 1.25e8,
-    link_latency: float = 5e-5,
-    backbone_bandwidth: float = 1.25e9,
-    backbone_latency: float = 5e-7,
-) -> Platform:
-    """A homogeneous cluster: per-host up/down links through a backbone."""
-    platform = Platform(name=f"cluster-{workers}")
-    backbone = platform.add_link(
-        Link("backbone", bandwidth=backbone_bandwidth, latency=backbone_latency)
-    )
-    platform.add_host(Host("master", speed=speed))
-    master_link = platform.add_link(
-        Link("link-master", bandwidth=link_bandwidth, latency=link_latency)
-    )
-    for i in range(workers):
-        host = platform.add_host(Host(f"worker-{i}", speed=speed))
-        link = platform.add_link(
-            Link(f"link-{i}", bandwidth=link_bandwidth, latency=link_latency)
-        )
-        platform.add_route("master", host.name, [master_link, backbone, link])
     return platform
 
 

@@ -138,16 +138,15 @@ class TestKernelIdentity:
         assert got.compute_times == want.compute_times
         assert got.chunks_per_worker == want.chunks_per_worker
 
-    def test_block_streaming_matches_single_block(self):
+    def test_block_streaming_matches_single_block(self, monkeypatch):
         """Splitting reps over internal memory blocks must not change
         per-replication results (same rng order per block boundary)."""
         pr = params(n=64, p=2)
         workload = ConstantWorkload(1.0)
         factory = get_technique("gss")
         one = BatchDirectSimulator(pr, workload).run_batch(factory, 5, seed=1)
-        tiny = BatchDirectSimulator(
-            pr, workload, max_block_elements=1
-        ).run_batch(factory, 5, seed=1)
+        monkeypatch.setattr("repro.directsim.batch.MAX_BLOCK_ELEMENTS", 1)
+        tiny = BatchDirectSimulator(pr, workload).run_batch(factory, 5, seed=1)
         assert [r.makespan for r in one] == [r.makespan for r in tiny]
 
 
@@ -192,6 +191,18 @@ class TestKernelDistribution:
         batch = BatchDirectSimulator(params(), ConstantWorkload(1.0))
         with pytest.raises(ScheduleUnavailableError):
             batch.run_batch(_Opaque, 2, seed=0)
+
+    def test_closed_form_refuses_chunk_logs(self):
+        """The closed-form path records no chunk log, so it refuses the
+        request instead of returning empty logs; the stepping path keeps
+        its logs."""
+        pr = params(n=100, p=4)
+        sim = BatchDirectSimulator(pr, ConstantWorkload(1.0),
+                                   record_chunks=True)
+        with pytest.raises(ScheduleUnavailableError, match="chunk log"):
+            sim.run_batch(get_technique("gss"), 2, seed=0)
+        for result in sim.run_batch(get_technique("af"), 2, seed=0):
+            assert len(result.chunk_log) == result.num_chunks > 0
 
 
 class TestChunkTimesBatchDispatch:

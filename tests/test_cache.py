@@ -131,8 +131,6 @@ KEY_MUTATIONS = {
     "simulator": ("direct", True, True),
     "overhead_model": (OverheadModel.PER_WORKER, True, True),
     "platform": (tiny_platform(), True, True),
-    "speeds": ((1.0, 2.0, 1.0, 1.0), True, True),
-    "start_times": ((0.0, 1.0, 0.0, 0.0), True, True),
     "technique_kwargs": ({"chunk_override": 3}, True, True),
     # explicit seeds change the run, but not the *derived* entropy
     "seed_entropy": ((1, 2, 3), True, False),
@@ -203,9 +201,10 @@ def test_result_version_bump_invalidates_keys(tmp_path, monkeypatch):
     assert cache.task_key(task) != before
 
 
-#: task and sweep keys (4 runs, campaign seed 1) of cells whose results
-#: did not change when the closed-form direct-batch kernel started
-#: summing ``total_task_time`` in chunk order; their entries stay hits
+#: task and sweep keys (4 runs, campaign seed 1) that must not move, so
+#: these cells' entries stay hits: first the cells whose results did not
+#: change when the closed-form direct-batch kernel started summing
+#: ``total_task_time`` in chunk order
 UNCHANGED_KEYS = {
     ("fac2", "direct", "exponential", None): (
         "696bd7d6fa3e1cd4f9a983d1ba5939c94346db424ad4d433e469e8cb69a9e1b8",
@@ -227,6 +226,21 @@ UNCHANGED_KEYS = {
     ("awf-c", "direct-batch", "constant", None): (
         "f09746e7026c32bb2d76fed3fa71285ba8c86ea94e375210b3bbc3ad798f405f",
         "ff1999fb510cffda033d3712bb2e67bdde0075eecf54eb75c6392146e57b4bc7",
+    ),
+    # closed-form and scenario cells, pinned when per-worker speeds and
+    # start times stopped being task fields; their slots in the derived
+    # entropy must not move
+    ("ss", "direct-batch", "constant", None): (
+        "9440c08f61226878f7117842e619e9c33c1ebbc9d4f40653d80eadd25ab34b09",
+        "e005946bf110e891e162a18e9a18f60f183b05b81a83a168c0a3dcfec51828ad",
+    ),
+    ("fac2", "direct-batch", "exponential", None): (
+        "8e75d14035082051e8bf074b3d6dbbe28637f2c9c6ad58a3e48530f9513e28d6",
+        "1fda6fb60728c663216dd63b58caa5a231301e63dc2db5586de7d2948fe21945",
+    ),
+    ("awf-c", "direct-batch", "exponential", "wave-mild"): (
+        "de6b4a1c010ad6f3b21f5a77edcee57a41f0b77b2c6fc927e1dc3c6ef49efab4",
+        "b94addb47c5807efdcece6c9a7324aac9f65e9ba1025498ca370ccc4a94565e1",
     ),
 }
 #: the keys closed-form direct-batch cells had before that change;

@@ -139,17 +139,6 @@ class TestProcesses:
         with pytest.raises(SimulationError, match="not an Effect"):
             engine.run()
 
-    def test_max_events_guard(self):
-        engine = Engine()
-
-        def forever():
-            while True:
-                yield Timeout(1.0)
-
-        engine.spawn(forever())
-        with pytest.raises(SimulationError, match="max_events"):
-            engine.run(max_events=100)
-
     def test_deadlock_detection(self):
         from repro.simgrid.msg import Mailbox, Receive
         from repro.simgrid.platform import Host

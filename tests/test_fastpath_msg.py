@@ -12,12 +12,12 @@ import pytest
 
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique
-from repro.core.schedule import ScheduleUnavailableError
-from repro.metrics.wasted_time import OverheadModel
-from repro.simgrid.fastpath import (
-    FastMasterWorkerSimulation,
-    fastpath_ineligibility,
+from repro.core.schedule import (
+    ScheduleUnavailableError,
+    schedule_ineligibility,
 )
+from repro.metrics.wasted_time import OverheadModel
+from repro.simgrid.fastpath import FastMasterWorkerSimulation
 from repro.simgrid.masterworker import MasterWorkerConfig, MasterWorkerSimulation
 from repro.simgrid.platform import star_platform
 from repro.workloads import ConstantWorkload, ExponentialWorkload
@@ -109,36 +109,16 @@ def test_ineligible_techniques_raise(technique, entry):
     simulator refuses them with the reason (the backend registry is the
     one place that falls back to msg)."""
     fast = FastMasterWorkerSimulation(PARAMS, ExponentialWorkload(1.0))
-    reason = fastpath_ineligibility(get_technique(technique), fast.config)
+    reason = schedule_ineligibility(get_technique(technique))
     with pytest.raises(ScheduleUnavailableError) as err:
         run_entry(fast, entry, technique)
     assert reason in str(err.value)
 
 
-@pytest.mark.parametrize("entry", ["run", "run_many"])
-@pytest.mark.parametrize("config", [
-    MasterWorkerConfig(contention=True),
-    MasterWorkerConfig(max_events=10_000_000),
-], ids=["contention", "max_events"])
-def test_ineligible_configs_raise(config, entry):
-    fast = FastMasterWorkerSimulation(PARAMS, ConstantWorkload(1.0),
-                                      config=config)
-    reason = fastpath_ineligibility(get_technique("ss"), config)
-    with pytest.raises(ScheduleUnavailableError) as err:
-        run_entry(fast, entry, "ss")
-    assert reason in str(err.value)
-
-
 def test_ineligibility_reasons():
-    cfg = MasterWorkerConfig()
-    ss = get_technique("ss")(PARAMS)
-    assert fastpath_ineligibility(ss, cfg) is None
-    assert "contention" in fastpath_ineligibility(
-        ss, MasterWorkerConfig(contention=True))
-    assert "max_events" in fastpath_ineligibility(
-        ss, MasterWorkerConfig(max_events=100))
-    assert "adaptive" in fastpath_ineligibility(get_technique("awf")(PARAMS), cfg)
-    assert fastpath_ineligibility(get_technique("bold")(PARAMS), cfg)
+    assert schedule_ineligibility(get_technique("ss")(PARAMS)) is None
+    assert "adaptive" in schedule_ineligibility(get_technique("awf")(PARAMS))
+    assert schedule_ineligibility(get_technique("bold")(PARAMS))
 
 
 def test_scheduler_reuse_rejected_on_fast_path():

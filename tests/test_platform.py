@@ -9,7 +9,6 @@ from repro.simgrid.platform import (
     Link,
     Platform,
     Route,
-    cluster_platform,
     fast_network_platform,
     star_platform,
 )
@@ -123,11 +122,6 @@ class TestFactories:
     def test_star_needs_workers(self):
         with pytest.raises(ValueError):
             star_platform(0)
-
-    def test_cluster_routes_through_backbone(self):
-        platform = cluster_platform(2)
-        route = platform.route("master", "worker-0")
-        assert len(route.links) == 3  # master link + backbone + worker link
 
     def test_fast_network_is_effectively_free(self):
         platform = fast_network_platform(2)

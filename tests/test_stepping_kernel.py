@@ -155,17 +155,18 @@ class TestBitIdentity:
         assert_bit_identical(got, want)
 
     @pytest.mark.parametrize("name", ("awf-b", "af", "pls"))
-    def test_block_streaming_is_invisible(self, name):
-        """Tiny max_block_elements forces many internal blocks; on a
+    def test_block_streaming_is_invisible(self, name, monkeypatch):
+        """A tiny MAX_BLOCK_ELEMENTS forces many internal blocks; on a
         deterministic workload the partitioning cannot change results."""
         pr = params(n=300, p=4)
         workload = ConstantWorkload(1.0)
         one = BatchDirectSimulator(pr, workload).run_batch(
             get_technique(name), 7, seed=0
         )
-        many = BatchDirectSimulator(
-            pr, workload, max_block_elements=1
-        ).run_batch(get_technique(name), 7, seed=0)
+        monkeypatch.setattr("repro.directsim.batch.MAX_BLOCK_ELEMENTS", 1)
+        many = BatchDirectSimulator(pr, workload).run_batch(
+            get_technique(name), 7, seed=0
+        )
         assert [r.makespan for r in many] == [r.makespan for r in one]
         assert [r.num_chunks for r in many] == [r.num_chunks for r in one]
 
