@@ -89,10 +89,8 @@ __all__ = [
     "ResultCache",
     "active_cache",
     "cache_to",
-    "clear_cache",
     "deactivate_in_worker",
     "default_cache_dir",
-    "set_cache",
     "suspended",
 ]
 
@@ -740,7 +738,11 @@ class ResultCache:
         )
 
 
-# -- the active (process-global) cache ------------------------------------
+# -- the active cache ------------------------------------------------------
+# One scope turns the cache on: ``cache_to`` activates a cache for its
+# block and restores the cache active before it.  The active cache is a
+# module global, not a ContextVar, so the request threads of
+# ``repro-dls serve`` see the cache its main thread activated.
 _ACTIVE: ResultCache | None = None
 #: per thread (context), so one thread's suspension never hides the cache
 #: from another thread whose lookups run concurrently
@@ -748,28 +750,11 @@ _SUSPENDED: ContextVar[bool] = ContextVar("repro_cache_suspended",
                                           default=False)
 
 
-def set_cache(cache: ResultCache | str | Path) -> ResultCache:
-    """Make ``cache`` (or a new cache at a directory) the active store."""
-    global _ACTIVE
-    if not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
-    _ACTIVE = cache
-    return cache
-
-
 def active_cache() -> ResultCache | None:
     """The cache the runner consults (None = caching off or suspended)."""
     if _SUSPENDED.get():
         return None
     return _ACTIVE
-
-
-def clear_cache() -> None:
-    """Deactivate the active cache, flushing its session stats."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        _ACTIVE.flush_session()
-        _ACTIVE = None
 
 
 def deactivate_in_worker() -> None:
@@ -804,9 +789,16 @@ def cache_to(
     root: str | Path,
     verify_fraction: float = 0.0,
 ) -> Iterator[ResultCache]:
-    """Context manager: cache all runs inside the block under ``root``."""
-    cache = set_cache(ResultCache(root, verify_fraction=verify_fraction))
+    """Cache all runs inside the block under ``root``.
+
+    On exit the cache flushes its session stats and the cache active
+    before the block, if any, is active again.
+    """
+    global _ACTIVE
+    cache = ResultCache(root, verify_fraction=verify_fraction)
+    outer, _ACTIVE = _ACTIVE, cache
     try:
         yield cache
     finally:
-        clear_cache()
+        _ACTIVE = outer
+        cache.flush_session()

@@ -844,11 +844,8 @@ def _cmd_simulate_files(args: argparse.Namespace) -> int:
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
-    from .simgrid.visualization import (
-        ascii_gantt,
-        save_paje_trace,
-        utilization_summary,
-    )
+    from .obs.timeline import save_paje_trace
+    from .simgrid.visualization import ascii_gantt, utilization_summary
 
     result = _chunk_logged_task(args, "direct").execute()
     try:
@@ -874,8 +871,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import contextlib
 
     from .cache import cache_to
-    from .obs import journal_to
-    from .obs.metrics import clear_registry, set_registry
+    from .obs import journal_to, metrics_to
     from .serve import Advisor, make_server
     from .serve.advisor import DEFAULT_RUNS
 
@@ -883,10 +879,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         # The /metrics endpoint scrapes the active registry, so the
         # server always installs one even without --metrics.
-        registry = set_registry()
-        stack.callback(clear_registry)
-        if args.metrics:
-            stack.callback(lambda: registry.save(args.metrics))
+        stack.enter_context(metrics_to(args.metrics))
         if args.trace:
             stack.enter_context(journal_to(args.trace))
         if cache_dir is not None:

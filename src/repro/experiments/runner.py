@@ -52,7 +52,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -70,7 +70,6 @@ from ..cache import ResultCache, active_cache
 from ..cache import suspended as cache_suspended
 from ..core.params import SchedulingParams
 from ..metrics.wasted_time import OverheadModel
-from ..obs import core as obs_core
 from ..obs import metrics as obs_metrics
 from ..obs import progress as obs_progress
 from ..obs.journal import active_journal
@@ -187,7 +186,7 @@ class RunTask:
         """Run this task on its resolved backend and return the result.
 
         This is ``run_campaign([self], processes=1)[0]``: while a result
-        cache is active (:func:`repro.cache.set_cache` / ``--cache``) the
+        cache is active (:func:`repro.cache.cache_to` / ``--cache``) the
         run is served from the cache when its content key hits, and
         stored after simulating when it misses; a fresh run writes the
         same journal records and metrics as any other.
@@ -500,15 +499,8 @@ class _Sweep:
             return blocks
         return expand_replications(self.task, self.runs, self.campaign_seed)
 
-    # The span and progress label of this sweep run on its own
-    # (run_replicated, or a --cache-verify recompute).
-    def span(self, items: int):
-        if self.single:
-            return obs_core.span("run_campaign", tasks=1)
-        return obs_core.span(
-            "run_replicated", technique=self.task.technique, runs=self.runs
-        )
-
+    # The progress label of this sweep run on its own (run_replicated,
+    # or a --cache-verify recompute).
     def label(self, misses: int) -> str:
         if self.single:
             return "campaign"
@@ -535,15 +527,12 @@ def _run_items(
 def _recompute(sweep: _Sweep, processes: int | None) -> list[RunResult]:
     """Cache-blind re-simulation of one sweep (``--cache-verify``)."""
     with cache_suspended():
-        return _execute_sweeps(
-            [sweep], processes, sweep.span, sweep.label
-        )[0]
+        return _execute_sweeps([sweep], processes, sweep.label)[0]
 
 
 def _execute_sweeps(
     sweeps: Sequence[_Sweep],
     processes: int | None,
-    span: Callable[[int], ContextManager],
     label: Callable[[int], str],
 ) -> list[list[RunResult]]:
     """Run sweeps through the cache: the one path behind every entry point.
@@ -556,8 +545,8 @@ def _execute_sweeps(
        degradation is recorded (worker processes keep their own,
        discarded, fallback logs).
     3. The items of all misses run in one serial loop or one pooled
-       dispatch, with the cache suspended, inside ``span(items)``;
-       progress heartbeats are labelled ``label(misses)``.
+       dispatch, with the cache suspended; progress heartbeats are
+       labelled ``label(misses)``.
     4. Each fresh sweep is stored with its own fallback hops, the fresh
        results fold into the active metrics registry, and the journal
        gets a ``fallback`` record per new degradation, then one
@@ -600,7 +589,7 @@ def _execute_sweeps(
         label=label(len(misses)), journal=journal,
         fallback_baseline=fallbacks_before,
     ) if misses else None
-    with span(len(items)), cache_suspended():
+    with cache_suspended():
         outputs = _run_items(items, processes, tracker)
     if tracker is not None:
         tracker.finish()
@@ -658,26 +647,25 @@ def run_campaign(tasks: Sequence[RunTask],
     the loop stays in-process, avoiding pickling overhead.  Results are
     returned in task order.
 
-    While a result cache is active (:func:`repro.cache.set_cache` /
+    While a result cache is active (:func:`repro.cache.cache_to` /
     ``--cache``), every task is looked up first: hits are served from
     disk (one ``cache`` journal record each) and only the misses are
     simulated — then stored, so the next campaign sharing the cache
     skips them too.
 
-    When a run journal is active (:func:`repro.obs.set_journal`), one
+    When a run journal is active (:func:`repro.obs.journal_to`), one
     ``task`` record is written per freshly simulated task, plus a
     ``fallback`` record per new capability degradation.  While a
-    progress sink is active (:func:`repro.obs.set_progress`, or the
+    progress sink is active (:func:`repro.obs.progress_to`, or the
     journal itself), throttled heartbeats report tasks done/total,
     events/s, ETA and fallback count; while a metrics registry is active
-    (:func:`repro.obs.set_registry`), freshly simulated results fold
+    (:func:`repro.obs.metrics_to`), freshly simulated results fold
     into its campaign histograms (cache traffic feeds the dedicated
     ``cache_*`` counters instead).
     """
     groups = _execute_sweeps(
         [_Sweep(task, single=True) for task in tasks],
         processes,
-        span=lambda items: obs_core.span("run_campaign", tasks=len(tasks)),
         label=lambda misses: "campaign",
     )
     return [group[0] for group in groups]
@@ -709,7 +697,7 @@ def run_replicated(task: RunTask, runs: int, campaign_seed: int | None = None,
     degradation.
     """
     sweep = _Sweep(task, runs, campaign_seed)
-    return _execute_sweeps([sweep], processes, sweep.span, sweep.label)[0]
+    return _execute_sweeps([sweep], processes, sweep.label)[0]
 
 
 def run_replicated_batch(
@@ -731,10 +719,5 @@ def run_replicated_batch(
     """
     plan = [_Sweep(task, runs, seed) for task, runs, seed in sweeps]
     return _execute_sweeps(
-        plan,
-        processes,
-        span=lambda items: obs_core.span(
-            "run_replicated_batch", sweeps=len(plan), items=items
-        ),
-        label=lambda misses: f"{label} x{misses}",
+        plan, processes, label=lambda misses: f"{label} x{misses}"
     )

@@ -1,23 +1,20 @@
-"""Structured observability: spans, counters, run stats, run journals.
+"""Structured observability: run stats, run journals, metrics, timelines.
 
 The paper's whole argument rests on being able to *trust* what a
 simulation run did — Section V publishes its raw data precisely so
 others can audit it.  This package gives every execution path the
 instrumentation that makes a run auditable:
 
-* :class:`Span` / :class:`Counters` (:mod:`repro.obs.core`) —
-  lightweight tracing with near-zero overhead while disabled; a
-  disabled :func:`span` call returns a shared no-op singleton.
 * :class:`RunStats` (:mod:`repro.obs.stats`) — the per-run kernel
   statistics block every simulator attaches to its
   :class:`~repro.results.RunResult` (events processed, heap peak,
   live-process high-water mark, host wall time).  Stats are
   observability metadata, not results: ``RunResult`` equality ignores
-  them.
+  them.  They ride back from pool workers with the results.
 * :class:`RunJournal` (:mod:`repro.obs.journal`) — an append-only JSONL
   journal of campaign execution, one record per task (backend chosen,
   fallback events, seed entropy, wall time, stats), written by
-  :mod:`repro.experiments.runner` whenever a journal is active.
+  :mod:`repro.experiments.runner` inside :func:`journal_to`.
 * :func:`capture_provenance` (:mod:`repro.obs.provenance`) — the
   environment snapshot (package version, python, platform XML hash,
   ``REPRO_WORKERS``) recorded in every artifact manifest and cache
@@ -26,34 +23,23 @@ instrumentation that makes a run auditable:
   ``repro-dls stats`` summary (slowest tasks, fallback counts,
   events/sec per backend, wall-time histogram).
 * :class:`TraceEvent` (:mod:`repro.obs.timeline`) — chunk-level
-  execution timelines built from ``RunResult.chunk_log`` and drained
-  spans, exported to the Chrome Trace Event Format (Perfetto) and to
-  Paje (``repro-dls trace-export``).
+  execution timelines built from ``RunResult.chunk_log``, exported to
+  the Chrome Trace Event Format (Perfetto) and to Paje
+  (``repro-dls trace-export``, ``repro-dls gantt --paje``).
 * :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — campaign-level
   histograms/gauges/counters (chunk sizes, worker idle time, events/s),
   exported as JSON or Prometheus text via ``--metrics FILE``.
 * :class:`ProgressEvent` (:mod:`repro.obs.progress`) — periodic
-  heartbeats from the campaign runner through a pluggable callback
-  (CLI ``--progress``) and into the journal as ``progress`` records.
+  heartbeats from the campaign runner through a callback (CLI
+  ``--progress``) and into the journal as ``progress`` records.
+
+Each sink — the result cache (:func:`repro.cache.cache_to`), the
+journal (:func:`journal_to`), the metrics registry (:func:`metrics_to`)
+and the progress callback (:func:`progress_to`) — is turned on by one
+scope, which restores the sink active before it on exit.
 """
 
-from .core import (
-    Counters,
-    Span,
-    counters,
-    disable,
-    drain_spans,
-    enable,
-    is_enabled,
-    span,
-)
-from .journal import (
-    RunJournal,
-    active_journal,
-    clear_journal,
-    journal_to,
-    set_journal,
-)
+from .journal import RunJournal, active_journal, journal_to
 from .metrics import (
     Histogram,
     MetricsRegistry,
@@ -65,9 +51,7 @@ from .metrics import (
 from .progress import (
     ProgressEvent,
     ProgressTracker,
-    clear_progress,
     progress_to,
-    set_progress,
     stream_renderer,
 )
 from .provenance import capture_provenance, platform_xml_hash
@@ -79,19 +63,16 @@ from .timeline import (
     chrome_trace_from_journal,
     chrome_trace_from_results,
     save_chrome_trace,
-    span_events,
     timeline_from_result,
 )
 
 __all__ = [
-    "Counters",
     "Histogram",
     "MetricsRegistry",
     "ProgressEvent",
     "ProgressTracker",
     "RunJournal",
     "RunStats",
-    "Span",
     "TraceEvent",
     "active_journal",
     "active_registry",
@@ -99,25 +80,14 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_from_journal",
     "chrome_trace_from_results",
-    "clear_journal",
-    "clear_progress",
     "clear_registry",
-    "counters",
-    "disable",
-    "drain_spans",
-    "enable",
-    "is_enabled",
     "journal_to",
     "load_journal",
     "metrics_to",
     "platform_xml_hash",
     "progress_to",
     "save_chrome_trace",
-    "set_journal",
-    "set_progress",
     "set_registry",
-    "span",
-    "span_events",
     "stream_renderer",
     "summarize_journal",
     "timeline_from_result",

@@ -1,7 +1,7 @@
 """The JSONL run journal: one line per campaign execution event.
 
-A :class:`RunJournal` is an append-only JSON-lines file.  While one is
-active (:func:`set_journal` / :func:`journal_to`), the campaign runner
+A :class:`RunJournal` is an append-only JSON-lines file.  Inside
+:func:`journal_to`, the campaign runner
 (:mod:`repro.experiments.runner`) writes one ``task`` record per
 executed task — backend requested and chosen, seed entropy, replication
 count, aggregated :class:`~repro.obs.stats.RunStats` — plus a
@@ -57,9 +57,7 @@ from .provenance import capture_provenance
 __all__ = [
     "RunJournal",
     "active_journal",
-    "clear_journal",
     "journal_to",
-    "set_journal",
 ]
 
 
@@ -107,33 +105,23 @@ class RunJournal:
 _ACTIVE: RunJournal | None = None
 
 
-def set_journal(journal: RunJournal | str | Path) -> RunJournal:
-    """Make ``journal`` (or a new journal at a path) the active sink."""
-    global _ACTIVE
-    if not isinstance(journal, RunJournal):
-        journal = RunJournal(journal)
-    _ACTIVE = journal
-    return journal
-
-
 def active_journal() -> RunJournal | None:
     """The journal the runner currently writes to (None = no journal)."""
     return _ACTIVE
 
 
-def clear_journal() -> None:
-    """Deactivate (and close) the active journal, if any."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        _ACTIVE.close()
-        _ACTIVE = None
-
-
 @contextmanager
 def journal_to(path: str | Path) -> Iterator[RunJournal]:
-    """Context manager: journal all runs inside the block to ``path``."""
-    journal = set_journal(path)
+    """Journal all runs inside the block to a new journal at ``path``.
+
+    On exit the journal closes and the journal active before the block,
+    if any, is active again.
+    """
+    global _ACTIVE
+    journal = RunJournal(path)
+    outer, _ACTIVE = _ACTIVE, journal
     try:
         yield journal
     finally:
-        clear_journal()
+        _ACTIVE = outer
+        journal.close()

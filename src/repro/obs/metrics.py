@@ -5,13 +5,11 @@ the per-run :class:`~repro.obs.stats.RunStats` nor the journal's task
 records answer directly: how are chunk sizes distributed, how much time
 do workers spend idle, how fast is the simulation moving overall.  Like
 the run journal, metrics collection is *opt-in*: the campaign runner
-records into the process-global registry only while one is active
-(:func:`set_registry` / :func:`metrics_to`), so disabled campaigns pay a
-single ``None`` check per runner call.
-
-All metric objects are plain data (dict-of-ints buckets, floats) so they
-pickle through the campaign process pool unchanged and merge across
-processes with :meth:`Histogram.merge` / :meth:`MetricsRegistry.merge`.
+records into the process-global registry only inside :func:`metrics_to`
+(or between :func:`set_registry` and :func:`clear_registry`), so
+disabled campaigns pay a single ``None`` check per runner call.  A
+registry never leaves the parent process: the runner folds results into
+it after pooled ones return (:func:`record_results`).
 
 Exports: :meth:`MetricsRegistry.to_json` for machines,
 :meth:`MetricsRegistry.render_prometheus` for the Prometheus
@@ -68,8 +66,7 @@ class Histogram:
     span chunk sizes (1 .. n) and wall times (microseconds .. hours)
     with a handful of integer dict entries, which keeps ``observe`` to
     one ``frexp`` and one dict increment.  The exact ``sum``, ``count``,
-    ``min`` and ``max`` are tracked alongside, so means are exact even
-    though quantiles are bucket-resolution.
+    ``min`` and ``max`` are tracked alongside, so means are exact.
     """
 
     __slots__ = ("name", "help", "buckets", "count", "sum", "min", "max")
@@ -99,15 +96,6 @@ class Histogram:
         for value in values:
             self.observe(value)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram."""
-        for exponent, count in other.buckets.items():
-            self.buckets[exponent] = self.buckets.get(exponent, 0) + count
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -119,21 +107,6 @@ class Histogram:
             le = 0.0 if exponent == _ZERO_BUCKET else float(2.0 ** exponent)
             out.append((le, self.buckets[exponent]))
         return out
-
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile (the bound holding the q-point)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        bounds = self.bucket_bounds()
-        for le, count in bounds:
-            seen += count
-            if seen >= target:
-                return min(le, self.max) if le else 0.0
-        return self.max
 
     def to_json(self) -> dict:
         return {
@@ -162,23 +135,6 @@ class Histogram:
             lines.append(f"  <= {le:<12g} {bar} {count}")
         return "\n".join(lines)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Histogram):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.buckets == other.buckets
-            and self.count == other.count
-            and self.sum == other.sum
-        )
-
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Histogram {self.name} count={self.count}>"
 
@@ -199,13 +155,6 @@ class Gauge:
     def to_json(self) -> dict:
         return {"name": self.name, "help": self.help, "value": self.value}
 
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
 
 class Counter:
     """A monotonically increasing total (e.g. simulated events)."""
@@ -225,12 +174,16 @@ class Counter:
     def to_json(self) -> dict:
         return {"name": self.name, "help": self.help, "value": self.value}
 
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
 
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
+def _prometheus_value(value: float) -> str:
+    """An integral value as an integer, any other at full precision.
+
+    ``repr`` is the shortest string that reads back as the same float,
+    so a large counter or a power-of-two bucket bound is never rounded.
+    """
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
 
 
 def _prometheus_name(name: str) -> str:
@@ -242,11 +195,7 @@ def _prometheus_name(name: str) -> str:
 
 
 class MetricsRegistry:
-    """Named histograms, gauges and counters with get-or-create access.
-
-    Plain data throughout: registries pickle through the process pool
-    and merge with :meth:`merge` (metric names are the join keys).
-    """
+    """Named histograms, gauges and counters with get-or-create access."""
 
     def __init__(self) -> None:
         self.histograms: dict[str, Histogram] = {}
@@ -271,15 +220,6 @@ class MetricsRegistry:
             metric = self.counters[name] = Counter(name, help)
         return metric
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's metrics into this one by name."""
-        for name, hist in other.histograms.items():
-            self.histogram(name, hist.help).merge(hist)
-        for name, counter in other.counters.items():
-            self.counter(name, counter.help).incr(counter.value)
-        for name, gauge in other.gauges.items():
-            self.gauge(name, gauge.help).set(gauge.value)
-
     def to_json(self) -> dict:
         return {
             "histograms": {
@@ -301,7 +241,8 @@ class MetricsRegistry:
 
         Histograms emit cumulative ``_bucket{le=...}`` series ending in
         ``le="+Inf"`` plus ``_sum`` and ``_count``, exactly as a
-        Prometheus client library would.
+        Prometheus client library would.  Values keep full precision
+        (see :func:`_prometheus_value`).
         """
         lines: list[str] = []
         for name in sorted(self.counters):
@@ -310,14 +251,14 @@ class MetricsRegistry:
             if counter.help:
                 lines.append(f"# HELP {metric} {counter.help}")
             lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {counter.value:g}")
+            lines.append(f"{metric} {_prometheus_value(counter.value)}")
         for name in sorted(self.gauges):
             gauge = self.gauges[name]
             metric = _prometheus_name(name)
             if gauge.help:
                 lines.append(f"# HELP {metric} {gauge.help}")
             lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {gauge.value:g}")
+            lines.append(f"{metric} {_prometheus_value(gauge.value)}")
         for name in sorted(self.histograms):
             hist = self.histograms[name]
             metric = _prometheus_name(name)
@@ -328,10 +269,11 @@ class MetricsRegistry:
             for le, count in hist.bucket_bounds():
                 cumulative += count
                 lines.append(
-                    f'{metric}_bucket{{le="{le:g}"}} {cumulative}'
+                    f'{metric}_bucket{{le="{_prometheus_value(le)}"}} '
+                    f"{cumulative}"
                 )
             lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
-            lines.append(f"{metric}_sum {hist.sum:g}")
+            lines.append(f"{metric}_sum {_prometheus_value(hist.sum)}")
             lines.append(f"{metric}_count {hist.count}")
         return "\n".join(lines) + "\n"
 
@@ -359,7 +301,11 @@ _ACTIVE: MetricsRegistry | None = None
 
 
 def set_registry(registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Make ``registry`` (or a fresh one) the active metrics sink."""
+    """Make ``registry`` (or a fresh one) the active metrics sink.
+
+    For a set-up that outlives one block; :func:`clear_registry` undoes
+    it.  Scoped callers use :func:`metrics_to`.
+    """
     global _ACTIVE
     if registry is None:
         registry = MetricsRegistry()
@@ -383,13 +329,16 @@ def metrics_to(path: str | Path | None = None) -> Iterator[MetricsRegistry]:
     """Collect campaign metrics inside the block; save to ``path`` on exit.
 
     With ``path=None`` the registry is activated but not written — read
-    it from the yielded object instead.
+    it from the yielded object instead.  On exit the registry active
+    before the block, if any, is active again.
     """
-    registry = set_registry()
+    global _ACTIVE
+    registry = MetricsRegistry()
+    outer, _ACTIVE = _ACTIVE, registry
     try:
         yield registry
     finally:
-        clear_registry()
+        _ACTIVE = outer
         if path is not None:
             registry.save(path)
 

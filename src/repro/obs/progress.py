@@ -1,4 +1,4 @@
-"""Live campaign progress: periodic heartbeats through a pluggable sink.
+"""Live campaign progress: periodic heartbeats through a callback.
 
 Million-task campaigns run for hours; this module lets the campaign
 runner report how far along it is without coupling it to any rendering.
@@ -8,14 +8,14 @@ the observed rate, and the number of capability fallbacks so far.
 
 Heartbeats flow to two sinks, both optional:
 
-* the pluggable callback (:func:`set_progress` / :func:`progress_to`),
-  rendered by the CLI ``--progress`` flag via :func:`stream_renderer`;
+* the callback installed by :func:`progress_to`, rendered by the CLI
+  ``--progress`` flag via :func:`stream_renderer`;
 * the active run journal, as ``{"kind": "progress", ...}`` records.
 
 When neither sink is active the runner skips tracking entirely (one
 ``None`` check per campaign call), so disabled progress is free.
-Heartbeats are throttled to one per ``min_interval`` seconds; the final
-completion event is always emitted.
+Heartbeats are throttled to one per :data:`MIN_INTERVAL` seconds; the
+final completion event is always emitted.
 """
 
 from __future__ import annotations
@@ -32,16 +32,13 @@ if TYPE_CHECKING:
 __all__ = [
     "ProgressEvent",
     "ProgressTracker",
-    "active_progress",
     "campaign_tracker",
-    "clear_progress",
     "progress_to",
-    "set_progress",
     "stream_renderer",
 ]
 
-#: default seconds between heartbeats
-DEFAULT_MIN_INTERVAL = 0.5
+#: seconds between heartbeats (the final one is never throttled)
+MIN_INTERVAL = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,41 +88,21 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 _CALLBACK: ProgressCallback | None = None
-_MIN_INTERVAL: float = DEFAULT_MIN_INTERVAL
-
-
-def set_progress(
-    callback: ProgressCallback,
-    min_interval: float = DEFAULT_MIN_INTERVAL,
-) -> None:
-    """Install ``callback`` as the process-global heartbeat sink."""
-    global _CALLBACK, _MIN_INTERVAL
-    _CALLBACK = callback
-    _MIN_INTERVAL = max(0.0, float(min_interval))
-
-
-def clear_progress() -> None:
-    """Remove the heartbeat callback (journal heartbeats are unaffected)."""
-    global _CALLBACK, _MIN_INTERVAL
-    _CALLBACK = None
-    _MIN_INTERVAL = DEFAULT_MIN_INTERVAL
-
-
-def active_progress() -> ProgressCallback | None:
-    return _CALLBACK
 
 
 @contextmanager
-def progress_to(
-    callback: ProgressCallback,
-    min_interval: float = DEFAULT_MIN_INTERVAL,
-) -> Iterator[None]:
-    """Route heartbeats inside the block to ``callback``."""
-    set_progress(callback, min_interval)
+def progress_to(callback: ProgressCallback) -> Iterator[None]:
+    """Route heartbeats inside the block to ``callback``.
+
+    On exit the callback active before the block, if any, is active
+    again (journal heartbeats are unaffected).
+    """
+    global _CALLBACK
+    outer, _CALLBACK = _CALLBACK, callback
     try:
         yield
     finally:
-        clear_progress()
+        _CALLBACK = outer
 
 
 class ProgressTracker:
@@ -144,16 +121,12 @@ class ProgressTracker:
         label: str = "campaign",
         callback: ProgressCallback | None = None,
         journal: "RunJournal | None" = None,
-        min_interval: float | None = None,
         fallback_baseline: int = 0,
     ):
         self.total = total
         self.label = label
         self.callback = callback
         self.journal = journal
-        self.min_interval = (
-            _MIN_INTERVAL if min_interval is None else max(0.0, min_interval)
-        )
         self.fallback_baseline = fallback_baseline
         self.done = 0
         self.events = 0
@@ -165,7 +138,7 @@ class ProgressTracker:
         self.done += count
         self.events += events
         now = time.monotonic()
-        if now - self._last_emit >= self.min_interval:
+        if now - self._last_emit >= MIN_INTERVAL:
             self._emit(now)
 
     def finish(self) -> None:
@@ -211,13 +184,12 @@ def campaign_tracker(
     Returning None lets the runner skip all per-task bookkeeping when
     nobody is listening, keeping disabled progress free.
     """
-    callback = active_progress()
-    if callback is None and journal is None:
+    if _CALLBACK is None and journal is None:
         return None
     return ProgressTracker(
         total=total,
         label=label,
-        callback=callback,
+        callback=_CALLBACK,
         journal=journal,
         fallback_baseline=fallback_baseline,
     )

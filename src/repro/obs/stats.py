@@ -22,7 +22,6 @@ process pool unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 __all__ = ["RunStats"]
 
@@ -52,35 +51,3 @@ class RunStats:
     wall_time: float = 0.0
     #: free-form additional counters (block sizes, lost chunks, ...)
     extra: dict = field(default_factory=dict)
-
-    @property
-    def events_per_second(self) -> float:
-        """Simulation throughput in events per host second (0 if unknown)."""
-        if self.wall_time <= 0:
-            return 0.0
-        return self.events / self.wall_time
-
-    def to_json(self) -> dict:
-        data = {
-            "backend": self.backend,
-            "fast_path": self.fast_path,
-            "events": self.events,
-            "heap_peak": self.heap_peak,
-            "live_peak": self.live_peak,
-            "wall_time_s": self.wall_time,
-        }
-        if self.extra:
-            data["extra"] = dict(self.extra)
-        return data
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "RunStats":
-        return cls(
-            backend=data.get("backend", ""),
-            fast_path=bool(data.get("fast_path", False)),
-            events=int(data.get("events", 0)),
-            heap_peak=int(data.get("heap_peak", 0)),
-            live_peak=int(data.get("live_peak", 0)),
-            wall_time=float(data.get("wall_time_s", 0.0)),
-            extra=dict(data.get("extra", {})),
-        )

@@ -4,8 +4,8 @@ The follow-up literature to the reproduced paper diagnoses scheduling
 discrepancies by inspecting *per-chunk execution timelines* (Mohammed,
 Eleliemy & Ciorba, arXiv:1805.07998), not per-run scalars.  This module
 turns the chunk logs every backend can record (``RunResult.chunk_log``)
-— plus any drained :mod:`repro.obs.core` spans — into one unified
-:class:`TraceEvent` model, and serialises timelines to two formats:
+into one unified :class:`TraceEvent` model, and serialises timelines to
+two formats:
 
 * **Chrome Trace Event Format** (:func:`chrome_trace`,
   :func:`chrome_trace_from_results`, :func:`chrome_trace_from_journal`)
@@ -13,8 +13,9 @@ turns the chunk logs every backend can record (``RunResult.chunk_log``)
   ``chrome://tracing``.  Each ``(technique, n, p)`` run is one process
   group; each worker is one named track inside it.
 * **Paje** (:func:`paje_trace` / :func:`save_paje_trace`) — SimGrid's
-  trace format, loadable by Paje/Vite.  (These migrated here from
-  :mod:`repro.simgrid.visualization`, which re-exports them.)
+  trace format, loadable by Paje/Vite (``repro-dls gantt --paje``).
+  :func:`worker_timelines` gives the same chunk log as per-worker
+  execution windows.
 
 Journals written by ``--trace`` convert to campaign-level Chrome traces
 (one track-packed process per backend, instant events for fallbacks,
@@ -30,7 +31,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from ..results import RunResult
-    from .core import Span
 
 __all__ = [
     "TraceEvent",
@@ -41,7 +41,6 @@ __all__ = [
     "require_chunk_log",
     "save_chrome_trace",
     "save_paje_trace",
-    "span_events",
     "timeline_from_result",
     "worker_timelines",
 ]
@@ -139,33 +138,6 @@ def timeline_from_result(
     return events
 
 
-def span_events(
-    spans: Sequence["Span"], group: str = "obs.spans"
-) -> list[TraceEvent]:
-    """Drained tracing spans as timeline events (one shared track).
-
-    Span clocks are ``time.perf_counter`` readings; the earliest span's
-    start becomes the timeline origin.
-    """
-    timed = [s for s in spans if s.started_at is not None]
-    if not timed:
-        return []
-    t0 = min(s.started_at for s in timed)
-    return [
-        TraceEvent(
-            name=s.name,
-            start=s.started_at - t0,
-            duration=s.duration or 0.0,
-            group=group,
-            track=0,
-            track_name="spans",
-            category="span",
-            args=dict(s.attributes),
-        )
-        for s in timed
-    ]
-
-
 # -- Chrome Trace Event Format --------------------------------------------
 def chrome_trace(events: Iterable[TraceEvent]) -> dict:
     """Serialise events to the Chrome Trace Event Format (JSON object).
@@ -226,9 +198,8 @@ def chrome_trace(events: Iterable[TraceEvent]) -> dict:
 def chrome_trace_from_results(
     results: Sequence["RunResult"],
     groups: Sequence[str] | None = None,
-    spans: Sequence["Span"] | None = None,
 ) -> dict:
-    """One Chrome trace for several recorded runs (plus optional spans).
+    """One Chrome trace for several recorded runs.
 
     Each run is its own process group (auto-labelled
     ``technique n=.. p=..``, de-duplicated by index when runs repeat a
@@ -250,8 +221,6 @@ def chrome_trace_from_results(
             if count:
                 label = f"{label} #{count + 1}"
         events.extend(timeline_from_result(result, group=label))
-    if spans:
-        events.extend(span_events(spans))
     return chrome_trace(events)
 
 
@@ -385,7 +354,7 @@ def save_chrome_trace(trace: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(trace) + "\n")
 
 
-# -- Paje export (migrated from repro.simgrid.visualization) ---------------
+# -- Paje export ------------------------------------------------------------
 
 _PAJE_HEADER = """\
 %EventDef PajeDefineContainerType 0

@@ -27,13 +27,7 @@ from .platform import (
     star_platform,
 )
 from .trace import SimulationTrace, WorkerTrace
-from .visualization import (
-    ascii_gantt,
-    paje_trace,
-    save_paje_trace,
-    utilization_summary,
-    worker_timelines,
-)
+from .visualization import ascii_gantt, utilization_summary
 from .xmlio import (
     ProcessPlacement,
     deployment_to_xml,
@@ -75,10 +69,7 @@ __all__ = [
     "Timeout",
     "WorkerTrace",
     "ascii_gantt",
-    "paje_trace",
-    "save_paje_trace",
     "utilization_summary",
-    "worker_timelines",
     "deployment_to_xml",
     "fast_network_platform",
     "load_deployment",

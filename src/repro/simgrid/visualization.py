@@ -1,10 +1,8 @@
-"""Schedule visualisation: ASCII Gantt charts and trace re-exports.
+"""Schedule visualisation: ASCII Gantt charts and utilisation tables.
 
 The terminal Gantt renderer and the per-worker utilisation table live
-here; the trace *exporters* — Paje (SimGrid's format) and the Chrome
-Trace Event Format — moved to :mod:`repro.obs.timeline`, which this
-module re-exports (``paje_trace``, ``save_paje_trace``,
-``worker_timelines``) so existing imports keep working.
+here; the trace exporters — Paje (SimGrid's format) and the Chrome
+Trace Event Format — live in :mod:`repro.obs.timeline`.
 
 Every renderer requires the run to carry a chunk log; a run without one
 fails with an actionable error naming the flags that record one
@@ -14,21 +12,12 @@ on :class:`~repro.experiments.runner.RunTask`).
 
 from __future__ import annotations
 
-from ..obs.timeline import (  # noqa: F401  (back-compat re-exports)
-    paje_trace,
-    require_chunk_log,
-    save_paje_trace,
-    worker_timelines,
-)
+from ..obs.timeline import require_chunk_log
 from ..results import ChunkExecution, RunResult
 
 __all__ = [
     "ascii_gantt",
-    "paje_trace",
-    "require_chunk_log",
-    "save_paje_trace",
     "utilization_summary",
-    "worker_timelines",
 ]
 
 

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from repro.cache import active_cache, cache_to
 from repro.core.params import SchedulingParams
 from repro.experiments.runner import (
     RunTask,
@@ -15,29 +16,16 @@ from repro.experiments.runner import (
     run_replicated,
 )
 from repro.obs import (
-    Counters,
-    RunStats,
-    counters,
-    disable,
-    drain_spans,
-    enable,
-    is_enabled,
+    active_journal,
+    active_registry,
     journal_to,
     load_journal,
-    span,
+    metrics_to,
+    progress_to,
     summarize_journal,
 )
-from repro.obs.core import _NULL_SPAN
 from repro.obs.provenance import capture_provenance, platform_xml_hash
 from repro.workloads import ExponentialWorkload
-
-
-@pytest.fixture(autouse=True)
-def _tracing_off():
-    """Leave the process-global tracing switch as each test found it."""
-    yield
-    disable()
-    counters().clear()
 
 
 def small_task(technique="fac2", simulator="msg-fast", **kwargs) -> RunTask:
@@ -50,65 +38,7 @@ def small_task(technique="fac2", simulator="msg-fast", **kwargs) -> RunTask:
     )
 
 
-class TestSpans:
-    def test_disabled_span_is_the_shared_null_singleton(self):
-        assert not is_enabled()
-        assert span("a") is span("b", key=1) is _NULL_SPAN
-        with span("a"):
-            pass
-        assert drain_spans() == []
-
-    def test_enabled_span_records_duration_and_attributes(self):
-        enable()
-        with span("work", technique="ss") as s:
-            pass
-        assert s.duration is not None and s.duration >= 0.0
-        spans = drain_spans()
-        assert [sp.name for sp in spans] == ["work"]
-        assert spans[0].attributes == {"technique": "ss"}
-        assert spans[0].to_json()["technique"] == "ss"
-        assert drain_spans() == []  # drained
-
-    def test_disable_discards_pending_spans(self):
-        enable()
-        with span("pending"):
-            pass
-        disable()
-        assert drain_spans() == []
-
-    def test_runner_emits_spans_when_enabled(self):
-        enable()
-        run_campaign([small_task()], processes=1)
-        names = [s.name for s in drain_spans()]
-        assert "run_campaign" in names
-
-
-class TestCounters:
-    def test_incr_and_value(self):
-        c = Counters()
-        c.incr("events")
-        c.incr("events", 4)
-        assert c.value("events") == 5
-        assert c.value("missing") == 0
-        assert c.as_dict() == {"events": 5}
-        c.clear()
-        assert len(c) == 0
-
-    def test_global_counters_always_count(self):
-        counters().incr("smoke")
-        assert counters().value("smoke") == 1
-
-
 class TestRunStats:
-    def test_json_roundtrip(self):
-        stats = RunStats(
-            backend="msg", events=10, heap_peak=3, live_peak=5,
-            wall_time=0.5, extra={"k": 1},
-        )
-        back = RunStats.from_json(stats.to_json())
-        assert back == stats
-        assert back.events_per_second == pytest.approx(20.0)
-
     def test_every_run_result_carries_stats(self):
         for simulator in ("msg", "msg-fast", "direct", "direct-batch"):
             result = small_task(simulator=simulator).execute()
@@ -202,6 +132,57 @@ class TestJournal:
         path.write_text('{"kind": "provenance"}\nnot json\n')
         with pytest.raises(ValueError, match="broken.jsonl:2"):
             load_journal(path)
+
+
+class TestSinkScopes:
+    """Every ``*_to`` scope restores the sink active before it, so a run
+    made after an inner block lands in the outer sink."""
+
+    def test_nested_cache_scope_restores_the_outer_cache(self, tmp_path):
+        before = active_cache()
+        with cache_to(tmp_path / "outer") as outer:
+            with cache_to(tmp_path / "inner") as inner:
+                assert active_cache() is inner
+            assert active_cache() is outer
+            small_task(seed_entropy=(4,)).execute()
+        assert active_cache() is before
+        assert outer.stats.stores == 1
+        assert inner.stats.stores == 0
+
+    def test_nested_journal_scope_restores_the_outer_journal(self, tmp_path):
+        before = active_journal()
+        with journal_to(tmp_path / "outer.jsonl") as outer:
+            with journal_to(tmp_path / "inner.jsonl") as inner:
+                assert active_journal() is inner
+            assert active_journal() is outer
+            small_task(seed_entropy=(4,)).execute()
+        assert active_journal() is before
+        outer_kinds = [r["kind"] for r in load_journal(outer.path)]
+        assert outer_kinds.count("task") == 1
+        assert [r["kind"] for r in load_journal(inner.path)] == [
+            "provenance"
+        ]
+
+    def test_nested_metrics_scope_restores_the_outer_registry(self):
+        before = active_registry()
+        with metrics_to() as outer:
+            with metrics_to() as inner:
+                assert active_registry() is inner
+            assert active_registry() is outer
+            small_task(seed_entropy=(4,)).execute()
+        assert active_registry() is before
+        assert outer.counter("runs_total").value == 1
+        assert "runs_total" not in inner.counters
+
+    def test_nested_progress_scope_restores_the_outer_callback(self):
+        outer_seen: list = []
+        inner_seen: list = []
+        with progress_to(outer_seen.append):
+            with progress_to(inner_seen.append):
+                pass
+            small_task(seed_entropy=(4,)).execute()
+        assert inner_seen == []
+        assert outer_seen and outer_seen[-1].done == 1
 
 
 class TestStatsSummary:

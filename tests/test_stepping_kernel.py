@@ -312,23 +312,20 @@ class TestCacheRegression:
         under simulator='direct-batch' with results-v1.  The stepping
         kernel serves it bit-identically, and its key is unchanged — so
         the old entry is served as a hit and passes verification."""
-        from repro.cache import ResultCache, set_cache, clear_cache
+        from repro.cache import cache_to
 
         task = self.det_task()
-        cache = ResultCache(tmp_path, verify_fraction=1.0)
-        key = cache.task_key(task)
-        # A scalar-era entry: produced by the direct simulator (the old
-        # fallback target), stored under the direct-batch task's key.
-        sim = DirectSimulator(task.params, task.workload)
-        scalar_result = sim.run(
-            get_technique(task.technique), seed=task.seed_sequence()
-        )
-        cache.put(key, [scalar_result], backend="direct")
-        set_cache(cache)
-        try:
+        with cache_to(tmp_path, verify_fraction=1.0) as cache:
+            key = cache.task_key(task)
+            # A scalar-era entry: produced by the direct simulator (the
+            # old fallback target), stored under the direct-batch task's
+            # key.
+            sim = DirectSimulator(task.params, task.workload)
+            scalar_result = sim.run(
+                get_technique(task.technique), seed=task.seed_sequence()
+            )
+            cache.put(key, [scalar_result], backend="direct")
             result = task.execute()
-        finally:
-            clear_cache()
         assert cache.stats.hits == 1
         assert cache.stats.misses == 0
         assert result.makespan == scalar_result.makespan
@@ -339,32 +336,28 @@ class TestCacheRegression:
         v1-era key no longer matches and the old entry cannot be
         served with wrong provenance."""
         from repro.backends import get_backend
-        from repro.cache import ResultCache, set_cache, clear_cache
+        from repro.cache import cache_to
 
         task = self.det_task(workload=ExponentialWorkload(1.0))
-        cache = ResultCache(tmp_path)
         backend_cls = type(get_backend("direct-batch"))
-        # The key a scalar-era cache would have used: results-v1.
-        old_version = backend_cls.STEPPING_RESULT_VERSION
-        backend_cls.STEPPING_RESULT_VERSION = backend_cls.result_version
-        try:
-            v1_key = cache.task_key(task)
-        finally:
-            backend_cls.STEPPING_RESULT_VERSION = old_version
-        assert cache.task_key(task) != v1_key
-        sim = DirectSimulator(task.params, task.workload)
-        cache.put(
-            v1_key,
-            [sim.run(get_technique(task.technique),
-                     seed=task.seed_sequence())],
-            backend="direct",
-        )
-        stores_before = cache.stats.stores
-        set_cache(cache)
-        try:
+        with cache_to(tmp_path) as cache:
+            # The key a scalar-era cache would have used: results-v1.
+            old_version = backend_cls.STEPPING_RESULT_VERSION
+            backend_cls.STEPPING_RESULT_VERSION = backend_cls.result_version
+            try:
+                v1_key = cache.task_key(task)
+            finally:
+                backend_cls.STEPPING_RESULT_VERSION = old_version
+            assert cache.task_key(task) != v1_key
+            sim = DirectSimulator(task.params, task.workload)
+            cache.put(
+                v1_key,
+                [sim.run(get_technique(task.technique),
+                         seed=task.seed_sequence())],
+                backend="direct",
+            )
+            stores_before = cache.stats.stores
             task.execute()
-        finally:
-            clear_cache()
         assert cache.stats.hits == 0
         assert cache.stats.misses == 1
         assert cache.stats.stores == stores_before + 1

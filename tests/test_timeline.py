@@ -15,7 +15,6 @@ from repro.obs import (
     chrome_trace_from_journal,
     chrome_trace_from_results,
     save_chrome_trace,
-    span_events,
     timeline_from_result,
 )
 from repro.obs.timeline import require_chunk_log
@@ -206,36 +205,7 @@ class TestJournalTrace:
         assert all(e["tid"] == 0 for e in slices)
 
 
-class TestSpanEvents:
-    def test_drained_spans_become_events(self):
-        from repro import obs
-
-        obs.enable()
-        try:
-            with obs.span("outer", technique="fac2"):
-                with obs.span("inner"):
-                    pass
-            spans = obs.drain_spans()
-        finally:
-            obs.disable()
-        events = span_events(spans)
-        assert {e.name for e in events} == {"outer", "inner"}
-        assert min(e.start for e in events) == 0.0
-        assert all(e.category == "span" for e in events)
-
-    def test_empty_spans_yield_no_events(self):
-        assert span_events([]) == []
-
-
 class TestPajeReExport:
-    def test_visualization_names_are_the_timeline_functions(self):
-        from repro.obs import timeline
-        from repro.simgrid import visualization
-
-        assert visualization.paje_trace is timeline.paje_trace
-        assert visualization.save_paje_trace is timeline.save_paje_trace
-        assert visualization.worker_timelines is timeline.worker_timelines
-
     def test_paje_trace_from_task_result(self):
         from repro.obs.timeline import paje_trace
 

@@ -7,13 +7,8 @@ import pytest
 from repro.core.params import SchedulingParams
 from repro.core.registry import make_factory
 from repro.directsim import DirectSimulator
-from repro.simgrid.visualization import (
-    ascii_gantt,
-    paje_trace,
-    save_paje_trace,
-    utilization_summary,
-    worker_timelines,
-)
+from repro.obs.timeline import paje_trace, save_paje_trace, worker_timelines
+from repro.simgrid.visualization import ascii_gantt, utilization_summary
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 
 
