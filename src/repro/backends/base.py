@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # avoid a runtime cycle: the runner imports this package
     from ..experiments.runner import RunTask
     from ..results import RunResult
 
-#: replications per pooled replication block.  Fixed (instead of derived
-#: from the worker count) so campaign results are deterministic in
-#: (task, runs, campaign_seed) regardless of how many processes execute.
+#: replications per pooled replication block.  Every replication keeps
+#: its own seed, so the block size sets only the granularity of pool
+#: dispatch (and of schedule precomputation), never a result.
 BATCH_BLOCK_RUNS = 64
 
 
@@ -129,22 +129,20 @@ class ReplicationBlock:
 
     Blocks distribute over the process pool like individual ``RunTask``
     objects, but each block amortises the chunk-schedule precomputation
-    (and, for the batch kernel, samples its chunk times in bulk).  Both
-    seeding styles take their entropy tuples from
-    :func:`repro.workloads.replication_entropies`:
-
-    * ``seed_entropies`` — one tuple per replication, the same tuples
-      ``expand_replications`` gives per-run tasks (MSG fast path); the
-      block partitioning cannot affect results.
-    * ``seed_entropy`` — one tuple for the whole block, whose RNG
-      stream the batch kernel consumes in bulk (direct-batch).
+    (and, for the batch kernel, steps its replications together).
+    ``seed_entropies`` holds one entropy tuple per replication, the
+    tuples :func:`repro.workloads.replication_entropies` gives per-run
+    tasks (``expand_replications``), so the block partitioning cannot
+    affect results.
     """
 
     backend: str
     task: "RunTask"
-    runs: int
-    seed_entropy: tuple[int, ...] | None = None
-    seed_entropies: tuple[tuple[int, ...], ...] | None = None
+    seed_entropies: tuple[tuple[int, ...], ...]
+
+    @property
+    def runs(self) -> int:
+        return len(self.seed_entropies)
 
     def execute(self) -> list["RunResult"]:
         from .registry import get_backend
@@ -172,24 +170,15 @@ class SimulationBackend(ABC):
     fallback: ClassVar[str | None] = None
     #: namespace used for derived seed entropy.  Backends that are
     #: bit-identical to another backend share its namespace so un-seeded
-    #: tasks derive the same seeds on both (e.g. msg-fast uses "msg").
+    #: tasks derive the same seeds on both (msg-fast uses "msg",
+    #: direct-batch "direct").
     entropy_namespace: ClassVar[str] = ""
     #: version of this backend's *results*.  Folded into result-cache
     #: keys (``repro.cache``) through the entropy-namespace backend:
     #: bump it when an intentional simulator change alters simulated
-    #: observables, so every cached result it produced misses cleanly.
+    #: observables, so every cached result of the namespace misses
+    #: cleanly.
     result_version: ClassVar[int] = 1
-
-    def result_version_for(self, task: "RunTask") -> int:
-        """The result version that keys ``task``'s cache entries.
-
-        Defaults to the class-wide :attr:`result_version`.  Backends
-        whose simulator changes alter only *some* tasks' observables
-        override this per task, so bit-identical coverage expansion
-        (e.g. a new kernel serving old tasks with the exact same
-        results) does not poison unaffected cache keys.
-        """
-        return self.result_version
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -12,20 +12,22 @@ Each backend wraps one execution substrate behind the uniform
   for closed-form techniques; degrades to ``msg`` otherwise.
 * ``direct`` — the scalar Hagerup-style chunk-level simulator; the only
   backend supporting *every* scenario model on every technique.
-* ``direct-batch`` — the batch-replication kernel; degrades
-  to ``direct`` for techniques without a precomputable schedule and for
-  fail-stop scenarios on closed-form techniques (dynamic requeueing
+* ``direct-batch`` — the batch-replication kernel, bit-identical to
+  ``direct`` run for run; degrades to ``direct`` for per-chunk logs and
+  for fail-stop scenarios on closed-form techniques (dynamic requeueing
   invalidates a precomputed schedule).
 
-The run/seed semantics are exactly those the dispatch chains in
-``runner.py`` used before the registry existed, so results are
-bit-identical to the pre-registry code paths (enforced by
-``tests/test_batch_kernel.py`` and ``tests/test_fastpath_msg.py``).
+Each fast path runs a replication sweep as pooled blocks in which every
+replication keeps the seed its oracle would give it, and shares its
+oracle's entropy namespace, so a (task, runs, campaign seed) triple
+names the same runs on every backend (enforced by
+``tests/test_differential.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from abc import abstractmethod
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -93,6 +95,41 @@ def _stamp_scenario(task: "RunTask", result: "RunResult") -> "RunResult":
     return result
 
 
+class _BlockBackend(SimulationBackend):
+    """A fast path that runs replication sweeps as pooled blocks.
+
+    Every run keeps the seed ``expand_replications`` would give it
+    (:func:`~repro.workloads.replication_entropies`), so the block
+    partitioning cannot affect results.
+    """
+
+    def replication_blocks(
+        self, task: "RunTask", runs: int, campaign_seed: int | None
+    ) -> list[ReplicationBlock]:
+        """Consecutive blocks that share one schedule precomputation."""
+        entropies = tuple(replication_entropies(campaign_seed, runs))
+        return [
+            ReplicationBlock(
+                backend=self.name,
+                task=task,
+                seed_entropies=entropies[i:i + BATCH_BLOCK_RUNS],
+            )
+            for i in range(0, runs, BATCH_BLOCK_RUNS)
+        ]
+
+    def run_block(self, block: ReplicationBlock) -> list["RunResult"]:
+        return self.run_seeds(block.task, [
+            np.random.SeedSequence(entropy=list(entropy))
+            for entropy in block.seed_entropies
+        ])
+
+    @abstractmethod
+    def run_seeds(
+        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
+    ) -> list["RunResult"]:
+        """One run of ``task`` per seed, each equal to :meth:`run`'s."""
+
+
 class _MsgBackendBase(SimulationBackend):
     """Shared construction of the master-worker simulation."""
 
@@ -143,7 +180,7 @@ class MsgBackend(_MsgBackendBase):
 
 
 @register_backend
-class MsgFastBackend(_MsgBackendBase):
+class MsgFastBackend(_MsgBackendBase, _BlockBackend):
     """The compiled MSG fast path (bit-identical to ``msg``)."""
 
     name = "msg-fast"
@@ -165,35 +202,13 @@ class MsgFastBackend(_MsgBackendBase):
 
         return FastMasterWorkerSimulation
 
-    def replication_blocks(
-        self, task: "RunTask", runs: int, campaign_seed: int | None
-    ) -> list[ReplicationBlock]:
-        """Consecutive blocks that share one schedule precomputation.
-
-        Every run keeps the seed ``expand_replications`` would give it
-        (:func:`~repro.workloads.replication_entropies`), so the block
-        partitioning cannot affect results.
-        """
-        entropies = replication_entropies(campaign_seed, runs)
-        return [
-            ReplicationBlock(
-                backend=self.name,
-                task=task,
-                runs=len(entropies[i:i + BATCH_BLOCK_RUNS]),
-                seed_entropies=tuple(entropies[i:i + BATCH_BLOCK_RUNS]),
-            )
-            for i in range(0, runs, BATCH_BLOCK_RUNS)
-        ]
-
-    def run_block(self, block: ReplicationBlock) -> list["RunResult"]:
-        sim = self._simulation(block.task)
-        seeds = [
-            np.random.SeedSequence(entropy=list(entropy))
-            for entropy in block.seed_entropies
-        ]
+    def run_seeds(
+        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
+    ) -> list["RunResult"]:
+        sim = self._simulation(task)
         return [
             self.stamp_stats(result)
-            for result in sim.run_many(_scheduler_factory(block.task), seeds)
+            for result in sim.run_many(_scheduler_factory(task), seeds)
         ]
 
 
@@ -236,8 +251,8 @@ class DirectBackend(SimulationBackend):
 
 
 @register_backend
-class DirectBatchBackend(SimulationBackend):
-    """The batch-replication kernel."""
+class DirectBatchBackend(_BlockBackend):
+    """The batch-replication kernel (bit-identical to ``direct``)."""
 
     name = "direct-batch"
     description = (
@@ -251,20 +266,9 @@ class DirectBatchBackend(SimulationBackend):
         fault_scenarios=True,
     )
     fallback = "direct"
-
-    #: result version of the *stepping-path* stochastic cells.  The
-    #: stepping kernel replaced the scalar fallback for the feedback-loop
-    #: techniques: deterministic workloads stay bit-identical (scalar-era
-    #: cache entries remain clean hits), but stochastic workloads moved
-    #: from per-run seed streams to block sampling, so those cells'
-    #: observables changed — their scalar-era entries must miss cleanly.
-    STEPPING_RESULT_VERSION = 2
-    #: result version of the *closed-form* cells.  Their kernel sums
-    #: ``total_task_time`` (and so ``speedup``) in chunk order, like
-    #: ``DirectSimulator``, instead of NumPy's pairwise row sum; every
-    #: other field is unchanged, but the last ulp moved on many cells,
-    #: so their earlier entries must miss cleanly.
-    CLOSED_FORM_RESULT_VERSION = 2
+    #: bit-identical to direct run for run, so both derive the same
+    #: seeds and share result-cache entries
+    entropy_namespace = "direct"
 
     def unsupported_reason(self, task: "RunTask") -> str | None:
         reason = super().unsupported_reason(task)
@@ -291,35 +295,22 @@ class DirectBatchBackend(SimulationBackend):
                 )
         return None
 
-    def result_version_for(self, task: "RunTask") -> int:
-        from ..core.schedule import closed_form_supported
-
-        if closed_form_supported(task.technique):
-            return self.CLOSED_FORM_RESULT_VERSION
-        if task.workload.deterministic:
-            return self.result_version
-        return self.STEPPING_RESULT_VERSION
-
-    def _simulator(self, task: "RunTask"):
+    def run_seeds(
+        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
+    ) -> list["RunResult"]:
         from ..directsim.batch import BatchDirectSimulator
+        from ..directsim.faults import AllWorkersFailedError
 
         failures, fluctuation = _scenario_models(task)
-        return BatchDirectSimulator(
+        simulator = BatchDirectSimulator(
             task.params,
             task.workload,
             overhead_model=task.overhead_model,
             failures=failures,
             fluctuation=fluctuation,
         )
-
-    def _run_guarded(self, task: "RunTask", reps: int,
-                     seed: np.random.SeedSequence) -> list["RunResult"]:
-        from ..directsim.faults import AllWorkersFailedError
-
         try:
-            results = self._simulator(task).run_batch(
-                _scheduler_factory(task), reps, seed
-            )
+            results = simulator.run_batch(_scheduler_factory(task), seeds)
         except AllWorkersFailedError as exc:
             raise _scenario_abort(task, exc) from exc
         return [
@@ -330,26 +321,4 @@ class DirectBatchBackend(SimulationBackend):
     def run(
         self, task: "RunTask", seed: np.random.SeedSequence
     ) -> "RunResult":
-        return self._run_guarded(task, 1, seed)[0]
-
-    def replication_blocks(
-        self, task: "RunTask", runs: int, campaign_seed: int | None
-    ) -> list[ReplicationBlock]:
-        """Fixed-size blocks, each with one spawned block-level seed."""
-        counts = [BATCH_BLOCK_RUNS] * (runs // BATCH_BLOCK_RUNS)
-        if runs % BATCH_BLOCK_RUNS:
-            counts.append(runs % BATCH_BLOCK_RUNS)
-        entropies = replication_entropies(campaign_seed, len(counts))
-        return [
-            ReplicationBlock(
-                backend=self.name,
-                task=task,
-                runs=count,
-                seed_entropy=entropy,
-            )
-            for count, entropy in zip(counts, entropies)
-        ]
-
-    def run_block(self, block: ReplicationBlock) -> list["RunResult"]:
-        seed = np.random.SeedSequence(entropy=list(block.seed_entropy))
-        return self._run_guarded(block.task, block.runs, seed)
+        return self.run_seeds(task, [seed])[0]

@@ -18,18 +18,17 @@ The cache key is a SHA-256 over
   and two constant slots where per-worker speeds and start times sat
   before they stopped being task fields, so keys did not move).
   Backends that are bit-identical to another share its namespace
-  (``msg-fast`` uses ``msg``), so a cache populated by one serves the
-  other;
+  (``msg-fast`` uses ``msg``, ``direct-batch`` uses ``direct``), so a
+  cache populated by one serves the other;
 * the explicit ``seed_entropy`` (distinct replications are distinct
   entries);
 * ``collect_chunk_log`` — a traced run carries a populated
   ``chunk_log``, so it is a different *result* even though it is seeded
   identically;
-* the namespace backend's per-task result version
-  (:meth:`~repro.backends.SimulationBackend.result_version_for`) —
-  bumping it invalidates the cached results whose observables an
-  intentional simulator change altered, while tasks the change serves
-  bit-identically keep their keys (and stay clean hits);
+* the namespace backend's result version
+  (:attr:`~repro.backends.SimulationBackend.result_version`) — bumping
+  it after an intentional simulator change invalidates every cached
+  result of the namespace;
 * the cache schema version, so stale formats miss cleanly; and,
 * for replication sweeps, the replication count and campaign seed
   (sweep results do not depend on the base task's ``seed_entropy``,
@@ -61,7 +60,9 @@ Verification
 ``verify_fraction`` re-simulates that fraction of cache hits and
 compares the fresh results against the stored ones
 (:class:`CacheVerificationError` on divergence) — the sampling guard
-behind the CLI's ``--cache-verify``.
+behind the CLI's ``--cache-verify``.  The sample is chosen from the
+keys (:meth:`ResultCache.maybe_verify`), so every pass at one fraction
+verifies the same entries.
 """
 
 from __future__ import annotations
@@ -216,14 +217,10 @@ def default_cache_dir() -> str | None:
 def _namespace_result_version(task: "RunTask") -> int:
     """The result version of the task's entropy-namespace backend.
 
-    Backends that are bit-identical to another (msg-fast to msg) share
-    its namespace *and* its result version, so a simulator change that
-    bumps the version invalidates both sides of the equivalence.  The
-    version is resolved *per task* (``result_version_for``), so a
-    simulator change that alters only some cells' observables — e.g.
-    the batch stepping kernel replacing the scalar fallback for
-    stochastic adaptive cells — bumps exactly those cells' keys and
-    leaves bit-identical entries as clean hits.
+    Backends that are bit-identical to another (msg-fast to msg,
+    direct-batch to direct) share its namespace *and* its result
+    version, so a simulator change that bumps the version invalidates
+    both sides of the equivalence.
     """
     from .backends import get_backend
 
@@ -232,7 +229,7 @@ def _namespace_result_version(task: "RunTask") -> int:
         namespace = get_backend(backend.entropy_namespace)
     except KeyError:  # namespace is not itself a registered backend
         namespace = backend
-    return namespace.result_version_for(task)
+    return namespace.result_version
 
 
 class ResultCache:
@@ -254,7 +251,6 @@ class ResultCache:
             raise ValueError("verify_fraction must be in [0, 1]")
         self.root = Path(root)
         self.verify_fraction = verify_fraction
-        self._verify_rng = random.Random()
         self.stats = CacheStats()
         self._session_flushed = False
 
@@ -494,19 +490,19 @@ class ResultCache:
         recompute: Callable[[], Sequence["RunResult"]],
         describe: dict | None = None,
     ) -> bool:
-        """Re-simulate a sampled fraction of hits; fail loudly on drift.
+        """Re-simulate a key-chosen fraction of hits; fail loudly on drift.
+
+        A hit is selected when its key's first 8 hex digits, read as a
+        fraction of 16**8, fall below ``verify_fraction``: a function of
+        the key alone, so every pass at one fraction verifies the same
+        entries (0 verifies none, 1 every one).
 
         Returns True when this hit was selected and verified.  Raises
         :class:`CacheVerificationError` when the fresh results differ
         from the stored ones in any compared field (``RunResult``
         equality, which excludes observability stats).
         """
-        if self.verify_fraction <= 0.0:
-            return False
-        if (
-            self.verify_fraction < 1.0
-            and self._verify_rng.random() >= self.verify_fraction
-        ):
+        if int(key[:8], 16) / 16 ** 8 >= self.verify_fraction:
             return False
         fresh = list(recompute())
         stored = list(entry.results)

@@ -7,14 +7,16 @@ function of ``(n, p, params)`` so it can be computed once via
 :meth:`~repro.core.base.Scheduler.chunk_schedule` and replayed across
 replications.  This module holds the single eligibility predicate, the
 precomputation helper and the one place that draws a schedule's chunk
-times, so the two fast paths cannot drift apart.
+times, so the two fast paths cannot drift apart.  Both replay a run
+under its own seed: each replication draws from its own generator, in
+the scalar simulators' chunk order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -76,10 +78,12 @@ def closed_form_supported(
 class PrecomputedSchedule:
     """One cell's chunk schedule, computed once and replayed per run.
 
-    It is also the one place that draws the schedule's chunk times:
-    :meth:`block_times` as one ``(reps, C)`` matrix, and
-    :meth:`replication_times` replication by replication as Python
-    floats, a segment at a time.
+    It is also the one place that draws the schedule's chunk times, one
+    replication per generator, each from its own generator in chunk
+    order — the order in which the scalar simulators draw them, so a
+    replay under a run's seed draws that run's chunk times:
+    :meth:`block_times` as a ``(R, C)`` matrix and
+    :meth:`replication_times` as Python floats, a segment at a time.
     """
 
     label: str
@@ -90,37 +94,31 @@ class PrecomputedSchedule:
         return int(self.sizes.size)
 
     def block_times(
-        self, workload: "Workload", reps: int, rng: np.random.Generator
+        self, workload: "Workload", rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """The ``(reps, C)`` chunk times of ``reps`` replications."""
+        """The ``(R, C)`` chunk times, row ``r`` drawn from ``rngs[r]``.
+
+        The matrix is filled in place, one replication at a time.
+        """
         sizes = self.sizes
-        return workload.chunk_times_batch(
-            np.cumsum(sizes) - sizes, sizes, reps, rng
-        )
+        starts = np.cumsum(sizes) - sizes
+        times = np.empty((len(rngs), sizes.size))
+        for row, rng in zip(times, rngs):
+            row[:] = workload.chunk_times_batch(starts, sizes, rng)
+        return times
 
     def replication_times(
-        self, workload: "Workload", reps: int, rng: np.random.Generator
-    ) -> Iterator[Iterator[float]]:
-        """Each replication's chunk times, in chunk order, as floats.
+        self, workload: "Workload", rng: np.random.Generator
+    ) -> Iterator[float]:
+        """One replication's chunk times, in chunk order, as floats.
 
-        The draws and their RNG consumption are :meth:`block_times`'s,
-        but no full row of floats (32 bytes a chunk) is ever built: a
-        block of several replications is drawn as one matrix and handed
-        out :data:`SEGMENT_CHUNKS` chunks at a time, and a single
-        replication is drawn a segment at a time as it is consumed
-        (every workload draws a replication chunk by chunk), so SS at
-        n = 524,288 holds its sizes plus one segment.
+        The values and RNG consumption of a :meth:`block_times` row,
+        drawn :data:`SEGMENT_CHUNKS` chunks at a time as the iterator is
+        consumed, so SS at n = 524,288 holds its sizes plus one segment.
         """
-        if reps == 1:
-            yield itertools.chain.from_iterable(
-                self._drawn_segments(workload, rng)
-            )
-            return
-        for row in self.block_times(workload, reps, rng):
-            yield itertools.chain.from_iterable(
-                row[lo:lo + SEGMENT_CHUNKS].tolist()
-                for lo in range(0, row.size, SEGMENT_CHUNKS)
-            )
+        return itertools.chain.from_iterable(
+            self._drawn_segments(workload, rng)
+        )
 
     def _drawn_segments(
         self, workload: "Workload", rng: np.random.Generator
@@ -130,9 +128,7 @@ class PrecomputedSchedule:
             sizes = self.sizes[lo:lo + SEGMENT_CHUNKS]
             ends = np.cumsum(sizes) + first
             first = int(ends[-1])
-            yield workload.chunk_times_batch(
-                ends - sizes, sizes, 1, rng
-            )[0].tolist()
+            yield workload.chunk_times_batch(ends - sizes, sizes, rng).tolist()
 
 
 def precompute_schedule(scheduler: Scheduler) -> PrecomputedSchedule:

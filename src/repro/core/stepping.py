@@ -18,9 +18,10 @@ next to the scalar implementation, reading the technique's constants off
 a scalar *prototype* instance so the two paths share one set of
 formulas and cannot drift.  The round-loop kernel that drives these
 states lives in :mod:`repro.directsim.batch`; its fidelity contract is
-the same as the closed-form kernel's: bit-identical per-replication
-results for deterministic workloads, equal-in-distribution for
-stochastic ones (``tests/test_stepping_kernel.py``).
+the same as the closed-form kernel's: each replication draws from its
+own seed's generator in the scalar order, so its results are
+bit-identical to the scalar run under that seed, on every workload
+(``tests/test_stepping_kernel.py``).
 
 Bitwise-fidelity helpers
 ------------------------

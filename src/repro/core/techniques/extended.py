@@ -192,16 +192,17 @@ class RandomChunk(Scheduler):
 
 @register_stepping("rnd")
 class _RNDSteppingState(SteppingState):
-    """Batched RND state: one shared draw per round.
+    """Batched RND state: one shared size sequence, one cursor per row.
 
     Every replication's scheduler is built with the *same* ``seed``
     kwarg, and RND's size sequence depends only on its own RNG — not on
-    worker identity or timing — so all replications draw identical size
-    sequences, hold identical ``remaining`` counters by induction, and
-    finish on the same round.  One scalar draw per round, broadcast to
-    all replications, therefore reproduces every scalar run's sizes
-    draw-for-draw (the state's RNG restarts from the seed per block,
-    exactly as each scalar run's does).
+    worker identity or timing — so every scalar run draws the same
+    sequence.  The state draws it once, with the scalar calls, as the
+    furthest replication needs it, and serves replication ``r`` its
+    own next element, so each replication's sizes equal its scalar
+    run's draw for draw, even when a dead PE's pop leaves it a round
+    behind the others (the state's RNG restarts from the seed per
+    block, exactly as each scalar run's does).
     """
 
     def __init__(self, prototype: RandomChunk, reps: int):
@@ -209,10 +210,16 @@ class _RNDSteppingState(SteppingState):
         self._low = prototype.low
         self._high = prototype.high
         self._rng = np.random.default_rng(prototype._seed)
+        self._sizes: list[int] = []
+        self._served = np.zeros(reps, dtype=np.int64)
 
     def chunk_sizes(self, rows, workers, remaining, outstanding):
-        size = int(self._rng.integers(self._low, self._high + 1))
-        return np.full(rows.size, size, dtype=np.int64)
+        served = self._served[rows].tolist()
+        sizes = self._sizes
+        while len(sizes) <= max(served):
+            sizes.append(int(self._rng.integers(self._low, self._high + 1)))
+        self._served[rows] += 1
+        return np.array([sizes[i] for i in served], dtype=np.int64)
 
 
 @register

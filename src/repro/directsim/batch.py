@@ -5,8 +5,7 @@ p) cell; :class:`~repro.directsim.simulator.DirectSimulator` executes
 each replication through a pure-Python heap loop with one RNG draw and
 one scheduler call per chunk — half a million Python iterations per SS
 replication at n = 524,288.  This module simulates the R replications
-of one cell without the per-chunk scheduler calls and RNG draws, in
-three layers:
+of one cell without the per-chunk scheduler calls, in three layers:
 
 1. **Chunk-schedule precomputation** — for techniques whose chunk
    sequence is a pure function of ``(n, p, params)``
@@ -15,22 +14,19 @@ three layers:
    :meth:`~repro.core.base.Scheduler.chunk_schedule` and reused across
    all replications.
 2. **Bulk sampling** — the :class:`~repro.core.schedule.
-   PrecomputedSchedule` draws the chunk times: a block's whole ``(R,
-   C)`` matrix in one :meth:`~repro.workloads.distributions.Workload.
-   chunk_times_batch` call, or a single replication in 2,048-chunk
+   PrecomputedSchedule` draws each replication's chunk times from that
+   replication's own generator with :meth:`~repro.workloads.
+   distributions.Workload.chunk_times_batch`: a block's ``(R, C)``
+   matrix a row at a time, or a single replication in 2,048-chunk
    segments, so SS at n = 524,288 never holds an n-sized matrix.
 3. **Worker assignment** — one of two loops, chosen from the block's
    shape and scenario and returning the same results: a heap walk per
    replication (``DirectSimulator``'s ``(time, worker)`` heap on plain
    floats, with the scheduler replaced by the drawn chunk times), or,
-   for wide blocks and load noise, an argmin loop over the whole ``(R,
-   p)`` ready matrix at once.  Both pop the earliest-ready,
-   lowest-index worker, repeat the scalar loop's float operations in
-   its order and sum ``total_task_time`` in chunk order, so for
-   deterministic workloads the per-replication results are *identical*
-   to ``DirectSimulator`` and for stochastic workloads they are equal
-   in distribution (the scalar simulator remains the reference oracle;
-   see ``tests/test_batch_kernel.py`` and ``tests/test_differential.py``).
+   for wide blocks, an argmin loop over the whole ``(R, p)`` ready
+   matrix at once.  Both pop the earliest-ready, lowest-index worker,
+   repeat the scalar loop's float operations in its order and sum
+   ``total_task_time`` in chunk order.
 
 Techniques whose chunk sequence *cannot* be precomputed — the adaptive
 feedback loops (AWF family, AF, BOLD) and the worker-dependent
@@ -39,10 +35,14 @@ instead: all R replications advance in lock-step, one scheduling round
 at a time, with each technique's adaptive state held as ``(R,)``/``(R,
 p)`` arrays (:mod:`repro.core.stepping`).  One round performs one
 argmin worker pop, one deferred completion report, one vectorized
-chunk-size update and one bulk chunk-time draw per live replication —
-the same fidelity contract as the closed-form path (bit-identical for
-deterministic workloads, equal in distribution otherwise; see
-``tests/test_stepping_kernel.py`` and docs/simulators.md).
+chunk-size update, and one scalar ``chunk_time`` draw per live
+replication.
+
+Replication ``i`` of :meth:`BatchDirectSimulator.run_batch` draws only
+from the generator of ``seeds[i]``, in ``DirectSimulator``'s per-chunk
+order, so it *equals* ``DirectSimulator.run`` under that seed, field
+for field, on every workload (the scalar simulator remains the
+reference oracle; see ``tests/test_differential.py``).
 
 Perturbation scenarios run on this kernel too: per-chunk speed-fluctuation
 multipliers (triangle waves, step slowdowns, lognormal load noise —
@@ -50,19 +50,19 @@ the models a :class:`repro.scenarios.Scenario` compiles to) apply on
 both paths, and fail-stop fault injection with work loss runs on the
 stepping path (dead PEs are masked out of the argmin pop; lost chunk
 regions requeue through the same LIFO stack semantics as the scalar
-scheduler).  Deterministic perturbations stay bit-identical to the
-scalar simulator; lognormal noise shares the block RNG, so stochastic
-scenarios are equal in distribution only.  Fail-stop on a *closed-form*
-technique is the one unsupported combination (dynamic requeueing
-invalidates a precomputed schedule) — callers fall back to the scalar
-simulator there.  Per-chunk execution logs are recorded only on request
+scheduler).  Fail-stop on a *closed-form* technique is the one
+unsupported combination (dynamic requeueing invalidates a precomputed
+schedule) — callers fall back to the scalar simulator there.
+Per-chunk execution logs are recorded only on request
 (``record_chunks=True``) and only on the stepping path; the closed-form
 path refuses the request, as it refuses fail-stop.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -152,12 +152,11 @@ class _PerturbationArrays:
     operations in the same order as their scalar counterparts, so the
     multipliers — and everything downstream — are bit-identical to
     :class:`~repro.directsim.simulator.DirectSimulator`.  Lognormal
-    noise draws from the shared block RNG instead of one interleaved
-    draw per pop, so stochastic scenarios are equal in distribution
-    only.
+    noise has no array form: under it (:attr:`has_noise`) the kernels
+    call the scalar model per replication, with its own generator.
     """
 
-    __slots__ = ("fail_times", "_components")
+    __slots__ = ("fail_times", "has_noise", "_components")
 
     def __init__(
         self,
@@ -178,11 +177,14 @@ class _PerturbationArrays:
                 if worker < p:  # like the scalar dict: extra PEs never pop
                     fail[worker] = float(fail_time)
             self.fail_times = fail
+        # the scalar noise model returns 1.0 without a draw at sigma 0
+        self.has_noise = False
         self._components: list[tuple] = []
         for component in self._flatten(fluctuation):
-            lowered = self._lower(p, component)
-            if lowered is not None:
-                self._components.append(lowered)
+            if isinstance(component, LognormalFluctuation):
+                self.has_noise |= component.sigma != 0
+            else:
+                self._components.append(self._lower(p, component))
 
     @staticmethod
     def _flatten(fluctuation: Fluctuation | None) -> tuple:
@@ -193,7 +195,7 @@ class _PerturbationArrays:
         return (fluctuation,)
 
     @staticmethod
-    def _lower(p: int, component) -> tuple | None:
+    def _lower(p: int, component) -> tuple:
         if isinstance(component, CyclicFluctuation):
             phase = np.zeros(p)
             mask = np.zeros(p, dtype=bool)
@@ -211,38 +213,25 @@ class _PerturbationArrays:
                     times[worker] = float(step_time)
                     factors[worker] = float(factor)
             return ("step", times, factors)
-        if isinstance(component, LognormalFluctuation):
-            if component.sigma == 0:  # scalar returns 1.0 without a draw
-                return None
-            return ("noise", -component.sigma ** 2 / 2.0, component.sigma)
         raise ValueError(
             f"cannot vectorize fluctuation model "
             f"{type(component).__name__}; use the scalar direct simulator"
         )
 
-    @property
-    def has_fluctuation(self) -> bool:
-        return bool(self._components)
-
-    @property
-    def has_noise(self) -> bool:
-        """True when a component draws from the RNG (lognormal noise)."""
-        return any(c[0] == "noise" for c in self._components)
-
     def speed_multipliers(
-        self, w: np.ndarray, t: np.ndarray, rng: np.random.Generator
+        self, w: np.ndarray, t: np.ndarray
     ) -> np.ndarray | None:
         """The per-pop speed factors for workers ``w`` popped at ``t``.
 
-        Factors multiply in component order — the scalar
-        :class:`~repro.directsim.faults.CompositeFluctuation` contract —
-        and a leading implicit 1.0 is dropped (``1.0 * x == x`` bitwise).
-        Returns ``None`` when no fluctuation component is present.
+        Only for a model without noise.  Factors multiply in component
+        order — the scalar :class:`~repro.directsim.faults.
+        CompositeFluctuation` contract — and a leading implicit 1.0 is
+        dropped (``1.0 * x == x`` bitwise).  Returns ``None`` when no
+        fluctuation component is present.
         """
         mult: np.ndarray | None = None
         for component in self._components:
-            kind = component[0]
-            if kind == "wave":
+            if component[0] == "wave":
                 _, period, amplitude, phase, mask = component
                 x = t / period + phase[w]
                 u = x - np.floor(x)
@@ -251,12 +240,9 @@ class _PerturbationArrays:
                     1.0 + amplitude * (4.0 * np.abs(u - 0.5) - 1.0),
                     1.0,
                 )
-            elif kind == "step":
+            else:  # step
                 _, times, factors = component
                 m = np.where(t >= times[w], factors[w], 1.0)
-            else:  # noise
-                _, mean, sigma = component
-                m = rng.lognormal(mean=mean, sigma=sigma, size=t.shape)
             mult = m if mult is None else mult * m
         return mult
 
@@ -265,8 +251,8 @@ class BatchDirectSimulator:
     """Batch-replication counterpart of :class:`DirectSimulator`.
 
     Takes the same cell description (params, workload, overhead model,
-    speeds, start times, failures, fluctuation) but simulates ``reps``
-    independent replications per :meth:`run_batch` call.  Fluctuation
+    speeds, start times, failures, fluctuation) but simulates one
+    replication per seed in each :meth:`run_batch` call.  Fluctuation
     applies on both paths; fail-stop fault injection runs on the
     stepping path only (a precomputed closed-form schedule cannot
     absorb requeued work — use the scalar simulator there).
@@ -319,29 +305,25 @@ class BatchDirectSimulator:
     def run_batch(
         self,
         scheduler: Scheduler | Callable[[SchedulingParams], Scheduler],
-        reps: int,
-        seed: int | np.random.SeedSequence | None = None,
+        seeds: Sequence[int | np.random.SeedSequence | None],
     ) -> list[RunResult]:
-        """Simulate ``reps`` independent replications of the cell.
+        """Simulate one replication of the cell per seed.
 
         ``scheduler`` may be a fresh instance or a factory, exactly as
         for :meth:`DirectSimulator.run`.  Closed-form techniques take
         the schedule-precomputation path; feedback-loop techniques with
         a registered stepping state take the lock-step round kernel
         (the instance then serves as the never-mutated prototype its
-        batched state is built from).  All replications share one RNG
-        stream spawned from ``seed`` (how that stream is split over
-        internal blocks is an implementation detail — per-replication
-        results are equal in distribution to scalar runs, not
-        draw-for-draw identical for stochastic workloads).
+        batched state is built from).  Replication ``i`` draws only from
+        the generator of ``seeds[i]``, in ``DirectSimulator``'s
+        per-chunk order, so it equals ``DirectSimulator.run(scheduler,
+        seeds[i])``.
         """
-        if reps < 1:
-            raise ValueError("reps must be >= 1")
+        rngs = [make_rng(seed) for seed in seeds]
+        if not rngs:
+            raise ValueError("need at least one seed")
         if not isinstance(scheduler, Scheduler):
             scheduler = scheduler(self.params)
-        rng = make_rng(seed)
-        results: list[RunResult] = []
-        done = 0
         if closed_form_supported(scheduler):
             if self._perturb is not None and (
                 self._perturb.fail_times is not None
@@ -360,56 +342,62 @@ class BatchDirectSimulator:
                 )
             schedule = precompute_schedule(scheduler)
             block = max(1, MAX_BLOCK_ELEMENTS // max(1, schedule.num_chunks))
-            while done < reps:
-                r = min(block, reps - done)
-                results.extend(self._run_block(schedule, r, rng))
-                done += r
+            run = functools.partial(self._run_block, schedule)
         elif stepping_supported(scheduler):
             block = max(
                 1,
                 MAX_BLOCK_ELEMENTS
                 // (_STEPPING_STATE_ARRAYS * max(1, self.params.p)),
             )
-            while done < reps:
-                r = min(block, reps - done)
-                results.extend(self._run_stepping_block(scheduler, r, rng))
-                done += r
+            run = functools.partial(self._run_stepping_block, scheduler)
         else:
             raise ScheduleUnavailableError(
                 f"{scheduler.label or scheduler.name} has neither a "
                 "precomputable chunk schedule nor a batched stepping "
                 "state; use a scalar simulator"
             )
+        results: list[RunResult] = []
+        for lo in range(0, len(rngs), block):
+            results.extend(run(rngs[lo:lo + block]))
         return results
 
     # -- the closed-form kernel ------------------------------------------
     def _run_block(
         self,
         schedule: PrecomputedSchedule,
-        reps: int,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
     ) -> list[RunResult]:
-        """Simulate ``reps`` replications of a precomputed schedule.
+        """Simulate one replication of a precomputed schedule per RNG.
 
         The loop is chosen from the block's shape and scenario, never
         from a setting, and both loops return the same results for the
-        same block: the lock-step loop when the block is wide enough
-        for it to win (:func:`_lockstep_wins`) or under load noise,
-        whose per-chunk draws for the whole block fix the RNG order;
-        the heap walk otherwise.
+        same chunk times: the lock-step loop when the block is wide
+        enough for it to win (:func:`_lockstep_wins`), the heap walk
+        otherwise, and always under load noise.
         """
         t_wall = time.perf_counter()
+        reps = len(rngs)
         perturb = self._perturb
-        if (perturb is not None and perturb.has_noise) or _lockstep_wins(
-            reps, self.params.p
-        ):
+        if perturb is not None and perturb.has_noise:
+            # Lazy one-chunk draws, so each chunk's noise factor follows
+            # its time in the replication's stream, as in DirectSimulator
+            sizes = schedule.sizes.tolist()
+            rows = [
+                self._walk(map(
+                    self.workload.chunk_time,
+                    itertools.accumulate(sizes, initial=0), sizes,
+                    itertools.repeat(rng),
+                ), rng)
+                for rng in rngs
+            ]
+        elif _lockstep_wins(reps, self.params.p):
             rows = self._run_lockstep(
-                schedule.block_times(self.workload, reps, rng), rng
+                schedule.block_times(self.workload, rngs)
             )
         else:
             rows = [
-                self._walk(times, rng) for times in
-                schedule.replication_times(self.workload, reps, rng)
+                self._walk(schedule.replication_times(self.workload, rng), rng)
+                for rng in rngs
             ]
         num_chunks = schedule.num_chunks
         p, h, model = self.params.p, self.params.h, self.overhead_model
@@ -488,7 +476,7 @@ class BatchDirectSimulator:
         return makespan, compute, counts, total
 
     def _run_lockstep(
-        self, task_times: np.ndarray, rng: np.random.Generator
+        self, task_times: np.ndarray
     ) -> list[tuple[float, list[float], list[int], float]]:
         """All rows of ``task_times`` in lock-step, one chunk at a time.
 
@@ -522,7 +510,7 @@ class BatchDirectSimulator:
             if perturb is None:
                 elapsed = task_time / self.speeds[w]
             else:
-                mult = perturb.speed_multipliers(w, t, rng)
+                mult = perturb.speed_multipliers(w, t)
                 speed = self.speeds[w] if mult is None else (
                     self.speeds[w] * mult
                 )
@@ -551,21 +539,22 @@ class BatchDirectSimulator:
     def _run_stepping_block(
         self,
         prototype: Scheduler,
-        reps: int,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
     ) -> list[RunResult]:
-        """Advance ``reps`` replications in lock-step, one round at a time.
+        """Advance one replication per RNG in lock-step, a round at a time.
 
         One round replays one scalar heap pop for every live
         replication, in the scalar loop's exact order: pop the
         earliest-ready worker (argmin; ties break toward the lowest
         index, like the heap), report that worker's pending chunk
         completion to the scheduler state (deferred reporting), compute
-        and clip the chunk sizes, then draw the chunk times and advance
-        the clocks.  Replications whose tasks are exhausted drop out of
-        the round set, exactly as the scalar loop stops popping once
-        the scheduler is done (its final pending completions are never
-        consulted again, so they are not reported).
+        and clip the chunk sizes, then draw each replication's chunk
+        time (and load-noise factor) from its own generator, as the
+        scalar loop does, and advance the clocks.  Replications whose
+        tasks are exhausted drop out of the round set, exactly as the
+        scalar loop stops popping once the scheduler is done (its final
+        pending completions are never consulted again, so they are not
+        reported).
 
         Under a fail-stop model the round additionally mirrors the
         scalar fault semantics: a popped worker that is already dead
@@ -580,6 +569,7 @@ class BatchDirectSimulator:
         the scalar loop's empty-heap exit.
         """
         t_wall = time.perf_counter()
+        reps = len(rngs)
         p = self.params.p
         h = self.params.h
         model = self.overhead_model
@@ -603,6 +593,7 @@ class BatchDirectSimulator:
             [[] for _ in range(reps)] if self.record_chunks else None
         )
 
+        chunk_time = self.workload.chunk_time
         perturb = self._perturb
         fail_times = perturb.fail_times if perturb is not None else None
         lost_chunks = np.zeros(reps, dtype=np.int64)
@@ -687,17 +678,27 @@ class BatchDirectSimulator:
             num_chunks[rows] += 1
             state.after_assignment(rows, w, sizes)
 
-            task_time = self.workload.chunk_times_round(starts, sizes, rng)
+            # Each live replication draws its chunk time, then (under
+            # load noise) its speed factor, from its own generator.
+            row_rngs = [rngs[r] for r in rows.tolist()]
+            task_time = np.array([
+                chunk_time(start, size, rng) for start, size, rng
+                in zip(starts.tolist(), sizes.tolist(), row_rngs)
+            ])
             if perturb is None:
-                elapsed = task_time / self.speeds[w]
+                mult = None
+            elif perturb.has_noise:
+                mult = np.array([
+                    self.fluctuation.multiplier(worker, now, rng)
+                    for worker, now, rng
+                    in zip(w.tolist(), t.tolist(), row_rngs)
+                ])
             else:
-                # The scalar loop multiplies the fluctuation factor
-                # into the speed before the (bit-exact) true division.
-                mult = perturb.speed_multipliers(w, t, rng)
-                speed = self.speeds[w] if mult is None else (
-                    self.speeds[w] * mult
-                )
-                elapsed = task_time / speed
+                mult = perturb.speed_multipliers(w, t)
+            # The scalar loop multiplies the fluctuation factor into the
+            # speed before the (bit-exact) true division.
+            speed = self.speeds[w] if mult is None else self.speeds[w] * mult
+            elapsed = task_time / speed
             if model is OverheadModel.PER_WORKER:
                 begin = t + h
             elif model is OverheadModel.SERIALIZED_MASTER:

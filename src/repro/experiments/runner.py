@@ -34,13 +34,14 @@ Two throughput layers compose here:
   ``replication_blocks`` (``direct-batch``, ``msg-fast``) split whole
   replication sweeps into :class:`~repro.backends.ReplicationBlock`
   objects that amortise the chunk-schedule precomputation (and, for the
-  batch kernel, sample chunk times in bulk) instead of paying one Python
-  event loop per replication.
+  batch kernel, step the replications together) instead of paying one
+  Python event loop per replication.
 
 Replication seeds come from one function,
-:func:`repro.workloads.replication_entropies`: per-run tasks and both
-kinds of block draw their entropy from it, so a (task, runs, campaign
-seed) triple names one set of replications on every backend.
+:func:`repro.workloads.replication_entropies`: per-run tasks and the
+runs of every block take replication ``i``'s seed from it, so a (task,
+runs, campaign seed) triple names one set of replications on every
+backend, and a sweep of more runs keeps the earlier ones.
 """
 
 from __future__ import annotations
@@ -679,10 +680,10 @@ def run_replicated(task: RunTask, runs: int, campaign_seed: int | None = None,
     chain (recording :class:`~repro.backends.FallbackEvent` objects for
     any degradation).  Backends that support pooled block execution
     (``direct-batch``, ``msg-fast``) split the replications into blocks
-    of :data:`BATCH_BLOCK_RUNS` (deterministic in the campaign seed,
-    independent of the worker count) that each amortise one
-    chunk-schedule precomputation; everything else takes the per-run
-    scalar path.
+    of :data:`BATCH_BLOCK_RUNS` (each run keeping its own seed, so the
+    results depend on neither the block size nor the worker count) that
+    each amortise one chunk-schedule precomputation; everything else
+    takes the per-run scalar path.
 
     While a result cache is active, the *whole sweep* is one cache
     entry keyed by (task identity, ``runs``, ``campaign_seed``): a hit

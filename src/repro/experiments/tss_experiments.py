@@ -98,15 +98,16 @@ def run_tss_experiment(
     latency: float = BBN_LATENCY,
     bandwidth: float = BBN_BANDWIDTH,
     seed: int = 1993,
-    simulator: str = "msg",
+    simulator: str = "msg-fast",
 ) -> TssExperimentResult:
     """Reproduce Figure 3b (experiment 1) or Figure 4b (experiment 2).
 
     The constant workload makes each run deterministic, so one run per
     (technique, p) point suffices — matching the original single
     measurements.  ``simulator`` names a registered backend (the
-    platform-aware MSG family; ``msg-fast`` is bit-identical to the
-    default and faster, since all five techniques are closed-form).
+    platform-aware MSG family; the default ``msg-fast`` is
+    bit-identical to ``msg`` and faster, since all five techniques are
+    closed-form).
     """
     from .runner import RunTask
 
@@ -213,7 +214,7 @@ def run_remote_ratio_study(
     technique: str = "tss",
     latency: float = BBN_LATENCY,
     seed: int = 1993,
-    simulator: str = "msg",
+    simulator: str = "msg-fast",
 ) -> dict[float, float]:
     """Speedup versus remote memory reference ratio (TSS pub., Sec. V).
 
@@ -249,7 +250,7 @@ def run_css_k_sweep(
     task_time: float = 110e-6,
     latency: float = BBN_LATENCY,
     seed: int = 1993,
-    simulator: str = "msg",
+    simulator: str = "msg-fast",
 ) -> dict[int, float]:
     """CSS(k) speedup versus chunk size (the TSS publication's tuning).
 
@@ -320,7 +321,7 @@ def run_tss_workload_study(
     p: int = 64,
     latency: float = BBN_LATENCY,
     seed: int = 1993,
-    simulator: str = "msg",
+    simulator: str = "msg-fast",
 ) -> dict[str, dict[str, float]]:
     """Speedups of the five techniques across the four workload shapes.
 

@@ -143,7 +143,7 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         num_chunks = schedule.num_chunks
         # Drawn in assignment order, a segment at a time — consumes the
         # RNG exactly as the event path's per-chunk draws do.
-        (task_times,) = schedule.replication_times(self.workload, 1, rng)
+        task_times = schedule.replication_times(self.workload, rng)
 
         platform = self.platform
         master = self.master_host.name

@@ -4,21 +4,17 @@ A :class:`Workload` produces the execution times of tasks ``start ..
 start+size-1``.  Three access paths exist:
 
 * :meth:`Workload.sample` — per-task times (faithful path);
-* :meth:`Workload.chunk_times_batch` — an ``(reps, C)`` matrix of chunk
-  sums for a whole replication batch in one vectorised draw.  This is the
-  *single* closed-form dispatch point: distributions with an exact
-  closed-form sum override it (constant → ``k * value``; exponential →
-  ``Gamma(k, mean)``), which is statistically identical and faster.
 * :meth:`Workload.chunk_time` — the sum of one chunk's task times, the
-  per-chunk draw of the scalar simulators.  By default it delegates to
-  :meth:`chunk_times_batch` with ``reps=1``; the constant, exponential
-  and gamma distributions override it with the same closed form on
-  plain floats (one ``rng.gamma`` call, or no draw), which returns the
-  same value and leaves the RNG in the same state as the delegated
-  draw without building two 1-element arrays per chunk.
+  per-chunk draw of the scalar simulators and the stepping kernel: one
+  summed :meth:`~Workload.sample` call, or an exact closed form
+  (constant → ``k * value``; exponential → ``Gamma(k, mean)``), which
+  is statistically identical and faster;
+* :meth:`Workload.chunk_times_batch` — one replication's consecutive
+  chunks at once, the draw of a precomputed schedule: the values and
+  RNG state of :meth:`~Workload.chunk_time` called chunk by chunk.
 
-The scalar/batch equivalence is property-tested in
-``tests/test_batch_kernel.py`` and ``tests/test_distributions.py``.
+So a replication's chunk times are the same draws from its generator
+whichever path takes them (``tests/test_batch_kernel.py``).
 
 Stationary workloads ignore ``start``; the position-dependent ones
 (increasing, decreasing, trace) use it, which is why chunk boundaries are
@@ -33,9 +29,9 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 
-def _validate_batch(
-    starts: np.ndarray, sizes: np.ndarray, reps: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _validate_chunks(
+    starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Normalise and validate ``chunk_times_batch`` arguments."""
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -44,9 +40,7 @@ def _validate_batch(
             f"starts and sizes must be equal-length 1-D arrays, got "
             f"shapes {starts.shape} and {sizes.shape}"
         )
-    if int(reps) < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    return starts, sizes, int(reps)
+    return starts, sizes
 
 
 class Workload(ABC):
@@ -54,13 +48,6 @@ class Workload(ABC):
 
     #: True when task times depend on the task index.
     position_dependent: bool = False
-
-    #: True when task times are a pure function of the task index — no
-    #: RNG is consumed, so every replication (and every simulator path)
-    #: produces bit-identical chunk times.  The batch stepping kernel's
-    #: bit-identity contract and the result cache's per-task
-    #: ``result_version`` both key off this flag.
-    deterministic: bool = False
 
     @property
     @abstractmethod
@@ -79,71 +66,53 @@ class Workload(ABC):
     def chunk_time(self, start: int, size: int, rng: np.random.Generator) -> float:
         """Total execution time of a chunk (sum of its task times).
 
-        Delegates to :meth:`chunk_times_batch` with a single replication;
-        an override must return the same value and consume the RNG
-        identically.
+        Sums one :meth:`sample` call.  An override must return the value
+        :meth:`chunk_times_batch` returns for the one chunk and leave
+        the RNG in the same state.
         """
         if size <= 0:
             return 0.0
-        starts = np.asarray([start], dtype=np.int64)
-        sizes = np.asarray([size], dtype=np.int64)
-        return float(self.chunk_times_batch(starts, sizes, 1, rng)[0, 0])
+        return float(self.sample(start, size, rng).sum())
 
     def chunk_times_batch(
         self,
         starts: np.ndarray,
         sizes: np.ndarray,
-        reps: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Chunk sums for ``reps`` independent replications at once.
+        """The chunk times of one replication's consecutive chunks.
 
-        Returns an ``(reps, C)`` array whose column ``c`` holds ``reps``
-        independent draws of the total time of the chunk ``(starts[c],
-        sizes[c])``.  The default draws per-task times through
-        :meth:`sample` and sums them (the faithful path); distributions
-        with an exact closed-form sum override this method (and, on
-        plain floats, :meth:`chunk_time`).  A replication's chunks are
-        drawn in chunk order, so drawing consecutive chunk ranges in
-        successive calls consumes the RNG as one call over all of them.
+        Chunk ``c`` covers tasks ``starts[c] .. starts[c]+sizes[c]-1``,
+        and each chunk starts where the one before it ends, as in a
+        precomputed schedule.  Returns a ``(C,)`` array equal to
+        :meth:`chunk_time` called chunk by chunk, and leaves the RNG in
+        the same state, so consecutive chunk ranges drawn in successive
+        calls draw as one call over all of them.
+
+        The default draws every task time with one :meth:`sample` call.
+        The chunks of one size form a ``(count, size)`` matrix summed
+        along its rows; NumPy sums each row as it sums a 1-D array, so
+        every chunk sum equals :meth:`chunk_time`'s ``.sum()``.
         """
-        starts, sizes, reps = _validate_batch(starts, sizes, reps)
-        out = np.zeros((reps, sizes.size), dtype=np.float64)
-        for c, (st, sz) in enumerate(zip(starts, sizes)):
-            st, sz = int(st), int(sz)
-            if sz <= 0:
-                continue
-            if self.position_dependent:
-                for r in range(reps):
-                    out[r, c] = float(self.sample(st, sz, rng).sum())
-            else:
-                # Stationary: one draw of reps*size task times fills the
-                # column; element order matches reps successive draws.
-                flat = self.sample(st, sz * reps, rng)
-                out[:, c] = flat.reshape(reps, sz).sum(axis=1)
-        return out
-
-    def chunk_times_round(
-        self,
-        starts: np.ndarray,
-        sizes: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """One independent chunk-sum per ``(starts[k], sizes[k])`` pair.
-
-        The sampling primitive of the batched *stepping* kernel
-        (:mod:`repro.directsim.batch`): one scheduling round needs one
-        draw per live replication, for replication-specific chunks — a
-        ``(K,)`` vector rather than :meth:`chunk_times_batch`'s
-        ``(reps, C)`` matrix.  The default loops over
-        :meth:`chunk_time`; distributions with a closed-form chunk sum
-        override it with one vectorised draw.
-        """
-        starts = np.asarray(starts, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        out = np.empty(starts.size, dtype=np.float64)
-        for k in range(starts.size):
-            out[k] = self.chunk_time(int(starts[k]), int(sizes[k]), rng)
+        starts, sizes = _validate_chunks(starts, sizes)
+        sizes = np.maximum(sizes, 0)
+        out = np.zeros(sizes.size)
+        if not sizes.any():
+            return out
+        offsets = np.cumsum(sizes) - sizes
+        if self.position_dependent and np.any(starts - starts[0] != offsets):
+            raise ValueError("chunks must be consecutive")
+        tasks = self.sample(
+            int(starts[0]), int(offsets[-1] + sizes[-1]), rng
+        )
+        order = np.argsort(sizes, kind="stable")
+        edges = np.flatnonzero(np.diff(sizes[order])) + 1
+        for group in np.split(order, edges):
+            size = int(sizes[group[0]])
+            if size:
+                out[group] = tasks[
+                    offsets[group, None] + np.arange(size)
+                ].sum(axis=1)
         return out
 
     def serial_time(self, n: int) -> float:
@@ -159,8 +128,6 @@ class Workload(ABC):
 
 class ConstantWorkload(Workload):
     """Every task takes exactly ``value`` seconds (TSS experiments)."""
-
-    deterministic = True
 
     def __init__(self, value: float):
         if value <= 0:
@@ -181,15 +148,9 @@ class ConstantWorkload(Workload):
     def chunk_time(self, start, size, rng) -> float:
         return float(size) * self.value if size > 0 else 0.0
 
-    def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
-        starts, sizes, reps = _validate_batch(starts, sizes, reps)
-        # Exact: a chunk of k tasks always takes k * value seconds.  The
-        # broadcast view is read-only but identical across replications.
-        row = np.maximum(sizes, 0).astype(np.float64) * self.value
-        return np.broadcast_to(row, (reps, sizes.size))
-
-    def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
-        sizes = np.asarray(sizes, dtype=np.int64)
+    def chunk_times_batch(self, starts, sizes, rng) -> np.ndarray:
+        # Exact: a chunk of k tasks always takes k * value seconds.
+        starts, sizes = _validate_chunks(starts, sizes)
         return np.maximum(sizes, 0).astype(np.float64) * self.value
 
 
@@ -217,16 +178,10 @@ class ExponentialWorkload(Workload):
             return 0.0
         return float(rng.gamma(float(size), self._mean))
 
-    def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
+    def chunk_times_batch(self, starts, sizes, rng) -> np.ndarray:
         # Sum of k iid Exp(mean) is Gamma(k, mean): one draw per chunk,
-        # exact; the whole (reps, C) matrix is a single vectorised call.
-        starts, sizes, reps = _validate_batch(starts, sizes, reps)
-        shapes = np.maximum(sizes, 0).astype(np.float64)
-        return rng.gamma(shape=shapes, scale=self._mean,
-                         size=(reps, sizes.size))
-
-    def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
-        sizes = np.asarray(sizes, dtype=np.int64)
+        # exact, all chunks in one vectorised call.
+        starts, sizes = _validate_chunks(starts, sizes)
         shapes = np.maximum(sizes, 0).astype(np.float64)
         return rng.gamma(shape=shapes, scale=self._mean)
 
@@ -299,14 +254,9 @@ class GammaWorkload(Workload):
             return 0.0
         return float(rng.gamma(self.shape * float(size), self.scale))
 
-    def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
+    def chunk_times_batch(self, starts, sizes, rng) -> np.ndarray:
         # Sum of k iid Gamma(a, theta) is Gamma(k a, theta): exact.
-        starts, sizes, reps = _validate_batch(starts, sizes, reps)
-        shapes = self.shape * np.maximum(sizes, 0).astype(np.float64)
-        return rng.gamma(shapes, self.scale, size=(reps, sizes.size))
-
-    def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
-        sizes = np.asarray(sizes, dtype=np.int64)
+        starts, sizes = _validate_chunks(starts, sizes)
         shapes = self.shape * np.maximum(sizes, 0).astype(np.float64)
         return rng.gamma(shapes, self.scale)
 
@@ -347,7 +297,6 @@ class LinearWorkload(Workload):
     """
 
     position_dependent = True
-    deterministic = True
 
     def __init__(self, n: int, first: float, last: float):
         if n < 1:
@@ -375,24 +324,6 @@ class LinearWorkload(Workload):
 
     def sample(self, start, size, rng) -> np.ndarray:
         return self._times(start, size)
-
-    def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
-        starts, sizes, reps = _validate_batch(starts, sizes, reps)
-        row = np.array([
-            self._times(int(st), int(sz)).sum() if sz > 0 else 0.0
-            for st, sz in zip(starts, sizes)
-        ])
-        return np.broadcast_to(row, (reps, sizes.size))
-
-    def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
-        starts = np.asarray(starts, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        # The same per-chunk ``.sum()`` as the scalar path, so the
-        # stepping kernel stays bit-identical to ``DirectSimulator``.
-        return np.array([
-            self._times(int(st), int(sz)).sum() if sz > 0 else 0.0
-            for st, sz in zip(starts, sizes)
-        ])
 
 
 def decreasing_workload(n: int, first: float, last: float) -> LinearWorkload:
@@ -423,7 +354,6 @@ class PerTaskSampling(Workload):
     def __init__(self, inner: Workload):
         self.inner = inner
         self.position_dependent = inner.position_dependent
-        self.deterministic = inner.deterministic
 
     @property
     def mean(self) -> float:
@@ -441,7 +371,6 @@ class TraceWorkload(Workload):
     """Replay recorded per-task execution times (Figure 2's trace input)."""
 
     position_dependent = True
-    deterministic = True
 
     def __init__(self, times: np.ndarray):
         times = np.asarray(times, dtype=np.float64)
@@ -467,22 +396,14 @@ class TraceWorkload(Workload):
             )
         return self.times[start:start + size]
 
-    def chunk_times_batch(self, starts, sizes, reps, rng) -> np.ndarray:
-        starts, sizes, reps = _validate_batch(starts, sizes, reps)
-        if sizes.size and (
-            starts.min(initial=0) < 0
-            or (starts + sizes).max(initial=0) > self.times.size
-        ):
-            raise IndexError(
-                f"chunks outside trace of {self.times.size} tasks"
-            )
-        csum = self._prefix_sums()
-        row = csum[starts + np.maximum(sizes, 0)] - csum[starts]
-        return np.broadcast_to(row, (reps, sizes.size))
+    def chunk_time(self, start, size, rng) -> float:
+        if size <= 0:
+            return 0.0
+        return float(self.chunk_times_batch([start], [size], rng)[0])
 
-    def chunk_times_round(self, starts, sizes, rng) -> np.ndarray:
-        starts = np.asarray(starts, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
+    def chunk_times_batch(self, starts, sizes, rng) -> np.ndarray:
+        # Differences of prefix sums, for any chunks, consecutive or not.
+        starts, sizes = _validate_chunks(starts, sizes)
         if sizes.size and (
             starts.min(initial=0) < 0
             or (starts + sizes).max(initial=0) > self.times.size
@@ -494,8 +415,8 @@ class TraceWorkload(Workload):
         return csum[starts + np.maximum(sizes, 0)] - csum[starts]
 
     def _prefix_sums(self) -> np.ndarray:
-        # Cached: the stepping kernel asks once per scheduling round and
-        # the closed-form kernels once per segment of a replication.
+        # Cached: the scalar simulators and the stepping kernel ask once
+        # per chunk, the closed-form kernels once per segment.
         if not hasattr(self, "_csum"):
             self._csum = np.concatenate(([0.0], np.cumsum(self.times)))
         return self._csum

@@ -174,7 +174,7 @@ class TestExecution:
 
     def test_every_replication_path_draws_one_seed_convention(self):
         """Per-run tasks, msg-fast blocks and direct-batch blocks all
-        take their entropy from replication_entropies."""
+        give replication i the entropy replication_entropies gives it."""
         task = make_task("gss", simulator="msg-fast")
         per_run = [t.seed_entropy for t in expand_replications(task, 130, 3)]
         assert per_run == replication_entropies(3, 130)
@@ -183,13 +183,11 @@ class TestExecution:
         batch_blocks = get_backend("direct-batch").replication_blocks(
             make_task("gss", simulator="direct-batch"), 130, 3
         )
-        assert [b.seed_entropy for b in batch_blocks] == (
-            replication_entropies(3, 3)
-        )
+        assert [e for b in batch_blocks for e in b.seed_entropies] == per_run
 
     def test_run_block_not_implemented_on_scalar_backends(self):
         block = ReplicationBlock(
-            backend="direct", task=make_task(), runs=1, seed_entropy=(1,)
+            backend="direct", task=make_task(), seed_entropies=((1,),)
         )
         with pytest.raises(NotImplementedError):
             block.execute()
@@ -218,6 +216,13 @@ class TestDerivedEntropy:
         assert (
             make_task("gss", simulator="direct").derived_entropy()
             != msg.derived_entropy()
+        )
+
+    def test_direct_batch_shares_direct_entropy_namespace(self):
+        assert get_backend("direct-batch").entropy_namespace == "direct"
+        assert (
+            make_task("bold", simulator="direct-batch").derived_entropy()
+            == make_task("bold", simulator="direct").derived_entropy()
         )
 
 

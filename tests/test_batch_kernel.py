@@ -27,7 +27,10 @@ from repro.experiments.runner import RunTask, run_replicated
 from repro.simgrid.fastpath import FastMasterWorkerSimulation
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 from repro.workloads.distributions import (
+    BimodalWorkload,
     GammaWorkload,
+    LinearWorkload,
+    NormalWorkload,
     PerTaskSampling,
     TraceWorkload,
     UniformWorkload,
@@ -119,7 +122,7 @@ class TestKernelIdentity:
             batch = BatchDirectSimulator(pr, workload, overhead_model=model)
             want = scalar.run(factory, seed=0)
             for reps in (1, 3):
-                got = batch.run_batch(factory, reps, seed=0)
+                got = batch.run_batch(factory, [0] * reps)
                 assert got == [want] * reps, (n, p, workload, reps)
 
     def test_heterogeneous_speeds_and_start_times(self):
@@ -133,45 +136,36 @@ class TestKernelIdentity:
         batch = BatchDirectSimulator(pr, workload, speeds=speeds,
                                      start_times=starts)
         want = scalar.run(factory, seed=0)
-        got = batch.run_batch(factory, 1, seed=0)[0]
+        got = batch.run_batch(factory, [0])[0]
         assert got.makespan == want.makespan
         assert got.compute_times == want.compute_times
         assert got.chunks_per_worker == want.chunks_per_worker
 
     def test_block_streaming_matches_single_block(self, monkeypatch):
         """Splitting reps over internal memory blocks must not change
-        per-replication results (same rng order per block boundary)."""
+        per-replication results (each replication has its own RNG)."""
         pr = params(n=64, p=2)
         workload = ConstantWorkload(1.0)
         factory = get_technique("gss")
-        one = BatchDirectSimulator(pr, workload).run_batch(factory, 5, seed=1)
+        one = BatchDirectSimulator(pr, workload).run_batch(factory, range(5))
         monkeypatch.setattr("repro.directsim.batch.MAX_BLOCK_ELEMENTS", 1)
-        tiny = BatchDirectSimulator(pr, workload).run_batch(factory, 5, seed=1)
+        tiny = BatchDirectSimulator(pr, workload).run_batch(factory, range(5))
         assert [r.makespan for r in one] == [r.makespan for r in tiny]
 
 
 class TestKernelDistribution:
-    """Stochastic workloads: batch means must agree with scalar means."""
+    """Stochastic workloads: every replication is the scalar run under
+    its seed, whichever loop the block takes."""
 
     @pytest.mark.parametrize("name", ("ss", "fac", "gss"))
     def test_exponential_means_agree(self, name):
         pr = SchedulingParams(n=1024, p=8, h=0.5, mu=1.0, sigma=1.0)
         workload = ExponentialWorkload(1.0)
         factory = get_technique(name)
-        runs = 200
-        rng_seed = np.random.SeedSequence(42)
-        batch = BatchDirectSimulator(pr, workload)
-        got = batch.run_batch(factory, runs, rng_seed)
+        seeds = np.random.SeedSequence(42).spawn(200)
+        got = BatchDirectSimulator(pr, workload).run_batch(factory, seeds)
         scalar = DirectSimulator(pr, workload)
-        want = [scalar.run(factory, seed=1000 + i) for i in range(runs)]
-        gm = np.mean([r.average_wasted_time for r in got])
-        wm = np.mean([r.average_wasted_time for r in want])
-        gs = np.std([r.average_wasted_time for r in got])
-        # within ~4 standard errors of each other
-        tol = 4 * gs / np.sqrt(runs) + 4 * np.std(
-            [r.average_wasted_time for r in want]
-        ) / np.sqrt(runs)
-        assert abs(gm - wm) <= tol
+        assert got == [scalar.run(factory, seed) for seed in seeds]
 
     def test_unsupported_technique_raises(self):
         """A technique with neither a closed-form schedule nor a
@@ -190,7 +184,7 @@ class TestKernelDistribution:
 
         batch = BatchDirectSimulator(params(), ConstantWorkload(1.0))
         with pytest.raises(ScheduleUnavailableError):
-            batch.run_batch(_Opaque, 2, seed=0)
+            batch.run_batch(_Opaque, [0, 1])
 
     def test_closed_form_refuses_chunk_logs(self):
         """The closed-form path records no chunk log, so it refuses the
@@ -200,9 +194,23 @@ class TestKernelDistribution:
         sim = BatchDirectSimulator(pr, ConstantWorkload(1.0),
                                    record_chunks=True)
         with pytest.raises(ScheduleUnavailableError, match="chunk log"):
-            sim.run_batch(get_technique("gss"), 2, seed=0)
-        for result in sim.run_batch(get_technique("af"), 2, seed=0):
+            sim.run_batch(get_technique("gss"), [0, 1])
+        for result in sim.run_batch(get_technique("af"), [0, 1]):
             assert len(result.chunk_log) == result.num_chunks > 0
+
+
+#: one workload of every class, for the draw-path equivalences
+EVERY_WORKLOAD = [
+    ConstantWorkload(1.5),
+    ExponentialWorkload(2.0),
+    GammaWorkload(2.0, 0.5),
+    UniformWorkload(0.1, 2.0),
+    NormalWorkload(1.0, 0.5),
+    BimodalWorkload(0.2, 3.0),
+    PerTaskSampling(ExponentialWorkload(1.0)),
+    LinearWorkload(600_000, 2.0, 0.3),
+    TraceWorkload(np.linspace(0.1, 3.0, 600_000)),
+]
 
 
 class TestChunkTimesBatchDispatch:
@@ -210,50 +218,64 @@ class TestChunkTimesBatchDispatch:
     dispatch — a batch of one must equal the scalar call exactly."""
 
     @pytest.mark.parametrize(
-        "workload",
-        [
-            ConstantWorkload(1.5),
-            ExponentialWorkload(2.0),
-            GammaWorkload(2.0, 0.5),
-        ],
-        ids=lambda w: type(w).__name__,
+        "workload", EVERY_WORKLOAD, ids=lambda w: type(w).__name__
     )
     @pytest.mark.parametrize("size", [1, 7, 128])
     def test_batch_of_one_equals_scalar(self, workload, size):
         starts = np.asarray([3], dtype=np.int64)
         sizes = np.asarray([size], dtype=np.int64)
-        a = workload.chunk_times_batch(starts, sizes, 1, make_rng(9))[0, 0]
+        a = workload.chunk_times_batch(starts, sizes, make_rng(9))[0]
         b = workload.chunk_time(3, size, make_rng(9))
         assert a == b
 
     @pytest.mark.parametrize(
-        "workload",
-        [
-            ConstantWorkload(1.5),
-            ExponentialWorkload(2.0),
-            GammaWorkload(2.0, 0.5),
-        ],
-        ids=lambda w: type(w).__name__,
+        "workload", EVERY_WORKLOAD, ids=lambda w: type(w).__name__
     )
     def test_scalar_chunk_time_draws_like_the_batch_path(self, workload):
-        """The scalar overrides return the delegated draw's value and
-        leave the RNG in the same state, for every size (0 included)."""
-        from repro.workloads.distributions import Workload
-
+        """chunk_time returns chunk_times_batch's value for the one
+        chunk and leaves the RNG in the same state, for every size (0
+        included)."""
         for size in [*range(300), 1000, 65536, 524288]:
             a, b = make_rng(size), make_rng(size)
             got = workload.chunk_time(3, size, a)
-            want = Workload.chunk_time(workload, 3, size, b)
+            want = workload.chunk_times_batch([3], [size], b)
             assert type(got) is float
-            assert got == want, size
+            assert got == want[0], size
             assert a.bit_generator.state == b.bit_generator.state, size
+
+    @pytest.mark.parametrize(
+        "workload", EVERY_WORKLOAD, ids=lambda w: type(w).__name__
+    )
+    def test_consecutive_chunks_draw_like_chunk_by_chunk(self, workload):
+        """Chunks of many sizes in one call: each sum and the final RNG
+        state are those of chunk_time called chunk by chunk."""
+        sizes = np.asarray([5, 1, 5, 300, 2, 1, 129, 5, 64, 2, 1000],
+                           dtype=np.int64)
+        starts = 11 + np.cumsum(sizes) - sizes
+        a, b = make_rng(4), make_rng(4)
+        got = workload.chunk_times_batch(starts, sizes, a)
+        want = [workload.chunk_time(int(st), int(sz), b)
+                for st, sz in zip(starts, sizes)]
+        assert got.tolist() == want
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_row_sums_equal_one_dimensional_sums(self):
+        """The grouped draw sums a (count, size) matrix along its rows;
+        NumPy must sum each row as it sums the 1-D chunk."""
+        values = make_rng(1).exponential(1.0, size=5000)
+        for size in [*range(1, 300), 511, 1024, 4097]:
+            count = len(values) // size
+            rows = values[:count * size].reshape(count, size).sum(axis=1)
+            assert rows.tolist() == [
+                values[i * size:(i + 1) * size].sum() for i in range(count)
+            ], size
 
     def test_batch_shape_and_positivity(self):
         workload = ExponentialWorkload(1.0)
         sizes = np.asarray([4, 1, 9], dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
-        out = workload.chunk_times_batch(starts, sizes, 5, make_rng(0))
-        assert out.shape == (5, 3)
+        out = workload.chunk_times_batch(starts, sizes, make_rng(0))
+        assert out.shape == (3,)
         assert (out > 0).all()
 
 
@@ -275,17 +297,16 @@ class TestReplicationTimes:
     )
     def test_segments_draw_like_one_block(self, workload):
         """Same values, in chunk order, and the same RNG state after as
-        one ``(reps, C)`` block draw; the schedule spans four segments."""
+        a ``block_times`` row drawn in one call; the schedule spans four
+        segments."""
         schedule = precompute_schedule(
             get_technique("ss")(params(n=3 * SEGMENT_CHUNKS + 17, p=4))
         )
-        for reps in (1, 3):
-            a, b = make_rng(5), make_rng(5)
-            got = [list(t) for t in schedule.replication_times(
-                workload, reps, a)]
-            want = schedule.block_times(workload, reps, b).tolist()
-            assert got == want
-            assert a.bit_generator.state == b.bit_generator.state
+        a, b = make_rng(5), make_rng(5)
+        got = list(schedule.replication_times(workload, a))
+        want = schedule.block_times(workload, [b]).tolist()
+        assert [got] == want
+        assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("simulator", ["direct-batch", "msg-fast"])
     def test_single_replication_peak_memory(self, simulator):
@@ -297,7 +318,7 @@ class TestReplicationTimes:
         def run(n):
             pr = params(n=n, p=8)
             if simulator == "direct-batch":
-                BatchDirectSimulator(pr, workload).run_batch(factory, 1, 1)
+                BatchDirectSimulator(pr, workload).run_batch(factory, [1])
             else:
                 FastMasterWorkerSimulation(pr, workload).run(factory, 1)
 

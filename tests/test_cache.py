@@ -202,9 +202,10 @@ def test_result_version_bump_invalidates_keys(tmp_path, monkeypatch):
 
 
 #: task and sweep keys (4 runs, campaign seed 1) that must not move, so
-#: these cells' entries stay hits: first the cells whose results did not
-#: change when the closed-form direct-batch kernel started summing
-#: ``total_task_time`` in chunk order
+#: these cells' entries stay hits.  msg-fast shares msg's keys and
+#: direct-batch shares direct's: each fast path runs its oracle's runs
+#: under its oracle's seeds, so it serves and is served by the oracle's
+#: entries.
 UNCHANGED_KEYS = {
     ("fac2", "direct", "exponential", None): (
         "696bd7d6fa3e1cd4f9a983d1ba5939c94346db424ad4d433e469e8cb69a9e1b8",
@@ -220,46 +221,81 @@ UNCHANGED_KEYS = {
     ),
     # the stepping path, stochastic and deterministic
     ("awf-c", "direct-batch", "exponential", None): (
-        "c6d0122a48c89a107d67df94e4521e2eccb4ef568bbb8447e8b17d99d084f40a",
-        "3ccebe7e4631f7484e424ac2cc1208eb7c224a4f69d11e5e97ca0cc7ea5b281b",
+        "12b178a8679376af9795193f753b755a3e15e2cb53be7454d8c555d0b8bb0377",
+        "c2a6c2b212e947988448fc06deed7dc413b6da1053c2396e56413d92af023d57",
     ),
     ("awf-c", "direct-batch", "constant", None): (
-        "f09746e7026c32bb2d76fed3fa71285ba8c86ea94e375210b3bbc3ad798f405f",
-        "ff1999fb510cffda033d3712bb2e67bdde0075eecf54eb75c6392146e57b4bc7",
+        "d79a6352e34c294e95a709ec289d9399156f0152005b7e352fa7fa46fbb8cf01",
+        "3177477411b79b55bed12826af60a78e90dc92960ca7f4cf2bc4217914b9f2a5",
     ),
     # closed-form and scenario cells, pinned when per-worker speeds and
     # start times stopped being task fields; their slots in the derived
     # entropy must not move
     ("ss", "direct-batch", "constant", None): (
-        "9440c08f61226878f7117842e619e9c33c1ebbc9d4f40653d80eadd25ab34b09",
-        "e005946bf110e891e162a18e9a18f60f183b05b81a83a168c0a3dcfec51828ad",
+        "94b63be3124a5258b068d154378d492f3b308aaa76b7ed1eaefd49b2798ad95f",
+        "bdc9c04af752b5a9cb1c478c55e6d98fcdfbe98f428bf996791888bc3b9e791f",
     ),
     ("fac2", "direct-batch", "exponential", None): (
-        "8e75d14035082051e8bf074b3d6dbbe28637f2c9c6ad58a3e48530f9513e28d6",
-        "1fda6fb60728c663216dd63b58caa5a231301e63dc2db5586de7d2948fe21945",
+        "696bd7d6fa3e1cd4f9a983d1ba5939c94346db424ad4d433e469e8cb69a9e1b8",
+        "16dd5a17cd49cf81d253531daee5a94639a4e7a4384e77b80064a366900e42df",
     ),
     ("awf-c", "direct-batch", "exponential", "wave-mild"): (
-        "de6b4a1c010ad6f3b21f5a77edcee57a41f0b77b2c6fc927e1dc3c6ef49efab4",
-        "b94addb47c5807efdcece6c9a7324aac9f65e9ba1025498ca370ccc4a94565e1",
+        "56c23bd45a335769d8002a478e7b890735d6fcca56b4e2a8ca3f1756eda3cc05",
+        "ccf128360bca2e2a8b895946119a2d54291502181721a70efbdc6dd4945b8cc0",
+    ),
+    # fail-stop faults send this cell to direct, whose seed it derives
+    ("gss", "direct-batch", "constant", "failstop-quarter"): (
+        "2b525a39372cd7d83730b48c62bb167d56ec6d23b8ad9619aef88e678e782c01",
+        "002ab7ccadc5aca5f55c85888dfe40532c1ceb306ca22846ce9c9d11c2ff47c1",
     ),
 }
-#: the keys closed-form direct-batch cells had before that change;
-#: their entries must miss
+#: keys direct-batch cells had before: the closed-form ones before that
+#: kernel summed ``total_task_time`` in chunk order, then every one
+#: before direct-batch took direct's seeds and entropy namespace.  Their
+#: entries must miss.
 OLD_CLOSED_FORM_KEYS = {
     ("fac2", "direct-batch", "exponential", None): (
-        "71b199c72a7f5182e2a5dc4127e7a9e52ca69a8148a7af385bd343c5aad83782",
-        "ffe07435ca957a716dc3fb57a571891f09eee3847bedcbb183902b3dcca0a725",
+        (
+            "71b199c72a7f5182e2a5dc4127e7a9e52ca69a8148a7af385bd343c5aad83782",
+            "ffe07435ca957a716dc3fb57a571891f09eee3847bedcbb183902b3dcca0a725",
+        ),
+        (
+            "8e75d14035082051e8bf074b3d6dbbe28637f2c9c6ad58a3e48530f9513e28d6",
+            "1fda6fb60728c663216dd63b58caa5a231301e63dc2db5586de7d2948fe21945",
+        ),
     ),
     ("ss", "direct-batch", "constant", None): (
-        "c49c63f2cd884e63ede9d294c5febd126b5dcbfff8632d19a6b3ec6d7783a79a",
-        "b2bf58af4bd6d7acfc868085a18fc9f87a6d699a665d9a40c1a6b427605ec575",
+        (
+            "c49c63f2cd884e63ede9d294c5febd126b5dcbfff8632d19a6b3ec6d7783a79a",
+            "b2bf58af4bd6d7acfc868085a18fc9f87a6d699a665d9a40c1a6b427605ec575",
+        ),
+        (
+            "9440c08f61226878f7117842e619e9c33c1ebbc9d4f40653d80eadd25ab34b09",
+            "e005946bf110e891e162a18e9a18f60f183b05b81a83a168c0a3dcfec51828ad",
+        ),
     ),
-    # keyed by the task, not by the backend that serves it: fail-stop
-    # faults send this one to direct, whose results did not change
     ("gss", "direct-batch", "constant", "failstop-quarter"): (
-        "5bd7ddf39066aefe2c5a2e4c397307c2a479596a427d58be0910f73afb3b9a83",
-        "0d99cb7bb465db53572e2aedb90e7977cad544854b2cde63124c9321a51c0246",
+        (
+            "5bd7ddf39066aefe2c5a2e4c397307c2a479596a427d58be0910f73afb3b9a83",
+            "0d99cb7bb465db53572e2aedb90e7977cad544854b2cde63124c9321a51c0246",
+        ),
+        (
+            "ef8fc176273a9c9ba60ac853ba45be2a8dcfafa692805024faebd41d5f887ed4",
+            "65003c06ca1a11e38098cd316f15cc9311ecdbbbb6f74d5aef64cce695f5ec43",
+        ),
     ),
+    ("awf-c", "direct-batch", "exponential", None): ((
+        "c6d0122a48c89a107d67df94e4521e2eccb4ef568bbb8447e8b17d99d084f40a",
+        "3ccebe7e4631f7484e424ac2cc1208eb7c224a4f69d11e5e97ca0cc7ea5b281b",
+    ),),
+    ("awf-c", "direct-batch", "constant", None): ((
+        "f09746e7026c32bb2d76fed3fa71285ba8c86ea94e375210b3bbc3ad798f405f",
+        "ff1999fb510cffda033d3712bb2e67bdde0075eecf54eb75c6392146e57b4bc7",
+    ),),
+    ("awf-c", "direct-batch", "exponential", "wave-mild"): ((
+        "de6b4a1c010ad6f3b21f5a77edcee57a41f0b77b2c6fc927e1dc3c6ef49efab4",
+        "b94addb47c5807efdcece6c9a7324aac9f65e9ba1025498ca370ccc4a94565e1",
+    ),),
 }
 
 
@@ -289,9 +325,9 @@ def test_unchanged_simulators_keep_their_keys(tmp_path, cell):
 def test_closed_form_direct_batch_keys_changed(tmp_path, cell):
     cache = ResultCache(tmp_path / "cache")
     task_key, sweep_key = _keys(cache, *cell)
-    old_task_key, old_sweep_key = OLD_CLOSED_FORM_KEYS[cell]
-    assert task_key != old_task_key
-    assert sweep_key != old_sweep_key
+    for old_task_key, old_sweep_key in OLD_CLOSED_FORM_KEYS[cell]:
+        assert task_key != old_task_key
+        assert sweep_key != old_sweep_key
 
 
 def test_sweep_key_ignores_seed_entropy_but_not_runs(tmp_path):
@@ -326,6 +362,31 @@ def test_cache_verify_fails_loudly_on_poisoned_entry(tmp_path):
     with cache_to(root, verify_fraction=1.0):
         with pytest.raises(CacheVerificationError, match="replication 1"):
             run_replicated(task, 3, campaign_seed=2, processes=1)
+
+
+def test_cache_verify_samples_the_same_keys_on_every_pass(tmp_path):
+    """Two caches over one warmed directory verify the same hits: those
+    whose key's first 8 hex digits, as a fraction of 16**8, fall below
+    the verify fraction."""
+    root = tmp_path / "cache"
+    tasks = [small_task(seed_entropy=(i,)) for i in range(24)]
+    with cache_to(root) as warm:
+        run_campaign(tasks, processes=1)
+        keys = [warm.task_key(task) for task in tasks]
+    verified = []
+    for _ in range(2):
+        journal = tmp_path / f"journal-{len(verified)}.jsonl"
+        with cache_to(root, verify_fraction=0.5), journal_to(journal):
+            run_campaign(tasks, processes=1)
+        verified.append(sorted(
+            record["key"] for record in load_journal(journal)
+            if record.get("kind") == "cache" and record.get("op") == "verify"
+        ))
+    selected = sorted(
+        key[:16] for key in keys if int(key[:8], 16) / 16 ** 8 < 0.5
+    )
+    assert verified == [selected, selected]
+    assert 0 < len(selected) < len(tasks)
 
 
 # -- robustness ------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Differential properties: each fast path against its scalar oracle.
 
-* ``direct-batch`` ≡ ``direct`` per replication, for every technique
-  (closed-form or stepping), on the deterministic workloads (constant,
-  decreasing, increasing), clean or under the deterministic
-  ``wave-mild`` and ``slow-quarter`` scenarios;
+* ``direct-batch`` ≡ ``direct`` run for run under the same seeds, for
+  every technique (closed-form or stepping), on any workload, clean or
+  under any scenario preset;
 * ``msg-fast`` ≡ ``msg`` run for run, for every closed-form technique
   on any workload;
 * the closed-form kernel's two loops, the heap walk and the lock-step
-  loop, return the same results for the same block.
+  loop, return the same results for the same block;
+* on every backend, asking a sweep for more runs keeps its first runs.
 
 Every comparison is ``==`` on whole :class:`RunResult` objects, whose
 equality covers every simulated field (the kernel stats are excluded).
@@ -22,21 +22,28 @@ from hypothesis import strategies as st
 
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique, technique_names
-from repro.core.schedule import closed_form_supported, precompute_schedule
+from repro.core.schedule import (
+    ScheduleUnavailableError,
+    closed_form_supported,
+    precompute_schedule,
+)
 from repro.directsim import BatchDirectSimulator, DirectSimulator, OverheadModel
-from repro.scenarios import get_scenario
+from repro.directsim.faults import AllWorkersFailedError
+from repro.experiments.runner import RunTask, run_replicated
+from repro.scenarios import get_scenario, scenario_names
 from repro.simgrid.fastpath import FastMasterWorkerSimulation
 from repro.simgrid.masterworker import MasterWorkerConfig, MasterWorkerSimulation
 from repro.simgrid.platform import star_platform
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 from repro.workloads.distributions import (
+    WORKLOAD_DISTS,
     BimodalWorkload,
     GammaWorkload,
     PerTaskSampling,
     TraceWorkload,
     UniformWorkload,
     decreasing_workload,
-    increasing_workload,
+    workload_from_spec,
 )
 from repro.workloads.generator import make_rng
 
@@ -67,15 +74,6 @@ def cells(draw, techniques, max_p):
     }
 
 
-def deterministic_workloads(n):
-    return st.sampled_from([
-        ConstantWorkload(1.0),
-        ConstantWorkload(0.3),
-        decreasing_workload(n, 2.0, 0.3),
-        increasing_workload(n, 0.3, 2.0),
-    ])
-
-
 def any_workloads(n):
     return st.sampled_from([
         ConstantWorkload(0.3),
@@ -92,28 +90,41 @@ def any_workloads(n):
 @settings(max_examples=150, deadline=None)
 @given(
     cell=cells(TECHNIQUES, max_p=64),
-    scenario=st.sampled_from([None, "wave-mild", "slow-quarter"]),
+    scenario=st.sampled_from((None,) + scenario_names()),
     data=st.data(),
 )
 def test_direct_batch_equals_direct(cell, scenario, data):
     params = cell["params"]
-    workload = data.draw(deterministic_workloads(params.n))
-    fluctuation = (
-        None if scenario is None
-        else get_scenario(scenario).fluctuation_model(params.p)
-    )
+    workload = data.draw(any_workloads(params.n))
+    scenario = None if scenario is None else get_scenario(scenario)
     kwargs = dict(
         overhead_model=cell["model"],
         speeds=cell["speeds"],
         start_times=cell["start_times"],
-        fluctuation=fluctuation,
+        failures=None if scenario is None else scenario.failstop_model(
+            params.p
+        ),
+        fluctuation=None if scenario is None else (
+            scenario.fluctuation_model(params.p)
+        ),
     )
     factory = get_technique(cell["technique"])
-    want = DirectSimulator(params, workload, **kwargs).run(factory, seed=0)
-    got = BatchDirectSimulator(params, workload, **kwargs).run_batch(
-        factory, cell["reps"], seed=cell["seed"]
-    )
-    assert got == [want] * cell["reps"]
+    seeds = [
+        np.random.SeedSequence([cell["seed"], i]) for i in range(cell["reps"])
+    ]
+    batch = BatchDirectSimulator(params, workload, **kwargs)
+    if kwargs["failures"] is not None and closed_form_supported(factory):
+        with pytest.raises(ScheduleUnavailableError):
+            batch.run_batch(factory, seeds)
+        return
+    direct = DirectSimulator(params, workload, **kwargs)
+    try:
+        want = [direct.run(factory, seed) for seed in seeds]
+    except AllWorkersFailedError:  # a fail-stop scenario killed every PE
+        with pytest.raises(AllWorkersFailedError):
+            batch.run_batch(factory, seeds)
+        return
+    assert batch.run_batch(factory, seeds) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +179,26 @@ def test_heap_walk_and_lockstep_agree(model, scenario, workload):
         ),
     )
     schedule = precompute_schedule(get_technique("ss")(params))
-    times = schedule.block_times(workload, 5, make_rng(3))
+    times = schedule.block_times(
+        workload, [make_rng(3 + i) for i in range(5)]
+    )
     rng = make_rng(4)
     heap = [simulator._walk(row.tolist(), rng) for row in times]
-    assert heap == simulator._run_lockstep(times, rng)
+    assert heap == simulator._run_lockstep(times)
+
+
+@pytest.mark.parametrize("dist", WORKLOAD_DISTS)
+@pytest.mark.parametrize("simulator", ["direct", "direct-batch", "msg",
+                                       "msg-fast"])
+def test_longer_sweeps_keep_their_first_runs(simulator, dist):
+    """The first five runs of a 70-run sweep are the 5-run sweep's."""
+    for technique in ("bold", "awf-c", "fac2", "gss"):
+        task = RunTask(
+            technique=technique,
+            params=SchedulingParams(n=512, p=4, h=0.5, mu=1.0, sigma=1.0),
+            workload=workload_from_spec(dist, 1.0),
+            simulator=simulator,
+        )
+        long = run_replicated(task, 70, campaign_seed=11, processes=1)
+        short = run_replicated(task, 5, campaign_seed=11, processes=1)
+        assert long[:5] == short, technique

@@ -6,7 +6,7 @@ stay in sync with docs/scenarios.md and the CLI, scenario support is
 capability-checked with honest fallbacks (msg family -> direct,
 direct-batch -> direct only for closed-form + faults), the batch
 kernel is bit-identical to the scalar simulator under deterministic
-scenarios and KS-equal under stochastic ones, all-workers-fail raises
+and stochastic scenarios alike, all-workers-fail raises
 a SimulationError naming the scenario, and perturbations are visible
 end-to-end in extras, journals, stats reports, metrics, and Chrome
 traces.
@@ -24,7 +24,6 @@ from repro.cli import main
 from repro.core.params import SchedulingParams
 from repro.directsim.faults import AllWorkersFailedError, SimulationError
 from repro.experiments.runner import RunTask, run_replicated
-from repro.metrics.stats import ks_two_sample
 from repro.scenarios import (
     PRESETS,
     FailStopSpec,
@@ -250,6 +249,8 @@ class TestExecution:
             assert all(r.extras["lost_chunks"] > 0 for r in a)
 
     def test_batch_ks_equal_to_scalar_stochastic(self):
+        """Load noise on exponential times: each run draws its chunk
+        times and noise factors from its own seed, as direct does."""
         scenario = get_scenario("noise-mild")
         scalar = make_task("awf-c", simulator="direct",
                            workload=ExponentialWorkload(1.0),
@@ -257,10 +258,7 @@ class TestExecution:
         batch = dataclasses.replace(scalar, simulator="direct-batch")
         a = run_replicated(scalar, 40, campaign_seed=9, processes=1)
         b = run_replicated(batch, 40, campaign_seed=9, processes=1)
-        ks = ks_two_sample(
-            [r.makespan for r in a], [r.makespan for r in b]
-        )
-        assert ks.compatible(alpha=0.01)
+        assert a == b
 
     def test_perturbed_differs_from_clean(self):
         clean = make_task("awf-c", seed_entropy=(3,))

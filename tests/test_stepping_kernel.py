@@ -2,15 +2,13 @@
 scalar direct simulator (the reference oracle).
 
 Fidelity contract (docs/simulators.md, "The adaptive stepping kernel"):
-deterministic workloads are bit-identical per replication — including
-the per-chunk execution logs — and stochastic workloads are equal in
-distribution (two-sample KS on makespans).
+every replication is bit-identical to the scalar run under its seed —
+including the per-chunk execution logs — on every workload.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -61,7 +59,9 @@ def scalar_runs(pr, workload, name, reps, **kwargs):
 
 def batch_runs(pr, workload, name, reps, **kwargs):
     sim = BatchDirectSimulator(pr, workload, record_chunks=True, **kwargs)
-    return sim.run_batch(get_technique(name), reps, seed=0)
+    return sim.run_batch(
+        get_technique(name), [1000 + i for i in range(reps)]
+    )
 
 
 def assert_bit_identical(got, want):
@@ -73,21 +73,6 @@ def assert_bit_identical(got, want):
         assert g.num_chunks == w.num_chunks
         assert g.total_task_time == w.total_task_time
         assert g.chunk_log == w.chunk_log
-
-
-def ks_statistic(a, b):
-    """Two-sample Kolmogorov-Smirnov statistic (numpy only)."""
-    a, b = np.sort(np.asarray(a)), np.sort(np.asarray(b))
-    values = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, values, side="right") / a.size
-    cdf_b = np.searchsorted(b, values, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def ks_threshold(m, n, alpha=1e-3):
-    return math.sqrt(-0.5 * math.log(alpha / 2)) * math.sqrt(
-        (m + n) / (m * n)
-    )
 
 
 class TestRegistry:
@@ -161,11 +146,11 @@ class TestBitIdentity:
         pr = params(n=300, p=4)
         workload = ConstantWorkload(1.0)
         one = BatchDirectSimulator(pr, workload).run_batch(
-            get_technique(name), 7, seed=0
+            get_technique(name), range(7)
         )
         monkeypatch.setattr("repro.directsim.batch.MAX_BLOCK_ELEMENTS", 1)
         many = BatchDirectSimulator(pr, workload).run_batch(
-            get_technique(name), 7, seed=0
+            get_technique(name), range(7)
         )
         assert [r.makespan for r in many] == [r.makespan for r in one]
         assert [r.num_chunks for r in many] == [r.num_chunks for r in one]
@@ -181,48 +166,33 @@ class TestBitIdentity:
 
 
 class TestDistributionalEquality:
-    """Stochastic workloads: block sampling changes the draw order, so
-    the contract is equality in distribution, not bit-identity."""
+    """Stochastic workloads: each replication draws from its own seed's
+    generator in the scalar order, so the runs are the scalar runs."""
 
     @pytest.mark.parametrize("name", STEPPING)
     def test_exponential_makespans_ks(self, name):
         pr = params(n=1024, p=8)
         workload = ExponentialWorkload(1.0)
-        runs = 120
+        seeds = [2000 + i for i in range(120)]
         scalar = DirectSimulator(pr, workload)
-        want = [
-            scalar.run(get_technique(name), seed=2000 + i).makespan
-            for i in range(runs)
-        ]
-        got = [
-            r.makespan
-            for r in BatchDirectSimulator(pr, workload).run_batch(
-                get_technique(name), runs, seed=42
-            )
-        ]
-        stat = ks_statistic(got, want)
-        assert stat <= ks_threshold(runs, runs), (
-            f"{name}: KS statistic {stat:.4f} exceeds threshold"
+        want = [scalar.run(get_technique(name), seed=s) for s in seeds]
+        got = BatchDirectSimulator(pr, workload).run_batch(
+            get_technique(name), seeds
         )
+        assert got == want, name
 
     @pytest.mark.parametrize("name", ("rnd", "pls"))
     @pytest.mark.parametrize("p", (4, 16))
     def test_worker_dependent_ks_across_p(self, name, p):
         pr = params(n=1024, p=p)
         workload = ExponentialWorkload(1.0)
-        runs = 100
+        seeds = [3000 + i for i in range(100)]
         scalar = DirectSimulator(pr, workload)
-        want = [
-            scalar.run(get_technique(name), seed=3000 + i).makespan
-            for i in range(runs)
-        ]
-        got = [
-            r.makespan
-            for r in BatchDirectSimulator(pr, workload).run_batch(
-                get_technique(name), runs, seed=7
-            )
-        ]
-        assert ks_statistic(got, want) <= ks_threshold(runs, runs)
+        want = [scalar.run(get_technique(name), seed=s) for s in seeds]
+        got = BatchDirectSimulator(pr, workload).run_batch(
+            get_technique(name), seeds
+        )
+        assert got == want
 
     def test_rnd_chunk_sequences_match_scalar_draw_for_draw(self):
         """RND consumes one draw per scheduling operation from the
@@ -236,6 +206,25 @@ class TestDistributionalEquality:
             assert [e.record.size for e in g.chunk_log] == [
                 e.record.size for e in w.chunk_log
             ]
+
+    def test_rnd_keeps_its_draws_when_a_dead_pe_skips_a_round(self):
+        """A PE that starts after its fail-stop time pops dead, at a
+        round that differs between stochastic replications; each one
+        still gets its scalar run's sizes."""
+        from repro.scenarios import get_scenario
+
+        pr = params(n=128, p=8)  # chunks of 1-8 tasks: some end by t=2
+        failures = get_scenario("failstop-quarter").failstop_model(8)
+        starts = [0.0, 0.25, 2.0, 0.0, 0.0, 0.25, 2.0, 2.0]
+        workload = ExponentialWorkload(1.0)
+        seeds = [4000 + i for i in range(6)]
+        kwargs = dict(failures=failures, start_times=starts)
+        scalar = DirectSimulator(pr, workload, **kwargs)
+        want = [scalar.run(get_technique("rnd"), seed=s) for s in seeds]
+        got = BatchDirectSimulator(pr, workload, **kwargs).run_batch(
+            get_technique("rnd"), seeds
+        )
+        assert got == want
 
 
 class TestRunnerIntegration:
@@ -277,8 +266,8 @@ class TestRunnerIntegration:
 
 
 class TestCacheRegression:
-    """Scalar-era adaptive entries (satellite 6): bit-identical coverage
-    expansion keeps its keys; changed observables miss cleanly."""
+    """direct-batch shares direct's seeds and cache entries: an entry the
+    scalar simulator stored serves the stepping kernel's task."""
 
     def det_task(self, **overrides):
         kwargs = dict(
@@ -290,36 +279,16 @@ class TestCacheRegression:
         kwargs.update(overrides)
         return RunTask(**kwargs)
 
-    def test_result_version_is_per_task(self):
-        from repro.backends import get_backend
-
-        backend = get_backend("direct-batch")
-        det = self.det_task()
-        sto = self.det_task(workload=ExponentialWorkload(1.0))
-        closed = self.det_task(
-            technique="fac2", workload=ExponentialWorkload(1.0)
-        )
-        assert backend.result_version_for(det) == backend.result_version
-        assert backend.result_version_for(sto) == (
-            backend.STEPPING_RESULT_VERSION
-        )
-        assert backend.result_version_for(closed) == (
-            backend.CLOSED_FORM_RESULT_VERSION
-        )
-
     def test_deterministic_scalar_era_entry_is_a_clean_hit(self, tmp_path):
-        """In the scalar era this cell fell back to direct but was keyed
-        under simulator='direct-batch' with results-v1.  The stepping
-        kernel serves it bit-identically, and its key is unchanged — so
-        the old entry is served as a hit and passes verification."""
+        """An entry the direct simulator produced, stored under the
+        direct-batch task's key (the key of the same task on direct):
+        the stepping kernel serves it bit-identically, so it is a hit
+        and passes verification."""
         from repro.cache import cache_to
 
         task = self.det_task()
         with cache_to(tmp_path, verify_fraction=1.0) as cache:
             key = cache.task_key(task)
-            # A scalar-era entry: produced by the direct simulator (the
-            # old fallback target), stored under the direct-batch task's
-            # key.
             sim = DirectSimulator(task.params, task.workload)
             scalar_result = sim.run(
                 get_technique(task.technique), seed=task.seed_sequence()
@@ -330,47 +299,22 @@ class TestCacheRegression:
         assert cache.stats.misses == 0
         assert result.makespan == scalar_result.makespan
 
-    def test_stochastic_scalar_era_entry_misses_cleanly(self, tmp_path):
-        """The stochastic adaptive cell's observables changed (block
-        sampling), so its key carries the bumped result version: the
-        v1-era key no longer matches and the old entry cannot be
-        served with wrong provenance."""
-        from repro.backends import get_backend
+    def test_stochastic_direct_entry_is_a_verified_hit(self, tmp_path):
+        """A stochastic cell too: the entry a direct task stored serves
+        the same direct-batch task, and a fresh stepping-kernel run
+        under verification reproduces it."""
         from repro.cache import cache_to
 
         task = self.det_task(workload=ExponentialWorkload(1.0))
-        backend_cls = type(get_backend("direct-batch"))
-        with cache_to(tmp_path) as cache:
-            # The key a scalar-era cache would have used: results-v1.
-            old_version = backend_cls.STEPPING_RESULT_VERSION
-            backend_cls.STEPPING_RESULT_VERSION = backend_cls.result_version
-            try:
-                v1_key = cache.task_key(task)
-            finally:
-                backend_cls.STEPPING_RESULT_VERSION = old_version
-            assert cache.task_key(task) != v1_key
-            sim = DirectSimulator(task.params, task.workload)
-            cache.put(
-                v1_key,
-                [sim.run(get_technique(task.technique),
-                         seed=task.seed_sequence())],
-                backend="direct",
-            )
-            stores_before = cache.stats.stores
-            task.execute()
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == stores_before + 1
-
-    def test_deterministic_workloads_flagged(self):
-        from repro.workloads.distributions import PerTaskSampling
-
-        assert ConstantWorkload(1.0).deterministic
-        assert LinearWorkload(8, 2.0, 1.0).deterministic
-        assert TraceWorkload(np.ones(4)).deterministic
-        assert not ExponentialWorkload(1.0).deterministic
-        assert PerTaskSampling(ConstantWorkload(1.0)).deterministic
-        assert not PerTaskSampling(ExponentialWorkload(1.0)).deterministic
+        direct = dataclasses.replace(task, simulator="direct")
+        with cache_to(tmp_path, verify_fraction=1.0) as cache:
+            assert cache.task_key(task) == cache.task_key(direct)
+            stored = direct.execute()
+            served = task.execute()
+        assert served == stored
+        assert cache.stats.hits == 1
+        assert cache.stats.verified == 1
+        assert cache.stats.stores == 1
 
 
 class TestCoverage:
