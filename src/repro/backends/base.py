@@ -53,12 +53,11 @@ class BackendCapabilities:
     :data:`CAPABILITY_DESCRIPTIONS`.
     """
 
-    #: techniques whose chunk sizes depend on measured execution times
-    #: (AWF family, AF, BOLD)
-    adaptive_techniques: bool = False
-    #: techniques whose chunk sequence depends on which worker requests
-    #: (WF, PLS, RND) — anything without a precomputable schedule
-    nondeterministic_schedules: bool = False
+    #: techniques without a precomputable chunk schedule: the adaptive
+    #: ones (AWF family, AF), whose chunk sizes depend on measured times,
+    #: and those that depend on the requesting worker or the run's
+    #: progress (BOLD, WF, PLS, RND)
+    feedback_techniques: bool = False
     #: platform-aware network modelling (latencies, heterogeneous hosts)
     platforms: bool = False
     #: per-chunk execution logs (``RunResult.chunk_log``) on request
@@ -74,8 +73,8 @@ class BackendCapabilities:
 
 #: capability field -> short description for generated documentation
 CAPABILITY_DESCRIPTIONS: dict[str, str] = {
-    "adaptive_techniques": "adaptive techniques (AWF*, AF, BOLD)",
-    "nondeterministic_schedules": "worker-dependent schedules (WF, PLS, RND)",
+    "feedback_techniques":
+        "feedback techniques (AWF*, AF, BOLD, WF, PLS, RND)",
     "platforms": "platform-aware network modelling",
     "chunk_log": "per-chunk execution logs (collect_chunk_log)",
     "fluctuation_scenarios": "scenario speed fluctuations (wave/step/noise)",
@@ -198,15 +197,10 @@ class SimulationBackend(ABC):
         from ..core.schedule import schedule_ineligibility
 
         caps = self.capabilities
-        cls = get_technique(task.technique)
-        schedule_reason = schedule_ineligibility(cls)
-        if schedule_reason is not None:
-            if cls.adaptive and not caps.adaptive_techniques:
-                return schedule_reason
-            if not cls.deterministic_schedule and (
-                not caps.nondeterministic_schedules
-            ):
-                return schedule_reason
+        if not caps.feedback_techniques:
+            reason = schedule_ineligibility(get_technique(task.technique))
+            if reason is not None:
+                return reason
         if task.platform is not None and not caps.platforms:
             return (
                 "platform-aware network modelling is not supported by "

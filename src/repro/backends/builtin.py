@@ -161,8 +161,7 @@ class MsgBackend(_MsgBackendBase):
     name = "msg"
     description = "event-driven SimGrid-MSG-like master-worker simulator"
     capabilities = BackendCapabilities(
-        adaptive_techniques=True,
-        nondeterministic_schedules=True,
+        feedback_techniques=True,
         platforms=True,
         chunk_log=True,
     )
@@ -186,8 +185,7 @@ class MsgFastBackend(_MsgBackendBase, _BlockBackend):
     name = "msg-fast"
     description = "compiled MSG master-worker loop (bit-identical to msg)"
     capabilities = BackendCapabilities(
-        adaptive_techniques=False,
-        nondeterministic_schedules=False,
+        feedback_techniques=False,
         platforms=True,
         chunk_log=True,
     )
@@ -219,8 +217,7 @@ class DirectBackend(SimulationBackend):
     name = "direct"
     description = "scalar chunk-level simulator (Hagerup-style heap loop)"
     capabilities = BackendCapabilities(
-        adaptive_techniques=True,
-        nondeterministic_schedules=True,
+        feedback_techniques=True,
         platforms=False,
         chunk_log=True,
         fluctuation_scenarios=True,
@@ -259,8 +256,7 @@ class DirectBatchBackend(_BlockBackend):
         "batch-replication kernel (heap walk or NumPy lock-step loop)"
     )
     capabilities = BackendCapabilities(
-        adaptive_techniques=True,
-        nondeterministic_schedules=True,
+        feedback_techniques=True,
         platforms=False,
         fluctuation_scenarios=True,
         fault_scenarios=True,
@@ -274,14 +270,6 @@ class DirectBatchBackend(_BlockBackend):
         reason = super().unsupported_reason(task)
         if reason is not None:
             return reason
-        from ..directsim.batch import batch_supported
-
-        if not batch_supported(task.technique):
-            return (
-                "no vectorized path for this technique: neither a "
-                "precomputable chunk schedule nor a batched stepping "
-                "state"
-            )
         if task.scenario is not None and task.scenario.has_faults:
             from ..core.schedule import closed_form_supported
 

@@ -85,21 +85,42 @@ def _add_workload_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mean", type=float, default=1.0)
 
 
-def _workload_params(args: argparse.Namespace) -> SchedulingParams:
-    """The params of a command taking --dist/--mean: mu = sigma = --mean."""
-    return SchedulingParams(
+def _bad_input(args: argparse.Namespace, reason: object) -> int:
+    """Report bad input as one ``<command>: <reason>`` line; exit 2."""
+    print(f"{args.command}: {reason}", file=sys.stderr)
+    return 2
+
+
+def _technique(name: str):
+    """The registered technique ``name``; ValueError when there is none."""
+    try:
+        return get_technique(name)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
+def _cell(args: argparse.Namespace):
+    """The (params, workload) that --n/--p/--h and --dist/--mean describe.
+
+    ``mu`` and ``sigma`` are both --mean.  A bad --technique or value
+    raises ValueError naming it.
+    """
+    _technique(args.technique)
+    params = SchedulingParams(
         n=args.n, p=args.p, h=args.h, mu=args.mean, sigma=args.mean
     )
+    return params, workload_from_spec(args.dist, args.mean)
 
 
 def _chunk_logged_task(args: argparse.Namespace, simulator: str):
     """The one seeded run of ``args``'s cell, recording its chunk log."""
     from .experiments.runner import RunTask
 
+    params, workload = _cell(args)
     return RunTask(
         technique=args.technique,
-        params=_workload_params(args),
-        workload=workload_from_spec(args.dist, args.mean),
+        params=params,
+        workload=workload,
         simulator=simulator,
         seed_entropy=(args.seed,),
         collect_chunk_log=True,
@@ -429,8 +450,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = get_artifact(args.artifact)
     except ValueError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(args, exc)
     accepted = inspect.signature(spec.producer).parameters
     overrides: dict = {}
     for name in ("runs", "simulator", "seed", "scenario"):
@@ -438,15 +458,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if value is None:
             continue
         if name not in accepted:
-            print(f"run: artifact {spec.id!r} does not accept --{name}",
-                  file=sys.stderr)
-            return 2
+            return _bad_input(
+                args, f"artifact {spec.id!r} does not accept --{name}"
+            )
         overrides[name] = value
+    if args.runs is not None and args.runs < 1:
+        return _bad_input(args, f"--runs must be >= 1, got {args.runs}")
     try:
         _scenario_from_args(args)  # fail fast; the producer resolves it
     except ValueError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(args, exc)
     cache_dir = _cache_dir_from_args(args)
     with contextlib.ExitStack() as stack:
         if cache_dir is not None:
@@ -489,14 +510,14 @@ def _cmd_backends() -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     try:
+        technique = _technique(args.technique)
         params = SchedulingParams(
             n=args.n, p=args.p, h=args.h, mu=args.mu, sigma=args.sigma,
             min_chunk=args.min_chunk, chunk_size=args.chunk_size,
         )
     except ValueError as exc:
-        print(f"schedule: {exc}", file=sys.stderr)
-        return 2
-    scheduler = get_technique(args.technique)(params)
+        return _bad_input(args, exc)
+    scheduler = technique(params)
     sizes = chunk_sizes(scheduler)
     print(f"{scheduler.label}: {len(sizes)} chunks, sum={sum(sizes)}")
     print(" ".join(map(str, sizes)))
@@ -513,13 +534,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .experiments.runner import RunTask, run_campaign
     from .obs import journal_to, metrics_to, progress_to, stream_renderer
 
-    params = _workload_params(args)
-    workload = workload_from_spec(args.dist, args.mean)
     try:
+        params, workload = _cell(args)
         scenario = _scenario_from_args(args)
     except ValueError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(args, exc)
+    if args.runs < 1:
+        return _bad_input(args, f"--runs must be >= 1, got {args.runs}")
     # Which simulator executes is decided by the backend registry's
     # capability-checked resolution (repro.backends), not here; the
     # per-run integer seeds reproduce the historical CLI outputs
@@ -584,9 +605,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_recommend(args: argparse.Namespace) -> int:
     from .core.prediction import prediction_report, recommend_technique
 
-    params = SchedulingParams(
-        n=args.n, p=args.p, h=args.h, mu=args.mu, sigma=args.sigma
-    )
+    try:
+        params = SchedulingParams(
+            n=args.n, p=args.p, h=args.h, mu=args.mu, sigma=args.sigma
+        )
+    except ValueError as exc:
+        return _bad_input(args, exc)
     print(prediction_report(params))
     best = recommend_technique(params)
     print(
@@ -614,8 +638,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             for artifact_id in args.only:
                 get_artifact(artifact_id)
         except ValueError as exc:
-            print(f"figures: {exc}", file=sys.stderr)
-            return 2
+            return _bad_input(args, exc)
     cache_dir = _cache_dir_from_args(args)
     with contextlib.ExitStack() as stack:
         if cache_dir is not None:
@@ -689,11 +712,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     root = args.dir or default_cache_dir()
     if root is None:
-        print(
-            "cache: no directory given and REPRO_CACHE is not set",
-            file=sys.stderr,
+        return _bad_input(
+            args, "no directory given and REPRO_CACHE is not set"
         )
-        return 2
     cache = ResultCache(root)
 
     if args.cache_command == "clear":
@@ -776,7 +797,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .obs import load_journal, summarize_journal
 
-    records = load_journal(args.journal)
+    try:
+        records = load_journal(args.journal)
+    except OSError as exc:
+        return _bad_input(args, exc)
     print(summarize_journal(records, top=args.top))
     return 0
 
@@ -790,27 +814,23 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     )
 
     if args.journal is not None:
-        trace = chrome_trace_from_journal(load_journal(args.journal))
+        try:
+            records = load_journal(args.journal)
+        except OSError as exc:
+            return _bad_input(args, exc)
+        trace = chrome_trace_from_journal(records)
         source = args.journal
     else:
         if args.technique is None or args.n is None or args.p is None:
-            print(
-                "trace-export: without a journal, --technique, --n and "
-                "--p are required to simulate a run",
-                file=sys.stderr,
+            return _bad_input(
+                args, "without a journal, --technique, --n and --p are "
+                "required to simulate a run"
             )
-            return 2
         try:
-            result = _chunk_logged_task(args, args.simulator).execute()
-            trace = chrome_trace_from_results([result])
+            task = _chunk_logged_task(args, args.simulator)
         except ValueError as exc:
-            print(f"trace-export: {exc}", file=sys.stderr)
-            print(
-                "hint: pick a backend that records chunk logs "
-                "(msg, msg-fast, direct) or request fewer constraints",
-                file=sys.stderr,
-            )
-            return 2
+            return _bad_input(args, exc)
+        trace = chrome_trace_from_results([task.execute()])
         source = f"{args.technique}(n={args.n}, p={args.p})"
     save_chrome_trace(trace, args.out)
     slices = sum(
@@ -826,13 +846,20 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 def _cmd_simulate_files(args: argparse.Namespace) -> int:
     from .simgrid.app import ApplicationConfig, run_from_files
 
+    try:
+        _technique(args.technique)
+        workload = workload_from_spec(args.dist, args.mean)
+    except ValueError as exc:
+        return _bad_input(args, exc)
     app = ApplicationConfig(
-        technique=args.technique, n=args.n,
-        workload=workload_from_spec(args.dist, args.mean), h=args.h,
+        technique=args.technique, n=args.n, workload=workload, h=args.h,
     )
-    result = run_from_files(
-        args.platform, args.deployment, app, seed=args.seed
-    )
+    try:
+        result = run_from_files(
+            args.platform, args.deployment, app, seed=args.seed
+        )
+    except OSError as exc:
+        return _bad_input(args, exc)
     print(
         f"{result.technique}: p={result.p} (from deployment), n={result.n}"
     )
@@ -847,17 +874,15 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from .obs.timeline import save_paje_trace
     from .simgrid.visualization import ascii_gantt, utilization_summary
 
-    result = _chunk_logged_task(args, "direct").execute()
+    try:
+        task = _chunk_logged_task(args, "direct")
+    except ValueError as exc:
+        return _bad_input(args, exc)
+    result = task.execute()
     try:
         chart = ascii_gantt(result, width=args.width)
     except ValueError as exc:
-        print(f"gantt: {exc}", file=sys.stderr)
-        print(
-            "hint: the run recorded no per-chunk log — rerun with a "
-            "simulator that records chunk logs (msg, msg-fast, direct)",
-            file=sys.stderr,
-        )
-        return 2
+        return _bad_input(args, exc)
     print(chart)
     print()
     print(utilization_summary(result))
@@ -875,6 +900,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import Advisor, make_server
     from .serve.advisor import DEFAULT_RUNS
 
+    for name in ("runs", "workers"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            return _bad_input(args, f"--{name} must be >= 1, got {value}")
+    if not 0 <= args.port <= 65535:
+        return _bad_input(args, f"--port must be 0-65535, got {args.port}")
     cache_dir = _cache_dir_from_args(args)
     with contextlib.ExitStack() as stack:
         # The /metrics endpoint scrapes the active registry, so the

@@ -83,11 +83,6 @@ class _BatchedScheduler(Scheduler):
     def _after_assignment(self, record) -> None:
         self._batch_left -= record.size
 
-    @property
-    def batch_index(self) -> int:
-        """1-based index of the current batch (0 before any assignment)."""
-        return self._batch_index
-
     def _batch_chunk(self, remaining: int) -> int:
         raise NotImplementedError
 

@@ -1,7 +1,7 @@
 """Replica of Hagerup's (1997) chunk-level direct simulator."""
 
 from .accounting import OverheadModel, average_wasted_time
-from .batch import BatchDirectSimulator, batch_supported
+from .batch import BatchDirectSimulator
 from .faults import (
     AllWorkersFailedError,
     CompositeFluctuation,
@@ -29,5 +29,4 @@ __all__ = [
     "SimulationError",
     "StepFluctuation",
     "average_wasted_time",
-    "batch_supported",
 ]

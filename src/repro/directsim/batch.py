@@ -125,18 +125,6 @@ def _lockstep_wins(reps: int, p: int) -> bool:
     )
 
 
-def batch_supported(technique: str | type[Scheduler]) -> bool:
-    """True when ``technique`` can run on the batch kernel.
-
-    Either of the two vectorized paths qualifies: a precomputable
-    closed-form chunk schedule (:func:`repro.core.schedule.
-    closed_form_supported`, shared with the MSG fast path) or a
-    registered batched stepping state (:func:`repro.core.stepping.
-    stepping_supported`) for the feedback-loop techniques.
-    """
-    return closed_form_supported(technique) or stepping_supported(technique)
-
-
 class _PerturbationArrays:
     """Fault/fluctuation models lowered to per-worker arrays.
 

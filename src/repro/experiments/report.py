@@ -2,15 +2,13 @@
 
 The harness prints ASCII tables (and writes CSV) carrying exactly the
 series of each figure: techniques down the side, the sweep (PE counts)
-across, values in seconds or speedups.  ``format_log_series`` renders a
-rough log-scale text chart for terminal inspection of the figure shapes.
+across, values in seconds or speedups.  ``ascii_histogram`` renders
+Figure 9's per-run distribution for the terminal.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -92,17 +90,6 @@ def read_csv_series(
     return series, header[1:], header[0]
 
 
-def series_to_csv_text(series: Mapping[str, Sequence[float]],
-                       keys: Sequence) -> str:
-    """The CSV content as a string (for tests and stdout)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["technique"] + [str(k) for k in keys])
-    for name, values in series.items():
-        writer.writerow([name] + [repr(float(v)) for v in values])
-    return buf.getvalue()
-
-
 def ascii_histogram(
     values: Sequence[float],
     bins: int = 12,
@@ -138,33 +125,4 @@ def ascii_histogram(
             f"[{left:>9.2f}, {right:>9.2f}) "
             f"{'#' * bar_len:<{width}} {count}"
         )
-    return "\n".join(lines)
-
-
-def format_log_series(
-    series: Mapping[str, Sequence[float]],
-    keys: Sequence,
-    width: int = 60,
-) -> str:
-    """A crude log-scale text rendering of a figure's series.
-
-    Each series/key pair becomes one marker positioned by log10(value),
-    enough to eyeball who wins and where crossovers fall.
-    """
-    values = [v for vs in series.values() for v in vs if v > 0]
-    if not values:
-        return "(no positive values)"
-    lo = math.log10(min(values))
-    hi = math.log10(max(values))
-    span = max(hi - lo, 1e-9)
-    lines = [f"log10 scale: {10**lo:.3g} .. {10**hi:.3g}"]
-    for name, vs in series.items():
-        for key, v in zip(keys, vs):
-            if v <= 0:
-                bar = "(<=0)"
-                pos = 0
-            else:
-                pos = int((math.log10(v) - lo) / span * (width - 1))
-                bar = "." * pos + "o"
-            lines.append(f"{name:>6} p={key!s:>5} |{bar:<{width}}| {v:.3g}")
     return "\n".join(lines)

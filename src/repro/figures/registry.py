@@ -15,9 +15,12 @@ experiments, ``msg-fast`` for the platform-aware TSS ones — both
 bit-identical to their slower siblings).  Full parameter sets are the
 reproduction campaign behind EXPERIMENTS.md: ``repro-dls figures``
 (without ``--quick``) regenerates all of them, and ``repro-dls run ID``
-one.  A full sweep that covers the published reference's keys adds the
-paper's verification lines to the text: the TSS reproduced/not
-verdicts and the BOLD discrepancies against the reference.
+one.  They request ``msg-fast`` wherever they model the MSG stack; its
+BOLD cells fall back to ``msg`` with a recorded event, because BOLD has
+no precomputable schedule.  A full sweep that covers the published
+reference's keys adds the paper's verification lines to the text: the
+TSS reproduced/not verdicts and the BOLD discrepancies against the
+reference.
 
 Each spec also states what its artifact must show: :class:`Claim`
 predicates taken from the paper and EXPERIMENTS.md (SS is the worst
@@ -528,7 +531,7 @@ _SPECS = [
                "simulator": "msg-fast", "seed": 1993},
         full={"experiment": 1,
               "pe_counts": (2, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80),
-              "simulator": "msg", "seed": 1993},
+              "simulator": "msg-fast", "seed": 1993},
         claims=(
             _tss_verdicts("GSS(80)"),
             Claim("CSS and TSS exceed a speedup of 60 at 72 PEs",
@@ -546,7 +549,7 @@ _SPECS = [
                "simulator": "msg-fast", "seed": 1993},
         full={"experiment": 2,
               "pe_counts": (2, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80),
-              "simulator": "msg", "seed": 1993},
+              "simulator": "msg-fast", "seed": 1993},
         claims=(
             _tss_verdicts("GSS(5)"),
             Claim("at 72 PEs CSS exceeds 60, GSS(5) 55 and SS 50",
@@ -564,7 +567,7 @@ _SPECS = [
         quick={"n": 1024, "pe_counts": (2, 8, 64), "runs": 5,
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 1024, "pe_counts": (2, 8, 64, 256, 1024), "runs": 100,
-              "simulator": "msg", "seed": 2017},
+              "simulator": "msg-fast", "seed": 2017},
         claims=_BOLD_CLAIMS + (
             Claim("at p=n the spread across techniques is under 0.2x "
                   "the largest value", _converges_at_p_equals_n,
@@ -580,7 +583,7 @@ _SPECS = [
         quick={"n": 8192, "pe_counts": (2, 8, 64), "runs": 3,
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 8192, "pe_counts": (2, 8, 64, 256, 1024), "runs": 30,
-              "simulator": "msg", "seed": 2017},
+              "simulator": "msg-fast", "seed": 2017},
         claims=_BOLD_CLAIMS + (
             Claim("SS at p=2 is above 1,800 s and more than 10x every "
                   "other technique", _ss_dominates_at_p2),
@@ -595,7 +598,7 @@ _SPECS = [
         quick={"n": 65536, "pe_counts": (2, 8, 64), "runs": 2,
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 65536, "pe_counts": (2, 8, 64, 256, 1024), "runs": 8,
-              "simulator": "msg", "seed": 2017},
+              "simulator": "msg-fast", "seed": 2017},
         claims=_BOLD_CLAIMS + (
             Claim("FAC2 stays below 40 s",
                   lambda d, _: max(d.series["FAC2"]) < 40),
@@ -612,7 +615,7 @@ _SPECS = [
         quick={"n": 524288, "pe_counts": (2, 8), "runs": 1,
                "simulator": "direct-batch", "seed": 2017},
         full={"n": 524288, "pe_counts": (2, 8, 64, 256, 1024), "runs": 2,
-              "simulator": "msg", "seed": 2017},
+              "simulator": "msg-fast", "seed": 2017},
         claims=_BOLD_CLAIMS + (
             Claim("SS at p=2 is within 1% of h*n/p",
                   _ss_equals_overhead_at_p2),
@@ -679,7 +682,7 @@ _SPECS = [
         quick={"k_values": (1, 100, 1389, 20000), "p": 72,
                "simulator": "msg-fast", "seed": 1993},
         full={"k_values": (1, 10, 100, 500, 1389, 5000, 20000), "p": 72,
-              "simulator": "msg", "seed": 1993},
+              "simulator": "msg-fast", "seed": 1993},
         claims=(
             Claim("the speedup at k=1389 is above 65",
                   lambda d, _: _at(d, 1389)["CSS"] > 65),
@@ -698,7 +701,7 @@ _SPECS = [
         quick={"ratios": (0.0, 0.1, 0.3, 0.5), "p": 64,
                "simulator": "msg-fast", "seed": 1993},
         full={"ratios": (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5), "p": 64,
-              "simulator": "msg", "seed": 1993},
+              "simulator": "msg-fast", "seed": 1993},
     ),
     ArtifactSpec(
         id="tss-shapes",
@@ -708,7 +711,7 @@ _SPECS = [
         producer=_produce_tss_shapes,
         quick={"experiment": 1, "p": 16, "simulator": "msg-fast",
                "seed": 1993},
-        full={"experiment": 1, "p": 64, "simulator": "msg",
+        full={"experiment": 1, "p": 64, "simulator": "msg-fast",
               "seed": 1993},
         claims=(
             Claim("TSS is above 0.85*p on every shape",

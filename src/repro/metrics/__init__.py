@@ -15,7 +15,7 @@ from .discrepancy import (
     max_abs_relative_discrepancy,
     relative_discrepancy,
 )
-from .speedup import TzenNiMetrics, ideal_speedup, tzen_ni_metrics
+from .speedup import TzenNiMetrics, tzen_ni_metrics
 from .stats import (
     BootstrapCI,
     EquivalenceReport,
@@ -27,11 +27,7 @@ from .stats import (
     welch_t_test,
 )
 from .summary import Summary, mean_excluding_above, summarize
-from .wasted_time import (
-    OverheadModel,
-    average_wasted_time,
-    per_worker_wasted_times,
-)
+from .wasted_time import OverheadModel, average_wasted_time
 
 __all__ = [
     "BootstrapCI",
@@ -55,10 +51,8 @@ __all__ = [
     "average_wasted_time",
     "discrepancy",
     "discrepancy_table",
-    "ideal_speedup",
     "max_abs_relative_discrepancy",
     "mean_excluding_above",
-    "per_worker_wasted_times",
     "relative_discrepancy",
     "summarize",
     "tzen_ni_metrics",

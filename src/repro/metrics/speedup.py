@@ -66,8 +66,3 @@ def tzen_ni_metrics(result: RunResult,
         scheduling_overhead=o_total / t,
         load_imbalance=w_total / t,
     )
-
-
-def ideal_speedup(p: int) -> float:
-    """The ideal speedup: the number of processors."""
-    return float(p)

@@ -76,10 +76,3 @@ def average_wasted_time(
     if model is OverheadModel.POST_HOC:
         return idle_avg + h * num_chunks / p
     return idle_avg
-
-
-def per_worker_wasted_times(
-    makespan: float, compute_times: Sequence[float]
-) -> list[float]:
-    """Per-worker idle times (the in-simulation part of wasted time)."""
-    return [makespan - c for c in compute_times]

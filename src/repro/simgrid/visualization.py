@@ -31,8 +31,11 @@ def ascii_gantt(
     Each worker gets one row; chunk executions are painted with cycling
     glyphs so adjacent chunks are distinguishable; idle time shows as
     dots.  Requires the run to carry a chunk log (see
-    :func:`repro.obs.timeline.require_chunk_log`).
+    :func:`repro.obs.timeline.require_chunk_log`).  The time axis needs
+    a ``width`` of at least 10 columns.
     """
+    if width < 10:
+        raise ValueError(f"width must be >= 10, got {width}")
     require_chunk_log(result, action="render a Gantt chart")
     makespan = result.makespan
     if makespan <= 0:

@@ -230,9 +230,8 @@ class TestCapabilityMatrix:
     def test_matrix_covers_every_backend(self):
         matrix = dict(capability_matrix())
         assert sorted(matrix) == backend_names()
-        assert matrix["msg"]["adaptive_techniques"]
-        assert matrix["direct-batch"]["adaptive_techniques"]
-        assert matrix["direct-batch"]["nondeterministic_schedules"]
+        assert matrix["msg"]["feedback_techniques"]
+        assert matrix["direct-batch"]["feedback_techniques"]
         assert not matrix["direct-batch"]["chunk_log"]
 
     def test_docs_capability_matrix_in_sync(self):

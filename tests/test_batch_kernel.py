@@ -14,13 +14,14 @@ from repro.core.registry import get_technique
 from repro.core.schedule import (
     SEGMENT_CHUNKS,
     ScheduleUnavailableError,
+    closed_form_supported,
     precompute_schedule,
 )
+from repro.core.stepping import stepping_supported
 from repro.directsim import (
     BatchDirectSimulator,
     DirectSimulator,
     OverheadModel,
-    batch_supported,
 )
 from repro.experiments.bold_experiments import scheduling_params
 from repro.experiments.runner import RunTask, run_replicated
@@ -56,17 +57,18 @@ def params(n=257, p=3, h=0.25):
 class TestBatchSupported:
     @pytest.mark.parametrize("name", BATCHABLE)
     def test_fast_path_techniques(self, name):
-        assert batch_supported(name)
+        assert closed_form_supported(name)
 
     @pytest.mark.parametrize("name", STEPPABLE)
     def test_stepping_techniques(self, name):
-        assert batch_supported(name)
+        assert stepping_supported(name)
 
     def test_every_registered_technique_is_batchable(self):
         """Closed form + stepping together cover the whole registry."""
         from repro.core.registry import technique_names
 
-        assert all(batch_supported(name) for name in technique_names())
+        assert all(closed_form_supported(name) or stepping_supported(name)
+                   for name in technique_names())
 
 
 class TestChunkSchedule:

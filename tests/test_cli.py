@@ -407,3 +407,50 @@ class TestTraceExport:
         ])
         assert code == 2
         assert "--technique" in capsys.readouterr().err
+
+
+CELL = ["--technique", "fac2", "--n", "64", "--p", "2"]
+
+#: bad input to each command; paths are relative to an empty directory
+BAD_INPUT = [
+    ["simulate", *CELL, "--runs", "0"],
+    ["run", "fig5", "--runs", "0"],
+    ["simulate", *CELL[2:], "--technique", "nosuch"],
+    ["schedule", *CELL[2:], "--technique", "nosuch"],
+    ["gantt", *CELL[2:], "--technique", "nosuch"],
+    ["trace-export", *CELL[2:], "--technique", "nosuch", "--out", "t.json"],
+    ["simulate-files", "p.xml", "d.xml", "--technique", "nosuch",
+     "--n", "64"],
+    ["simulate", *CELL, "--p", "0"],
+    ["gantt", *CELL, "--p", "0"],
+    ["recommend", "--n", "64", "--p", "0"],
+    ["simulate", *CELL, "--mean", "-1"],
+    ["stats", "missing.jsonl"],
+    ["stats", "."],
+    ["trace-export", "missing.jsonl", "--out", "t.json"],
+    ["simulate-files", "missing.xml", "missing.xml", "--technique", "fac2",
+     "--n", "64"],
+    ["serve", "--port", "-5"],
+    ["serve", "--runs", "0"],
+    ["serve", "--workers", "0"],
+    ["gantt", *CELL, "--width", "0"],
+    ["trace-export", *CELL, "--p", "0", "--out", "t.json"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_ends_in_one_line_and_exit_two(
+    argv, capsys, monkeypatch, tmp_path
+):
+    import repro.serve
+
+    def no_server(*args):
+        raise AssertionError("bad input reached the server")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(repro.serve, "make_server", no_server)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

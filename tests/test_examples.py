@@ -76,14 +76,6 @@ def test_fault_tolerance(capsys):
     assert "STAT" in out and "FAC2" in out
 
 
-def test_scientific_applications(capsys):
-    run_example("scientific_applications.py")
-    out = capsys.readouterr().out
-    assert "mandelbrot" in out
-    assert "wavepacket" in out
-    assert "best" in out
-
-
 def test_platform_and_traces(capsys):
     run_example("platform_and_traces.py")
     out = capsys.readouterr().out

@@ -10,10 +10,8 @@ from repro.metrics import (
     average_wasted_time,
     discrepancy,
     discrepancy_table,
-    ideal_speedup,
     max_abs_relative_discrepancy,
     mean_excluding_above,
-    per_worker_wasted_times,
     relative_discrepancy,
     summarize,
     tzen_ni_metrics,
@@ -55,9 +53,6 @@ class TestWastedTime:
         with pytest.raises(ValueError):
             average_wasted_time(1.0, [], 1, 0.5, OM.POST_HOC)
 
-    def test_per_worker_wasted_times(self):
-        assert per_worker_wasted_times(10.0, [8.0, 9.0]) == [2.0, 1.0]
-
     def test_model_from_name(self):
         assert OverheadModel.from_name("post-hoc") is OM.POST_HOC
         assert OverheadModel.from_name("PER_WORKER") is OM.PER_WORKER
@@ -98,9 +93,6 @@ class TestTzenNi:
         r = make_result(makespan=0.0)
         with pytest.raises(ValueError):
             tzen_ni_metrics(r)
-
-    def test_ideal_speedup(self):
-        assert ideal_speedup(64) == 64.0
 
 
 class TestDiscrepancy:

@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.report import (
-    format_log_series,
     format_table,
     series_table,
-    series_to_csv_text,
     write_csv,
 )
 from repro.experiments.tables import (
@@ -51,21 +49,6 @@ class TestCsv:
         content = path.read_text()
         assert content.splitlines()[0] == "technique,2,8"
         assert "SS,1.0,2.0" in content
-
-    def test_csv_text(self):
-        text = series_to_csv_text({"A": [1.5]}, keys=("x",))
-        assert "technique,x" in text
-        assert "A,1.5" in text
-
-
-class TestLogSeries:
-    def test_renders_markers(self):
-        text = format_log_series({"SS": [1.0, 1000.0]}, keys=(2, 8))
-        assert "log10 scale" in text
-        assert text.count("|") >= 4
-
-    def test_handles_empty(self):
-        assert "no positive values" in format_log_series({"X": [0.0]}, (1,))
 
 
 class TestTable2:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique, technique_names
+from repro.core.schedule import closed_form_supported
 from repro.core.stepping import (
     SteppingState,
     ordered_sum,
@@ -25,7 +26,6 @@ from repro.directsim import (
     BatchDirectSimulator,
     DirectSimulator,
     OverheadModel,
-    batch_supported,
 )
 from repro.experiments.runner import RunTask, run_replicated
 from repro.workloads import ConstantWorkload, ExponentialWorkload
@@ -79,7 +79,6 @@ class TestRegistry:
     @pytest.mark.parametrize("name", STEPPING)
     def test_stepping_supported(self, name):
         assert stepping_supported(name)
-        assert batch_supported(name)
 
     def test_unregistered_technique_raises_key_error(self):
         proto = get_technique("gss")(params())
@@ -319,7 +318,8 @@ class TestCacheRegression:
 
 class TestCoverage:
     def test_stepping_plus_closed_form_cover_registry(self):
-        assert all(batch_supported(name) for name in technique_names())
+        assert all(closed_form_supported(name) or stepping_supported(name)
+                   for name in technique_names())
 
     def test_stepping_states_subclass_base(self):
         for name in STEPPING:
