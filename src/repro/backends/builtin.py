@@ -13,9 +13,10 @@ Each backend wraps one execution substrate behind the uniform
 * ``direct`` — the scalar Hagerup-style chunk-level simulator; the only
   backend supporting *every* scenario model on every technique.
 * ``direct-batch`` — the batch-replication kernel, bit-identical to
-  ``direct`` run for run; degrades to ``direct`` for per-chunk logs and
-  for fail-stop scenarios on closed-form techniques (dynamic requeueing
-  invalidates a precomputed schedule).
+  ``direct`` run for run.  Under a scenario it serves only what it
+  replays, a precomputed schedule: a closed-form technique under speed
+  fluctuations.  It degrades to ``direct`` for fail-stop faults, for a
+  feedback technique under any scenario and for per-chunk logs.
 
 Each fast path runs a replication sweep as pooled blocks in which every
 replication keeps the seed its oracle would give it, and shares its
@@ -64,17 +65,6 @@ def _scenario_models(task: "RunTask"):
     return (
         task.scenario.failstop_model(p),
         task.scenario.fluctuation_model(p),
-    )
-
-
-def _scenario_abort(task: "RunTask", exc: Exception) -> Exception:
-    """An all-workers-failed error that names the scenario and cell."""
-    from ..directsim.faults import AllWorkersFailedError
-
-    name = task.scenario.name if task.scenario is not None else "<custom>"
-    return AllWorkersFailedError(
-        f"scenario {name!r} killed every PE of "
-        f"{SimulationBackend.task_key(task)} before completion: {exc}"
     )
 
 
@@ -243,7 +233,10 @@ class DirectBackend(SimulationBackend):
         try:
             result = sim.run(_scheduler_factory(task), seed)
         except AllWorkersFailedError as exc:
-            raise _scenario_abort(task, exc) from exc
+            raise AllWorkersFailedError(
+                f"scenario {task.scenario.name!r} killed every PE of "
+                f"{self.task_key(task)} before completion: {exc}"
+            ) from exc
         return self.stamp_stats(_stamp_scenario(task, result))
 
 
@@ -259,7 +252,6 @@ class DirectBatchBackend(_BlockBackend):
         feedback_techniques=True,
         platforms=False,
         fluctuation_scenarios=True,
-        fault_scenarios=True,
     )
     fallback = "direct"
     #: bit-identical to direct run for run, so both derive the same
@@ -268,39 +260,36 @@ class DirectBatchBackend(_BlockBackend):
 
     def unsupported_reason(self, task: "RunTask") -> str | None:
         reason = super().unsupported_reason(task)
-        if reason is not None:
-            return reason
-        if task.scenario is not None and task.scenario.has_faults:
+        if reason is None and task.scenario is not None:
             from ..core.schedule import closed_form_supported
 
-            if closed_form_supported(task.technique):
+            if not closed_form_supported(task.technique):
                 return (
-                    f"scenario {task.scenario.name!r} injects fail-stop "
-                    "faults, whose requeued work invalidates the "
-                    "precomputed closed-form schedule this technique "
-                    "runs on (only the stepping path reschedules "
-                    "dynamically)"
+                    f"a feedback technique under scenario "
+                    f"{task.scenario.name!r} runs on 'direct' (the "
+                    f"{self.name!r} backend replays only precomputed "
+                    "schedules under a scenario)"
                 )
-        return None
+        return reason
 
     def run_seeds(
         self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
     ) -> list["RunResult"]:
+        from ..core.schedule import ScheduleUnavailableError
         from ..directsim.batch import BatchDirectSimulator
-        from ..directsim.faults import AllWorkersFailedError
 
-        failures, fluctuation = _scenario_models(task)
-        simulator = BatchDirectSimulator(
+        # A caller that bypasses resolve_backend must not get a run
+        # without the task's faults (the kernel takes no fault model).
+        reason = self.unsupported_reason(task)
+        if reason is not None:
+            raise ScheduleUnavailableError(reason)
+        _, fluctuation = _scenario_models(task)
+        results = BatchDirectSimulator(
             task.params,
             task.workload,
             overhead_model=task.overhead_model,
-            failures=failures,
             fluctuation=fluctuation,
-        )
-        try:
-            results = simulator.run_batch(_scheduler_factory(task), seeds)
-        except AllWorkersFailedError as exc:
-            raise _scenario_abort(task, exc) from exc
+        ).run_batch(_scheduler_factory(task), seeds)
         return [
             self.stamp_stats(_stamp_scenario(task, result))
             for result in results

@@ -91,6 +91,21 @@ def _bad_input(args: argparse.Namespace, reason: object) -> int:
     return 2
 
 
+def _out_of_range(args: argparse.Namespace) -> str | None:
+    """Why ``--seed`` or ``--cache-verify`` is refused (None = neither).
+
+    Both flags are shared by several commands, so they are checked once,
+    before any command starts work.
+    """
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        return f"--seed must be >= 0, got {seed}"
+    fraction = getattr(args, "cache_verify", 0.0)
+    if not 0.0 <= fraction <= 1.0:
+        return f"--cache-verify must be in [0, 1], got {fraction}"
+    return None
+
+
 def _technique(name: str):
     """The registered technique ``name``; ValueError when there is none."""
     try:
@@ -799,7 +814,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     try:
         records = load_journal(args.journal)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _bad_input(args, exc)
     print(summarize_journal(records, top=args.top))
     return 0
@@ -816,7 +831,7 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     if args.journal is not None:
         try:
             records = load_journal(args.journal)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _bad_input(args, exc)
         trace = chrome_trace_from_journal(records)
         source = args.journal
@@ -950,6 +965,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    reason = _out_of_range(args)
+    if reason is not None:
+        return _bad_input(args, reason)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -192,17 +192,17 @@ class RandomChunk(Scheduler):
 
 @register_stepping("rnd")
 class _RNDSteppingState(SteppingState):
-    """Batched RND state: one shared size sequence, one cursor per row.
+    """Batched RND state: one shared size sequence, one draw per round.
 
     Every replication's scheduler is built with the *same* ``seed``
     kwarg, and RND's size sequence depends only on its own RNG — not on
     worker identity or timing — so every scalar run draws the same
-    sequence.  The state draws it once, with the scalar calls, as the
-    furthest replication needs it, and serves replication ``r`` its
-    own next element, so each replication's sizes equal its scalar
-    run's draw for draw, even when a dead PE's pop leaves it a round
-    behind the others (the state's RNG restarts from the seed per
-    block, exactly as each scalar run's does).
+    sequence.  Every live replication takes one chunk per round, so
+    round ``k`` is each live replication's ``k``-th scheduling
+    operation: the state draws one size per round, with the scalar
+    call, and serves it to every live replication (the state's RNG
+    restarts from the seed per block, exactly as each scalar run's
+    does).
     """
 
     def __init__(self, prototype: RandomChunk, reps: int):
@@ -210,16 +210,10 @@ class _RNDSteppingState(SteppingState):
         self._low = prototype.low
         self._high = prototype.high
         self._rng = np.random.default_rng(prototype._seed)
-        self._sizes: list[int] = []
-        self._served = np.zeros(reps, dtype=np.int64)
 
     def chunk_sizes(self, rows, workers, remaining, outstanding):
-        served = self._served[rows].tolist()
-        sizes = self._sizes
-        while len(sizes) <= max(served):
-            sizes.append(int(self._rng.integers(self._low, self._high + 1)))
-        self._served[rows] += 1
-        return np.array([sizes[i] for i in served], dtype=np.int64)
+        size = int(self._rng.integers(self._low, self._high + 1))
+        return np.full(rows.size, size, dtype=np.int64)
 
 
 @register

@@ -44,18 +44,18 @@ order, so it *equals* ``DirectSimulator.run`` under that seed, field
 for field, on every workload (the scalar simulator remains the
 reference oracle; see ``tests/test_differential.py``).
 
-Perturbation scenarios run on this kernel too: per-chunk speed-fluctuation
-multipliers (triangle waves, step slowdowns, lognormal load noise —
-the models a :class:`repro.scenarios.Scenario` compiles to) apply on
-both paths, and fail-stop fault injection with work loss runs on the
-stepping path (dead PEs are masked out of the argmin pop; lost chunk
-regions requeue through the same LIFO stack semantics as the scalar
-scheduler).  Fail-stop on a *closed-form* technique is the one
-unsupported combination (dynamic requeueing invalidates a precomputed
-schedule) — callers fall back to the scalar simulator there.
-Per-chunk execution logs are recorded only on request
-(``record_chunks=True``) and only on the stepping path; the closed-form
-path refuses the request, as it refuses fail-stop.
+Under a scenario the kernel serves only what it replays: a closed-form
+technique under speed fluctuations (triangle waves, step slowdowns,
+lognormal load noise — the models a :class:`repro.scenarios.Scenario`
+compiles to), on the heap walk, which applies the scalar model per
+chunk.  The lock-step loop and the stepping kernel run clean blocks
+only, so :meth:`BatchDirectSimulator.run_batch` refuses a feedback
+technique under a fluctuation model, and the simulator takes no
+fail-stop model: both run on the scalar simulator, where the
+``direct-batch`` backend sends them through the registry.  Per-chunk
+execution logs are recorded only on request (``record_chunks=True``)
+and only on the stepping path; the closed-form path refuses the
+request.
 """
 
 from __future__ import annotations
@@ -83,12 +83,9 @@ from ..workloads.distributions import Workload
 from ..workloads.generator import make_rng
 from .accounting import OverheadModel
 from .faults import (
-    AllWorkersFailedError,
     CompositeFluctuation,
     CyclicFluctuation,
-    FailStop,
     Fluctuation,
-    LognormalFluctuation,
     StepFluctuation,
 )
 
@@ -125,127 +122,34 @@ def _lockstep_wins(reps: int, p: int) -> bool:
     )
 
 
-class _PerturbationArrays:
-    """Fault/fluctuation models lowered to per-worker arrays.
+def _draws_per_chunk(fluctuation: Fluctuation) -> bool:
+    """Whether ``fluctuation`` may draw from a replication's generator.
 
-    Built once per simulator from the scalar mechanism models in
-    :mod:`repro.directsim.faults`; the kernels index the arrays with the
-    popped worker vector each round.  Only the model types a
-    :class:`repro.scenarios.Scenario` compiles to have an array form —
-    an arbitrary :class:`~repro.directsim.faults.Fluctuation` callable
-    is rejected at construction time with a pointer to the scalar
-    simulator.
-
-    The deterministic models (wave, step) use only exactly-rounded IEEE
-    operations in the same order as their scalar counterparts, so the
-    multipliers — and everything downstream — are bit-identical to
-    :class:`~repro.directsim.simulator.DirectSimulator`.  Lognormal
-    noise has no array form: under it (:attr:`has_noise`) the kernels
-    call the scalar model per replication, with its own generator.
+    Waves and steps never draw, so a replication's chunk times can be
+    drawn ahead in segments.  Any other model (load noise) draws right
+    after each chunk's time, as in ``DirectSimulator``, so its chunk
+    times must be drawn one chunk at a time.
     """
-
-    __slots__ = ("fail_times", "has_noise", "_components")
-
-    def __init__(
-        self,
-        p: int,
-        failures: FailStop | None,
-        fluctuation: Fluctuation | None,
-    ):
-        self.fail_times: np.ndarray | None = None
-        if failures is not None:
-            if not isinstance(failures, FailStop):
-                raise ValueError(
-                    f"cannot vectorize failure model "
-                    f"{type(failures).__name__}; use the scalar direct "
-                    "simulator"
-                )
-            fail = np.full(p, np.inf)
-            for worker, fail_time in failures.fail_times.items():
-                if worker < p:  # like the scalar dict: extra PEs never pop
-                    fail[worker] = float(fail_time)
-            self.fail_times = fail
-        # the scalar noise model returns 1.0 without a draw at sigma 0
-        self.has_noise = False
-        self._components: list[tuple] = []
-        for component in self._flatten(fluctuation):
-            if isinstance(component, LognormalFluctuation):
-                self.has_noise |= component.sigma != 0
-            else:
-                self._components.append(self._lower(p, component))
-
-    @staticmethod
-    def _flatten(fluctuation: Fluctuation | None) -> tuple:
-        if fluctuation is None:
-            return ()
-        if isinstance(fluctuation, CompositeFluctuation):
-            return fluctuation.components
-        return (fluctuation,)
-
-    @staticmethod
-    def _lower(p: int, component) -> tuple:
-        if isinstance(component, CyclicFluctuation):
-            phase = np.zeros(p)
-            mask = np.zeros(p, dtype=bool)
-            for worker, value in component.phases.items():
-                if worker < p:
-                    phase[worker] = float(value)
-                    mask[worker] = True
-            return ("wave", component.period, component.amplitude,
-                    phase, mask)
-        if isinstance(component, StepFluctuation):
-            times = np.full(p, np.inf)
-            factors = np.ones(p)
-            for worker, (step_time, factor) in component.factors.items():
-                if worker < p:
-                    times[worker] = float(step_time)
-                    factors[worker] = float(factor)
-            return ("step", times, factors)
-        raise ValueError(
-            f"cannot vectorize fluctuation model "
-            f"{type(component).__name__}; use the scalar direct simulator"
-        )
-
-    def speed_multipliers(
-        self, w: np.ndarray, t: np.ndarray
-    ) -> np.ndarray | None:
-        """The per-pop speed factors for workers ``w`` popped at ``t``.
-
-        Only for a model without noise.  Factors multiply in component
-        order — the scalar :class:`~repro.directsim.faults.
-        CompositeFluctuation` contract — and a leading implicit 1.0 is
-        dropped (``1.0 * x == x`` bitwise).  Returns ``None`` when no
-        fluctuation component is present.
-        """
-        mult: np.ndarray | None = None
-        for component in self._components:
-            if component[0] == "wave":
-                _, period, amplitude, phase, mask = component
-                x = t / period + phase[w]
-                u = x - np.floor(x)
-                m = np.where(
-                    mask[w],
-                    1.0 + amplitude * (4.0 * np.abs(u - 0.5) - 1.0),
-                    1.0,
-                )
-            else:  # step
-                _, times, factors = component
-                m = np.where(t >= times[w], factors[w], 1.0)
-            mult = m if mult is None else mult * m
-        return mult
+    components = (
+        fluctuation.components
+        if isinstance(fluctuation, CompositeFluctuation) else (fluctuation,)
+    )
+    return not all(
+        isinstance(component, (CyclicFluctuation, StepFluctuation))
+        for component in components
+    )
 
 
 class BatchDirectSimulator:
     """Batch-replication counterpart of :class:`DirectSimulator`.
 
     Takes the same cell description (params, workload, overhead model,
-    speeds, start times, failures, fluctuation) but simulates one
-    replication per seed in each :meth:`run_batch` call.  Fluctuation
-    applies on both paths; fail-stop fault injection runs on the
-    stepping path only (a precomputed closed-form schedule cannot
-    absorb requeued work — use the scalar simulator there).
-    ``record_chunks`` keeps per-chunk execution logs; only the stepping
-    path records them, and a closed-form technique refuses the request.
+    speeds, start times, fluctuation) but no fail-stop model, and
+    simulates one replication per seed in each :meth:`run_batch` call.
+    A fluctuation model applies to closed-form techniques only; a
+    feedback technique refuses it.  ``record_chunks`` keeps per-chunk
+    execution logs; only the stepping path records them, and a
+    closed-form technique refuses the request.
     """
 
     def __init__(
@@ -256,7 +160,6 @@ class BatchDirectSimulator:
         speeds: Sequence[float] | None = None,
         start_times: Sequence[float] | None = None,
         record_chunks: bool = False,
-        failures: FailStop | None = None,
         fluctuation: Fluctuation | None = None,
     ):
         self.params = params
@@ -279,16 +182,7 @@ class BatchDirectSimulator:
             raise ValueError("start times must be non-negative")
         self.start_times = np.asarray(start_times, dtype=np.float64)
         self.record_chunks = record_chunks
-        self.failures = failures
         self.fluctuation = fluctuation
-        # None for a clean system, so the kernels' per-round perturbation
-        # branches reduce to one ``is None`` check (scenario=None is a
-        # no-op on the hot path — BENCH_PR8.json guards this).
-        self._perturb: _PerturbationArrays | None = None
-        if failures is not None or fluctuation is not None:
-            self._perturb = _PerturbationArrays(
-                params.p, failures, fluctuation
-            )
 
     def run_batch(
         self,
@@ -302,10 +196,10 @@ class BatchDirectSimulator:
         the schedule-precomputation path; feedback-loop techniques with
         a registered stepping state take the lock-step round kernel
         (the instance then serves as the never-mutated prototype its
-        batched state is built from).  Replication ``i`` draws only from
-        the generator of ``seeds[i]``, in ``DirectSimulator``'s
-        per-chunk order, so it equals ``DirectSimulator.run(scheduler,
-        seeds[i])``.
+        batched state is built from), on a clean system only.
+        Replication ``i`` draws only from the generator of ``seeds[i]``,
+        in ``DirectSimulator``'s per-chunk order, so it equals
+        ``DirectSimulator.run(scheduler, seeds[i])``.
         """
         rngs = [make_rng(seed) for seed in seeds]
         if not rngs:
@@ -313,15 +207,6 @@ class BatchDirectSimulator:
         if not isinstance(scheduler, Scheduler):
             scheduler = scheduler(self.params)
         if closed_form_supported(scheduler):
-            if self._perturb is not None and (
-                self._perturb.fail_times is not None
-            ):
-                raise ScheduleUnavailableError(
-                    f"{scheduler.label or scheduler.name} has only a "
-                    "precomputed closed-form schedule, which fail-stop "
-                    "requeueing would invalidate; use the scalar "
-                    "simulator for fault scenarios on this technique"
-                )
             if self.record_chunks:
                 raise ScheduleUnavailableError(
                     f"{scheduler.label or scheduler.name} runs on the "
@@ -332,6 +217,13 @@ class BatchDirectSimulator:
             block = max(1, MAX_BLOCK_ELEMENTS // max(1, schedule.num_chunks))
             run = functools.partial(self._run_block, schedule)
         elif stepping_supported(scheduler):
+            if self.fluctuation is not None:
+                raise ScheduleUnavailableError(
+                    f"{scheduler.label or scheduler.name} is a feedback "
+                    "technique, which the stepping kernel runs on a clean "
+                    "system only; use the scalar simulator under a "
+                    "fluctuation model"
+                )
             block = max(
                 1,
                 MAX_BLOCK_ELEMENTS
@@ -359,14 +251,18 @@ class BatchDirectSimulator:
 
         The loop is chosen from the block's shape and scenario, never
         from a setting, and both loops return the same results for the
-        same chunk times: the lock-step loop when the block is wide
+        same chunk times: the lock-step loop when a clean block is wide
         enough for it to win (:func:`_lockstep_wins`), the heap walk
-        otherwise, and always under load noise.
+        otherwise, and always under a fluctuation model.
         """
         t_wall = time.perf_counter()
         reps = len(rngs)
-        perturb = self._perturb
-        if perturb is not None and perturb.has_noise:
+        fluctuation = self.fluctuation
+        if fluctuation is None and _lockstep_wins(reps, self.params.p):
+            rows = self._run_lockstep(
+                schedule.block_times(self.workload, rngs)
+            )
+        elif fluctuation is not None and _draws_per_chunk(fluctuation):
             # Lazy one-chunk draws, so each chunk's noise factor follows
             # its time in the replication's stream, as in DirectSimulator
             sizes = schedule.sizes.tolist()
@@ -378,10 +274,6 @@ class BatchDirectSimulator:
                 ), rng)
                 for rng in rngs
             ]
-        elif _lockstep_wins(reps, self.params.p):
-            rows = self._run_lockstep(
-                schedule.block_times(self.workload, rngs)
-            )
         else:
             rows = [
                 self._walk(schedule.replication_times(self.workload, rng), rng)
@@ -486,23 +378,13 @@ class BatchDirectSimulator:
         if model is OverheadModel.SERIALIZED_MASTER:
             master_free = np.zeros(reps)
 
-        perturb = self._perturb
         for c in range(num_chunks):
             w = np.argmin(ready, axis=1)
             t = ready[rows, w]
             task_time = task_times[:, c]
             # True division (not multiplication by a reciprocal) so the
-            # ready times match the scalar simulator bit-for-bit; the
-            # scalar loop multiplies the fluctuation factor into the
-            # speed before dividing, so the perturbed branch does too.
-            if perturb is None:
-                elapsed = task_time / self.speeds[w]
-            else:
-                mult = perturb.speed_multipliers(w, t)
-                speed = self.speeds[w] if mult is None else (
-                    self.speeds[w] * mult
-                )
-                elapsed = task_time / speed
+            # ready times match the scalar simulator bit-for-bit.
+            elapsed = task_time / self.speeds[w]
             if model is OverheadModel.PER_WORKER:
                 begin = t + h
             elif model is OverheadModel.SERIALIZED_MASTER:
@@ -537,24 +419,12 @@ class BatchDirectSimulator:
         index, like the heap), report that worker's pending chunk
         completion to the scheduler state (deferred reporting), compute
         and clip the chunk sizes, then draw each replication's chunk
-        time (and load-noise factor) from its own generator, as the
-        scalar loop does, and advance the clocks.  Replications whose
-        tasks are exhausted drop out of the round set, exactly as the
-        scalar loop stops popping once the scheduler is done (its final
-        pending completions are never consulted again, so they are not
+        time from its own generator, as the scalar loop does, and
+        advance the clocks.  Replications whose tasks are exhausted
+        drop out of the round set, exactly as the scalar loop stops
+        popping once the scheduler is done (its final pending
+        completions are never consulted again, so they are not
         reported).
-
-        Under a fail-stop model the round additionally mirrors the
-        scalar fault semantics: a popped worker that is already dead
-        reports its pending completion (the chunk finished before the
-        failure) and is masked out of future pops; a worker that dies
-        mid-chunk loses the chunk — its task region is pushed onto a
-        per-replication LIFO requeue stack that overrides the next
-        chunk-size assignments, exactly like the scalar scheduler's
-        ``requeue_chunk``/``next_chunk`` pair.  A replication whose
-        live workers are all dead while tasks remain raises
-        :class:`~repro.directsim.faults.AllWorkersFailedError`, like
-        the scalar loop's empty-heap exit.
         """
         t_wall = time.perf_counter()
         reps = len(rngs)
@@ -582,34 +452,13 @@ class BatchDirectSimulator:
         )
 
         chunk_time = self.workload.chunk_time
-        perturb = self._perturb
-        fail_times = perturb.fail_times if perturb is not None else None
-        lost_chunks = np.zeros(reps, dtype=np.int64)
-        lost_tasks = np.zeros(reps, dtype=np.int64)
-        if fail_times is not None:
-            # Scalar Scheduler._requeued: one LIFO (start, region) stack
-            # per replication, consulted before advancing next_task.
-            requeued: list[list[tuple[int, int]]] = [[] for _ in range(reps)]
-            has_requeue = np.zeros(reps, dtype=bool)
-
         while True:
             rows = np.flatnonzero(remaining > 0)
             if rows.size == 0:
                 break
             w = np.argmin(ready[rows], axis=1)
             t = ready[rows, w]
-            if fail_times is not None and not np.all(np.isfinite(t)):
-                # The argmin found only dead (inf-ready) workers for
-                # some replication: the scalar loop's empty-heap exit.
-                rep = int(rows[np.flatnonzero(~np.isfinite(t))[0]])
-                raise AllWorkersFailedError(
-                    f"{int(remaining[rep])} tasks remain but no live "
-                    f"worker can execute them (replication {rep})"
-                )
 
-            # Deferred completion reporting happens before the dead-PE
-            # check, like the scalar loop: a chunk that finished before
-            # its worker's failure still feeds the adaptive state.
             fin_size = pend_size[rows, w]
             fin = fin_size > 0
             if fin.any():
@@ -620,17 +469,6 @@ class BatchDirectSimulator:
                 )
                 pend_size[fr, fw] = 0
 
-            if fail_times is not None:
-                pre_dead = t >= fail_times[w]
-                if pre_dead.any():
-                    # Dead PEs never request work again: mask them out
-                    # of every future argmin pop.
-                    ready[rows[pre_dead], w[pre_dead]] = np.inf
-                    keep = ~pre_dead
-                    rows, w, t = rows[keep], w[keep], t[keep]
-                    if rows.size == 0:
-                        continue
-
             sizes = state.chunk_sizes(
                 rows, w, remaining[rows], outstanding[rows]
             )
@@ -639,93 +477,29 @@ class BatchDirectSimulator:
             sizes = np.maximum(
                 np.minimum(sizes.astype(np.int64), remaining[rows]), 1
             )
-            if fail_times is None or not has_requeue[rows].any():
-                starts = next_task[rows]
-                next_task[rows] += sizes
-            else:
-                # Scalar next_chunk: when the requeue stack is
-                # non-empty, the clipped size is served from the
-                # stack's top region (split or consumed whole) and
-                # next_task does not advance.
-                starts = next_task[rows].copy()
-                advance = sizes.copy()
-                for k in np.flatnonzero(has_requeue[rows]):
-                    stack = requeued[rows[k]]
-                    rstart, region = stack.pop()
-                    size_k = int(sizes[k])
-                    if size_k < region:
-                        stack.append((rstart + size_k, region - size_k))
-                    else:
-                        sizes[k] = region
-                    starts[k] = rstart
-                    advance[k] = 0
-                    has_requeue[rows[k]] = bool(stack)
-                next_task[rows] += advance
+            starts = next_task[rows]
+            next_task[rows] += sizes
             remaining[rows] -= sizes
             outstanding[rows] += sizes
             num_chunks[rows] += 1
             state.after_assignment(rows, w, sizes)
 
-            # Each live replication draws its chunk time, then (under
-            # load noise) its speed factor, from its own generator.
-            row_rngs = [rngs[r] for r in rows.tolist()]
+            # Each live replication draws its chunk time from its own
+            # generator.
             task_time = np.array([
-                chunk_time(start, size, rng) for start, size, rng
-                in zip(starts.tolist(), sizes.tolist(), row_rngs)
+                chunk_time(start, size, rngs[r]) for start, size, r
+                in zip(starts.tolist(), sizes.tolist(), rows.tolist())
             ])
-            if perturb is None:
-                mult = None
-            elif perturb.has_noise:
-                mult = np.array([
-                    self.fluctuation.multiplier(worker, now, rng)
-                    for worker, now, rng
-                    in zip(w.tolist(), t.tolist(), row_rngs)
-                ])
-            else:
-                mult = perturb.speed_multipliers(w, t)
-            # The scalar loop multiplies the fluctuation factor into the
-            # speed before the (bit-exact) true division.
-            speed = self.speeds[w] if mult is None else self.speeds[w] * mult
-            elapsed = task_time / speed
+            elapsed = task_time / self.speeds[w]
             if model is OverheadModel.PER_WORKER:
                 begin = t + h
             elif model is OverheadModel.SERIALIZED_MASTER:
-                # The scalar loop advances master_free before the
-                # mid-chunk failure check, so a lost chunk still
-                # occupies the master.
                 mf = np.maximum(master_free[rows], t) + h
                 master_free[rows] = mf
                 begin = mf
             else:  # POST_HOC — scheduling is free inside the simulation
                 begin = t
             end = begin + elapsed
-
-            if fail_times is not None:
-                died = fail_times[w] < end
-                if died.any():
-                    # The PE dies mid-chunk: work is lost and the task
-                    # region requeued; the PE never pops again.
-                    dr, dw = rows[died], w[died]
-                    dsizes = sizes[died]
-                    remaining[dr] += dsizes
-                    outstanding[dr] -= dsizes
-                    lost_chunks[dr] += 1
-                    lost_tasks[dr] += dsizes
-                    ready[dr, dw] = np.inf
-                    dstarts = starts[died]
-                    for k in range(dr.size):
-                        requeued[dr[k]].append(
-                            (int(dstarts[k]), int(dsizes[k]))
-                        )
-                        has_requeue[dr[k]] = True
-                    keep = ~died
-                    rows, w, sizes, starts = (
-                        rows[keep], w[keep], sizes[keep], starts[keep]
-                    )
-                    task_time, elapsed = task_time[keep], elapsed[keep]
-                    begin, end = begin[keep], end[keep]
-                    if rows.size == 0:
-                        continue
 
             ready[rows, w] = end
             compute[rows, w] += elapsed
@@ -764,10 +538,7 @@ class BatchDirectSimulator:
                 num_chunks=int(num_chunks[r]),
                 total_task_time=float(total[r]),
                 chunk_log=logs[r] if logs is not None else [],
-                extras={
-                    "lost_chunks": int(lost_chunks[r]),
-                    "lost_tasks": int(lost_tasks[r]),
-                },
+                extras={"lost_chunks": 0, "lost_tasks": 0},
                 stats=RunStats(
                     fast_path=True,
                     events=int(num_chunks[r]),

@@ -129,12 +129,6 @@ class CyclicFluctuation:
     with ``x = time / period + phase`` and ``tri`` a triangle wave in
     ``[-1, 1]``.  ``phases`` maps worker -> phase offset (in cycles);
     workers absent from the mapping are unaffected (multiplier 1.0).
-
-    The wave is built from division, ``floor``, ``abs`` and
-    multiplication only — all exactly-rounded IEEE operations — so
-    scalar and vectorized (NumPy) evaluation agree bit for bit.  That
-    property is what lets the batch kernel stay bit-identical to the
-    scalar simulator under deterministic fluctuation scenarios.
     """
 
     period: float
@@ -166,12 +160,7 @@ class CyclicFluctuation:
 
 @dataclass(frozen=True)
 class CompositeFluctuation:
-    """The product of several fluctuation models, applied in order.
-
-    The multiplication order is part of the contract: the batch kernel
-    reproduces it factor by factor, so deterministic compositions stay
-    bit-identical between the scalar and vectorized simulators.
-    """
+    """The product of several fluctuation models, applied in order."""
 
     components: tuple = ()
 

@@ -206,7 +206,7 @@ class Scenario:
 
     The fluctuation components compose multiplicatively in the fixed
     order wave -> step -> noise; that order is part of the scenario's
-    identity (it is what the batch kernel reproduces bit for bit).
+    identity (another order would round the product differently).
     """
 
     name: str = "custom"

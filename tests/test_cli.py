@@ -321,11 +321,13 @@ class TestTraceAndStats:
         assert "provenance:" in out
         assert "slowest task" in out
 
-    def test_stats_rejects_broken_journal(self, tmp_path):
+    def test_stats_rejects_broken_journal(self, capsys, tmp_path):
         journal = tmp_path / "broken.jsonl"
         journal.write_text("not json\n")
-        with pytest.raises(ValueError, match="broken.jsonl:1"):
-            main(["stats", str(journal)])
+        assert main(["stats", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{journal}:1" in err
 
     def test_simulate_without_trace_unchanged(self, capsys, tmp_path):
         code = main([
@@ -411,7 +413,9 @@ class TestTraceExport:
 
 CELL = ["--technique", "fac2", "--n", "64", "--p", "2"]
 
-#: bad input to each command; paths are relative to an empty directory
+#: bad input to each command; paths are relative to a directory that
+#: holds only ``broken.jsonl``, a malformed journal, and a valid
+#: platform and deployment (``p.xml``, ``d.xml``)
 BAD_INPUT = [
     ["simulate", *CELL, "--runs", "0"],
     ["run", "fig5", "--runs", "0"],
@@ -435,6 +439,18 @@ BAD_INPUT = [
     ["serve", "--workers", "0"],
     ["gantt", *CELL, "--width", "0"],
     ["trace-export", *CELL, "--p", "0", "--out", "t.json"],
+    ["simulate", *CELL, "--seed", "-1"],
+    ["gantt", *CELL, "--seed", "-1"],
+    ["trace-export", *CELL, "--seed", "-1", "--out", "t.json"],
+    ["simulate-files", "p.xml", "d.xml", "--technique", "fac2",
+     "--n", "64", "--seed", "-1"],
+    ["run", "fig5", "--seed", "-1"],
+    ["run", "fig5", "--cache-verify", "2"],
+    ["simulate", *CELL, "--cache-verify", "-0.5"],
+    ["figures", "--cache-verify", "1.5"],
+    ["serve", "--cache-verify", "nan"],
+    ["stats", "broken.jsonl"],
+    ["trace-export", "broken.jsonl", "--out", "t.json"],
 ]
 
 
@@ -443,11 +459,22 @@ def test_bad_input_ends_in_one_line_and_exit_two(
     argv, capsys, monkeypatch, tmp_path
 ):
     import repro.serve
+    from repro.simgrid import (
+        deployment_to_xml,
+        master_worker_deployment,
+        platform_to_xml,
+        star_platform,
+    )
 
     def no_server(*args):
         raise AssertionError("bad input reached the server")
 
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.jsonl").write_text("not json\n")
+    (tmp_path / "p.xml").write_text(platform_to_xml(star_platform(2)))
+    (tmp_path / "d.xml").write_text(
+        deployment_to_xml(master_worker_deployment(2))
+    )
     monkeypatch.setattr(repro.serve, "make_server", no_server)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -2,11 +2,14 @@
 
 * ``direct-batch`` ≡ ``direct`` run for run under the same seeds, for
   every technique (closed-form or stepping), on any workload, clean or
-  under any scenario preset;
+  under any scenario preset (the kernel replays closed-form techniques
+  under fluctuations; the registry sends every other perturbed cell to
+  ``direct``);
 * ``msg-fast`` ≡ ``msg`` run for run, for every closed-form technique
   on any workload;
 * the closed-form kernel's two loops, the heap walk and the lock-step
-  loop, return the same results for the same block;
+  loop, return the same results for the same clean block, and a block
+  under a fluctuation model is walked however wide it is;
 * on every backend, asking a sweep for more runs keeps its first runs.
 
 Every comparison is ``==`` on whole :class:`RunResult` objects, whose
@@ -15,11 +18,14 @@ equality covers every simulated field (the kernel stats are excluded).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique, technique_names
 from repro.core.schedule import (
@@ -28,6 +34,7 @@ from repro.core.schedule import (
     precompute_schedule,
 )
 from repro.directsim import BatchDirectSimulator, DirectSimulator, OverheadModel
+from repro.directsim.batch import _lockstep_wins
 from repro.directsim.faults import AllWorkersFailedError
 from repro.experiments.runner import RunTask, run_replicated
 from repro.scenarios import get_scenario, scenario_names
@@ -97,34 +104,52 @@ def test_direct_batch_equals_direct(cell, scenario, data):
     params = cell["params"]
     workload = data.draw(any_workloads(params.n))
     scenario = None if scenario is None else get_scenario(scenario)
+    fluctuation = None if scenario is None else (
+        scenario.fluctuation_model(params.p)
+    )
     kwargs = dict(
         overhead_model=cell["model"],
         speeds=cell["speeds"],
         start_times=cell["start_times"],
-        failures=None if scenario is None else scenario.failstop_model(
-            params.p
-        ),
-        fluctuation=None if scenario is None else (
-            scenario.fluctuation_model(params.p)
-        ),
+        fluctuation=fluctuation,
     )
     factory = get_technique(cell["technique"])
     seeds = [
         np.random.SeedSequence([cell["seed"], i]) for i in range(cell["reps"])
     ]
     batch = BatchDirectSimulator(params, workload, **kwargs)
-    if kwargs["failures"] is not None and closed_form_supported(factory):
+    if scenario is not None and (
+        scenario.has_faults or not closed_form_supported(factory)
+    ):
+        # Not replayed by the kernel: a feedback technique refuses a
+        # fluctuation model, the simulator takes no fault model and the
+        # backend refuses both, so the registry sends the cell to
+        # direct, run for run.
+        if fluctuation is not None and not closed_form_supported(factory):
+            with pytest.raises(ScheduleUnavailableError):
+                batch.run_batch(factory, seeds)
+        task = RunTask(
+            technique=cell["technique"], params=params, workload=workload,
+            overhead_model=cell["model"], simulator="direct-batch",
+            scenario=scenario,
+        )
         with pytest.raises(ScheduleUnavailableError):
-            batch.run_batch(factory, seeds)
+            get_backend("direct-batch").run_seeds(task, seeds)
+        direct = dataclasses.replace(task, simulator="direct")
+        sweep = dict(runs=cell["reps"], campaign_seed=cell["seed"],
+                     processes=1)
+        try:
+            want = run_replicated(direct, **sweep)
+        except AllWorkersFailedError:  # the scenario killed every PE
+            with pytest.raises(AllWorkersFailedError):
+                run_replicated(task, **sweep)
+            return
+        assert run_replicated(task, **sweep) == want
         return
     direct = DirectSimulator(params, workload, **kwargs)
-    try:
-        want = [direct.run(factory, seed) for seed in seeds]
-    except AllWorkersFailedError:  # a fail-stop scenario killed every PE
-        with pytest.raises(AllWorkersFailedError):
-            batch.run_batch(factory, seeds)
-        return
-    assert batch.run_batch(factory, seeds) == want
+    assert batch.run_batch(factory, seeds) == [
+        direct.run(factory, seed) for seed in seeds
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,21 +189,32 @@ def test_msg_fast_equals_msg(cell, record_chunks, data):
 @pytest.mark.parametrize("scenario", [None, "wave-mild", "slow-quarter"])
 @pytest.mark.parametrize("model", list(OverheadModel))
 def test_heap_walk_and_lockstep_agree(model, scenario, workload):
-    """One block through both closed-form loops (constant times make
-    every pop a tie, so the tie-break is exercised too)."""
-    params = SchedulingParams(n=2000, p=8, h=0.1, mu=1.0, sigma=1.0)
-    simulator = BatchDirectSimulator(
-        params,
-        workload,
+    """One clean block through both closed-form loops (constant times
+    make every pop a tie, so the tie-break is exercised too).  The
+    lock-step loop has no fluctuation model: a block under a scenario,
+    even one wide enough for that loop, is walked and equals direct."""
+    # the scenario rows run the scalar oracle 64 times
+    n = 2000 if scenario is None else 400
+    params = SchedulingParams(n=n, p=8, h=0.1, mu=1.0, sigma=1.0)
+    kwargs = dict(
         overhead_model=model,
         speeds=[1.0, 2.0, 0.5, 1.5, 1.0, 1.0, 2.0, 0.5],
         start_times=[0.0, 2.0, 0.25, 0.0, 0.0, 2.0, 0.0, 0.25],
-        fluctuation=(
-            None if scenario is None
-            else get_scenario(scenario).fluctuation_model(params.p)
-        ),
     )
-    schedule = precompute_schedule(get_technique("ss")(params))
+    ss = get_technique("ss")
+    if scenario is not None:
+        kwargs["fluctuation"] = get_scenario(scenario).fluctuation_model(
+            params.p
+        )
+        seeds = range(3, 3 + 64)
+        assert _lockstep_wins(len(seeds), params.p)
+        direct = DirectSimulator(params, workload, **kwargs)
+        assert BatchDirectSimulator(params, workload, **kwargs).run_batch(
+            ss, seeds
+        ) == [direct.run(ss, seed) for seed in seeds]
+        return
+    simulator = BatchDirectSimulator(params, workload, **kwargs)
+    schedule = precompute_schedule(ss(params))
     times = schedule.block_times(
         workload, [make_rng(3 + i) for i in range(5)]
     )

@@ -3,10 +3,11 @@
 Covers the PR-8 guarantees: the frozen descriptor validates and
 round-trips through JSON, presets match the companion-study setups and
 stay in sync with docs/scenarios.md and the CLI, scenario support is
-capability-checked with honest fallbacks (msg family -> direct,
-direct-batch -> direct only for closed-form + faults), the batch
-kernel is bit-identical to the scalar simulator under deterministic
-and stochastic scenarios alike, all-workers-fail raises
+capability-checked with honest fallbacks (msg family -> direct;
+direct-batch keeps only closed-form techniques under fluctuations and
+sends fail-stop faults and perturbed feedback techniques to direct),
+direct-batch equals the scalar simulator under deterministic and
+stochastic scenarios alike, all-workers-fail raises
 a SimulationError naming the scenario, and perturbations are visible
 end-to-end in extras, journals, stats reports, metrics, and Chrome
 traces.
@@ -17,11 +18,14 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.backends import drain_fallback_events, get_backend, resolve_backend
 from repro.cli import main
 from repro.core.params import SchedulingParams
+from repro.core.registry import technique_names
+from repro.core.schedule import ScheduleUnavailableError, closed_form_supported
 from repro.directsim.faults import AllWorkersFailedError, SimulationError
 from repro.experiments.runner import RunTask, run_replicated
 from repro.scenarios import (
@@ -186,11 +190,11 @@ class TestPresets:
 
 # -- capability checking and fallbacks ------------------------------------
 class TestCapabilities:
-    def test_direct_family_declares_both_axes(self):
-        for name in ("direct", "direct-batch"):
-            caps = get_backend(name).capabilities
-            assert caps.fluctuation_scenarios
-            assert caps.fault_scenarios
+    def test_only_direct_declares_fault_scenarios(self):
+        caps = get_backend("direct").capabilities
+        assert caps.fluctuation_scenarios and caps.fault_scenarios
+        caps = get_backend("direct-batch").capabilities
+        assert caps.fluctuation_scenarios and not caps.fault_scenarios
         for name in ("msg", "msg-fast"):
             caps = get_backend(name).capabilities
             assert not caps.fluctuation_scenarios
@@ -208,21 +212,39 @@ class TestCapabilities:
         assert events[0].chosen == "direct"
         assert "slow-quarter" in events[0].reason
 
-    def test_batch_rejects_only_closed_form_plus_faults(self):
-        faults = get_scenario("failstop-quarter")
-        wave = get_scenario("wave-mild")
-        batch = get_backend("direct-batch")
-        # closed-form + faults: requeues invalidate the schedule
-        assert batch.unsupported_reason(
-            make_task("gss", simulator="direct-batch", scenario=faults)
-        ) is not None
-        # stepping + faults, closed-form + fluctuations: served in-kernel
-        assert batch.unsupported_reason(
-            make_task("awf-c", simulator="direct-batch", scenario=faults)
-        ) is None
-        assert batch.unsupported_reason(
-            make_task("gss", simulator="direct-batch", scenario=wave)
-        ) is None
+    def test_batch_serves_only_closed_form_fluctuation_cells(self):
+        """direct-batch keeps a task when it has no scenario, or when a
+        closed-form technique meets a scenario without fail-stop; every
+        other task goes to direct with one event, and the runs equal
+        direct's either way."""
+        for scenario in (None, *map(get_scenario, scenario_names())):
+            for technique in technique_names():
+                task = make_task(technique, simulator="direct-batch",
+                                 n=256, workload=ExponentialWorkload(1.0),
+                                 scenario=scenario)
+                stays = scenario is None or (
+                    closed_form_supported(technique)
+                    and not scenario.has_faults
+                )
+                drain_fallback_events()
+                backend = resolve_backend(task)
+                events = drain_fallback_events()
+                assert backend.name == (
+                    "direct-batch" if stays else "direct"
+                ), (technique, scenario)
+                assert len(events) == (0 if stays else 1)
+                if not stays:
+                    assert scenario.name in events[0].reason
+                    with pytest.raises(ScheduleUnavailableError):
+                        get_backend("direct-batch").run(
+                            task, np.random.SeedSequence(1)
+                        )
+                direct = dataclasses.replace(task, simulator="direct")
+                assert run_replicated(
+                    task, 2, campaign_seed=7, processes=1
+                ) == run_replicated(
+                    direct, 2, campaign_seed=7, processes=1
+                ), (technique, scenario)
 
     def test_fluctuation_scenarios_never_fall_back_on_batch(self):
         task = make_task("gss", simulator="direct-batch",
@@ -250,14 +272,18 @@ class TestExecution:
 
     def test_batch_ks_equal_to_scalar_stochastic(self):
         """Load noise on exponential times: each run draws its chunk
-        times and noise factors from its own seed, as direct does."""
+        times and noise factors from its own seed, as direct does (the
+        closed-form kernel's lazy one-chunk walk)."""
         scenario = get_scenario("noise-mild")
-        scalar = make_task("awf-c", simulator="direct",
+        scalar = make_task("gss", simulator="direct",
                            workload=ExponentialWorkload(1.0),
                            scenario=scenario)
         batch = dataclasses.replace(scalar, simulator="direct-batch")
+        drain_fallback_events()
         a = run_replicated(scalar, 40, campaign_seed=9, processes=1)
         b = run_replicated(batch, 40, campaign_seed=9, processes=1)
+        assert drain_fallback_events() == []
+        assert {r.stats.backend for r in b} == {"direct-batch"}
         assert a == b
 
     def test_perturbed_differs_from_clean(self):

@@ -188,9 +188,9 @@ def test_fallbacks_belong_to_the_queried_cells(tmp_path):
         )
         repeat = advisor.advise(advisor.parse(clean))
     assert first.fallbacks == []
-    # ss and gss leave direct-batch under faults; awf-c stays
+    # every technique leaves direct-batch under fail-stop faults
     assert sorted(e["task"] for e in perturbed.fallbacks) == [
-        "gss(n=1024, p=4)", "ss(n=1024, p=4)"]
+        "awf-c(n=1024, p=4)", "gss(n=1024, p=4)", "ss(n=1024, p=4)"]
     assert repeat.cache_hits == 3
     assert repeat.fallbacks == []
 

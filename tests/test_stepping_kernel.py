@@ -206,25 +206,6 @@ class TestDistributionalEquality:
                 e.record.size for e in w.chunk_log
             ]
 
-    def test_rnd_keeps_its_draws_when_a_dead_pe_skips_a_round(self):
-        """A PE that starts after its fail-stop time pops dead, at a
-        round that differs between stochastic replications; each one
-        still gets its scalar run's sizes."""
-        from repro.scenarios import get_scenario
-
-        pr = params(n=128, p=8)  # chunks of 1-8 tasks: some end by t=2
-        failures = get_scenario("failstop-quarter").failstop_model(8)
-        starts = [0.0, 0.25, 2.0, 0.0, 0.0, 0.25, 2.0, 2.0]
-        workload = ExponentialWorkload(1.0)
-        seeds = [4000 + i for i in range(6)]
-        kwargs = dict(failures=failures, start_times=starts)
-        scalar = DirectSimulator(pr, workload, **kwargs)
-        want = [scalar.run(get_technique("rnd"), seed=s) for s in seeds]
-        got = BatchDirectSimulator(pr, workload, **kwargs).run_batch(
-            get_technique("rnd"), seeds
-        )
-        assert got == want
-
 
 class TestRunnerIntegration:
     def make_task(self, technique="awf-c", simulator="direct-batch",
