@@ -21,15 +21,15 @@ Adding a new backend is a registration, not a runner rewrite::
         capabilities = BackendCapabilities(...)
         fallback = "msg"
 
-        def run(self, task, seed):
-            ...
+        def _simulate(self, task, seeds):
+            ...  # one RunResult per seed
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # avoid a runtime cycle: the runner imports this package
     from ..experiments.runner import RunTask
     from ..results import RunResult
 
-#: replications per pooled replication block.  Every replication keeps
-#: its own seed, so the block size sets only the granularity of pool
-#: dispatch (and of schedule precomputation), never a result.
+#: replications per pooled block of the fast paths.  Every replication
+#: keeps its own seed, so the block size sets only the granularity of
+#: pool dispatch (and of schedule precomputation), never a result.
 BATCH_BLOCK_RUNS = 64
 
 
@@ -119,20 +119,26 @@ class FallbackEvent:
 
 
 class BackendResolutionError(ValueError):
-    """No backend in the fallback chain can serve the task."""
+    """No backend can serve the task.
+
+    Raised when resolution exhausts the fallback chain, and when a
+    backend is handed a task it rejects (:meth:`SimulationBackend.
+    run_seeds` called directly, bypassing resolution).
+    """
 
 
 @dataclass(frozen=True)
 class ReplicationBlock:
-    """A picklable block of replications of one cell, run by one backend.
+    """A picklable block of runs of one task, run by one backend.
 
-    Blocks distribute over the process pool like individual ``RunTask``
-    objects, but each block amortises the chunk-schedule precomputation
-    (and, for the batch kernel, steps its replications together).
-    ``seed_entropies`` holds one entropy tuple per replication, the
-    tuples :func:`repro.workloads.replication_entropies` gives per-run
-    tasks (``expand_replications``), so the block partitioning cannot
-    affect results.
+    The one thing the campaign executor runs: a campaign task is a block
+    of one seed, and a replication sweep is cut into blocks of the
+    backend's :attr:`~SimulationBackend.block_runs` (a fast path
+    amortises one chunk-schedule precomputation over a block; the batch
+    kernel also steps its replications together).  ``seed_entropies``
+    holds one entropy tuple per run, the tuples
+    :func:`repro.workloads.replication_entropies` gives a sweep, so the
+    partitioning cannot affect results.
     """
 
     backend: str
@@ -146,16 +152,18 @@ class ReplicationBlock:
     def execute(self) -> list["RunResult"]:
         from .registry import get_backend
 
-        return get_backend(self.backend).run_block(self)
+        return get_backend(self.backend).run_seeds(self.task, [
+            np.random.SeedSequence(entropy=list(entropy))
+            for entropy in self.seed_entropies
+        ])
 
 
 class SimulationBackend(ABC):
     """One execution substrate for :class:`RunTask` objects.
 
     Subclasses declare their identity and capabilities as class
-    attributes and implement :meth:`run`; backends supporting pooled
-    block execution additionally implement :meth:`replication_blocks`
-    and :meth:`run_block`.
+    attributes and implement :meth:`_simulate`; :meth:`run_seeds`, the
+    one way a backend runs a task, guards and stamps it.
     """
 
     #: registry name; the value of ``RunTask.simulator`` / CLI ``--simulator``
@@ -172,12 +180,10 @@ class SimulationBackend(ABC):
     #: tasks derive the same seeds on both (msg-fast uses "msg",
     #: direct-batch "direct").
     entropy_namespace: ClassVar[str] = ""
-    #: version of this backend's *results*.  Folded into result-cache
-    #: keys (``repro.cache``) through the entropy-namespace backend:
-    #: bump it when an intentional simulator change alters simulated
-    #: observables, so every cached result of the namespace misses
-    #: cleanly.
-    result_version: ClassVar[int] = 1
+    #: runs per replication block: 1 keeps one pool item per run; the
+    #: fast paths amortise a schedule precomputation over
+    #: :data:`BATCH_BLOCK_RUNS`
+    block_runs: ClassVar[int] = 1
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -234,46 +240,57 @@ class SimulationBackend(ABC):
             f"{task.technique}(n={task.params.n}, p={task.params.p})"
         )
 
-    def stamp_stats(self, result: "RunResult") -> "RunResult":
-        """Record this backend as the producer on the result's stats.
-
-        The simulators fill the kernel-level fields of
-        :class:`~repro.obs.stats.RunStats` but do not know which
-        registry entry drove them; the backend adds its name here —
-        after any capability fallback, so the stamp names the substrate
-        that actually ran.  A minimal stats block is created when the
-        simulator attached none.
-        """
-        from ..obs.stats import RunStats
-
-        if result.stats is None:
-            result.stats = RunStats(backend=self.name)
-        else:
-            result.stats.backend = self.name
-        return result
-
     # -- execution --------------------------------------------------------
-    @abstractmethod
-    def run(self, task: "RunTask", seed: np.random.SeedSequence) -> "RunResult":
-        """Execute one run of ``task`` under ``seed``."""
-
     def replication_blocks(
-        self, task: "RunTask", runs: int, campaign_seed: int | None
-    ) -> list[ReplicationBlock] | None:
-        """Split ``runs`` replications into pooled blocks, or None.
+        self, task: "RunTask", entropies: Sequence[tuple[int, ...]]
+    ) -> list[ReplicationBlock]:
+        """The runs of ``task``, one per entropy, in blocks of
+        :attr:`block_runs`."""
+        entropies = tuple(entropies)
+        return [
+            ReplicationBlock(
+                backend=self.name,
+                task=task,
+                seed_entropies=entropies[i:i + self.block_runs],
+            )
+            for i in range(0, len(entropies), self.block_runs)
+        ]
 
-        Returning None sends the replications down the per-run path
-        (``expand_replications`` + per-task execution).  Only called
-        after the task has resolved to this backend, so implementations
-        may assume :meth:`unsupported_reason` returned None.
+    def run_seeds(
+        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
+    ) -> list["RunResult"]:
+        """One run of ``task`` per seed, on this backend.
+
+        Refuses a task :meth:`unsupported_reason` rejects, so a caller
+        that bypasses resolution never gets a run without the task's
+        faults, fluctuations, platform or chunk log.  The results name
+        this backend on their stats and, under a scenario, carry its
+        name and declared perturbation instants as extras.
         """
-        return None
+        reason = self.unsupported_reason(task)
+        if reason is not None:
+            raise BackendResolutionError(
+                f"the {self.name!r} backend cannot serve "
+                f"{self.task_key(task)}: {reason}"
+            )
+        extras = {}
+        if task.scenario is not None:
+            extras["scenario"] = task.scenario.name
+            extras["perturbations"] = tuple(
+                (event.label, event.time, event.worker)
+                for event in task.scenario.events(task.params.p)
+            )
+        results = self._simulate(task, seeds)
+        for result in results:
+            result.stats.backend = self.name
+            result.extras.update(extras)
+        return results
 
-    def run_block(self, block: ReplicationBlock) -> list["RunResult"]:
-        """Execute one replication block produced by this backend."""
-        raise NotImplementedError(
-            f"backend {self.name!r} does not execute replication blocks"
-        )
+    @abstractmethod
+    def _simulate(
+        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
+    ) -> list["RunResult"]:
+        """One run of ``task`` per seed; :meth:`run_seeds` guards it."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

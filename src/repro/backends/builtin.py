@@ -18,29 +18,24 @@ Each backend wraps one execution substrate behind the uniform
   fluctuations.  It degrades to ``direct`` for fail-stop faults, for a
   feedback technique under any scenario and for per-chunk logs.
 
-Each fast path runs a replication sweep as pooled blocks in which every
-replication keeps the seed its oracle would give it, and shares its
-oracle's entropy namespace, so a (task, runs, campaign seed) triple
-names the same runs on every backend (enforced by
+Each backend implements ``_simulate`` only; the inherited ``run_seeds``
+refuses what the backend cannot serve and stamps the results.  Each fast
+path runs a replication sweep in blocks of ``BATCH_BLOCK_RUNS`` runs in
+which every replication keeps the seed its oracle would give it, and
+shares its oracle's entropy namespace, so a (task, runs, campaign seed)
+triple names the same runs on every backend (enforced by
 ``tests/test_differential.py``).
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from ..core.params import SchedulingParams
 from ..core.registry import get_technique
-from ..workloads.generator import replication_entropies
-from .base import (
-    BATCH_BLOCK_RUNS,
-    BackendCapabilities,
-    ReplicationBlock,
-    SimulationBackend,
-)
+from .base import BATCH_BLOCK_RUNS, BackendCapabilities, SimulationBackend
 from .registry import register_backend
 
 if TYPE_CHECKING:
@@ -68,58 +63,6 @@ def _scenario_models(task: "RunTask"):
     )
 
 
-def _stamp_scenario(task: "RunTask", result: "RunResult") -> "RunResult":
-    """Stamp scenario identity + declared perturbation instants.
-
-    Both direct backends stamp the identical extras (the tuples below
-    are pure functions of the scenario and ``p``), so extras equality —
-    and with it whole-result bit-identity — holds across backends.
-    """
-    if task.scenario is None:
-        return result
-    result.extras["scenario"] = task.scenario.name
-    result.extras["perturbations"] = tuple(
-        (event.label, event.time, event.worker)
-        for event in task.scenario.events(task.params.p)
-    )
-    return result
-
-
-class _BlockBackend(SimulationBackend):
-    """A fast path that runs replication sweeps as pooled blocks.
-
-    Every run keeps the seed ``expand_replications`` would give it
-    (:func:`~repro.workloads.replication_entropies`), so the block
-    partitioning cannot affect results.
-    """
-
-    def replication_blocks(
-        self, task: "RunTask", runs: int, campaign_seed: int | None
-    ) -> list[ReplicationBlock]:
-        """Consecutive blocks that share one schedule precomputation."""
-        entropies = tuple(replication_entropies(campaign_seed, runs))
-        return [
-            ReplicationBlock(
-                backend=self.name,
-                task=task,
-                seed_entropies=entropies[i:i + BATCH_BLOCK_RUNS],
-            )
-            for i in range(0, runs, BATCH_BLOCK_RUNS)
-        ]
-
-    def run_block(self, block: ReplicationBlock) -> list["RunResult"]:
-        return self.run_seeds(block.task, [
-            np.random.SeedSequence(entropy=list(entropy))
-            for entropy in block.seed_entropies
-        ])
-
-    @abstractmethod
-    def run_seeds(
-        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
-    ) -> list["RunResult"]:
-        """One run of ``task`` per seed, each equal to :meth:`run`'s."""
-
-
 class _MsgBackendBase(SimulationBackend):
     """Shared construction of the master-worker simulation."""
 
@@ -136,12 +79,12 @@ class _MsgBackendBase(SimulationBackend):
             task.params, task.workload, platform=task.platform, config=config
         )
 
-    def run(
-        self, task: "RunTask", seed: np.random.SeedSequence
-    ) -> "RunResult":
-        return self.stamp_stats(
-            self._simulation(task).run(_scheduler_factory(task), seed)
-        )
+    def _simulate(
+        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
+    ) -> list["RunResult"]:
+        sim = self._simulation(task)
+        factory = _scheduler_factory(task)
+        return [sim.run(factory, seed) for seed in seeds]
 
 
 @register_backend
@@ -169,7 +112,7 @@ class MsgBackend(_MsgBackendBase):
 
 
 @register_backend
-class MsgFastBackend(_MsgBackendBase, _BlockBackend):
+class MsgFastBackend(_MsgBackendBase):
     """The compiled MSG fast path (bit-identical to ``msg``)."""
 
     name = "msg-fast"
@@ -183,6 +126,7 @@ class MsgFastBackend(_MsgBackendBase, _BlockBackend):
     #: bit-identical to msg, so un-seeded tasks derive the same seeds on
     #: both — the equality is visible even for single un-seeded tasks
     entropy_namespace = "msg"
+    block_runs = BATCH_BLOCK_RUNS
 
     @property
     def simulation_cls(self):
@@ -190,14 +134,12 @@ class MsgFastBackend(_MsgBackendBase, _BlockBackend):
 
         return FastMasterWorkerSimulation
 
-    def run_seeds(
+    def _simulate(
         self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
     ) -> list["RunResult"]:
-        sim = self._simulation(task)
-        return [
-            self.stamp_stats(result)
-            for result in sim.run_many(_scheduler_factory(task), seeds)
-        ]
+        return self._simulation(task).run_many(
+            _scheduler_factory(task), seeds
+        )
 
 
 @register_backend
@@ -215,9 +157,9 @@ class DirectBackend(SimulationBackend):
     )
     fallback = None
 
-    def run(
-        self, task: "RunTask", seed: np.random.SeedSequence
-    ) -> "RunResult":
+    def _simulate(
+        self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
+    ) -> list["RunResult"]:
         from ..directsim import DirectSimulator
         from ..directsim.faults import AllWorkersFailedError
 
@@ -230,18 +172,18 @@ class DirectBackend(SimulationBackend):
             failures=failures,
             fluctuation=fluctuation,
         )
+        factory = _scheduler_factory(task)
         try:
-            result = sim.run(_scheduler_factory(task), seed)
+            return [sim.run(factory, seed) for seed in seeds]
         except AllWorkersFailedError as exc:
             raise AllWorkersFailedError(
                 f"scenario {task.scenario.name!r} killed every PE of "
                 f"{self.task_key(task)} before completion: {exc}"
             ) from exc
-        return self.stamp_stats(_stamp_scenario(task, result))
 
 
 @register_backend
-class DirectBatchBackend(_BlockBackend):
+class DirectBatchBackend(SimulationBackend):
     """The batch-replication kernel (bit-identical to ``direct``)."""
 
     name = "direct-batch"
@@ -257,6 +199,7 @@ class DirectBatchBackend(_BlockBackend):
     #: bit-identical to direct run for run, so both derive the same
     #: seeds and share result-cache entries
     entropy_namespace = "direct"
+    block_runs = BATCH_BLOCK_RUNS
 
     def unsupported_reason(self, task: "RunTask") -> str | None:
         reason = super().unsupported_reason(task)
@@ -272,30 +215,16 @@ class DirectBatchBackend(_BlockBackend):
                 )
         return reason
 
-    def run_seeds(
+    def _simulate(
         self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
     ) -> list["RunResult"]:
-        from ..core.schedule import ScheduleUnavailableError
         from ..directsim.batch import BatchDirectSimulator
 
-        # A caller that bypasses resolve_backend must not get a run
-        # without the task's faults (the kernel takes no fault model).
-        reason = self.unsupported_reason(task)
-        if reason is not None:
-            raise ScheduleUnavailableError(reason)
+        # run_seeds refused fail-stop tasks: the kernel takes no fault model
         _, fluctuation = _scenario_models(task)
-        results = BatchDirectSimulator(
+        return BatchDirectSimulator(
             task.params,
             task.workload,
             overhead_model=task.overhead_model,
             fluctuation=fluctuation,
         ).run_batch(_scheduler_factory(task), seeds)
-        return [
-            self.stamp_stats(_stamp_scenario(task, result))
-            for result in results
-        ]
-
-    def run(
-        self, task: "RunTask", seed: np.random.SeedSequence
-    ) -> "RunResult":
-        return self.run_seeds(task, [seed])[0]

@@ -25,11 +25,10 @@ The cache key is a SHA-256 over
 * ``collect_chunk_log`` — a traced run carries a populated
   ``chunk_log``, so it is a different *result* even though it is seeded
   identically;
-* the namespace backend's result version
-  (:attr:`~repro.backends.SimulationBackend.result_version`) — bumping
-  it after an intentional simulator change invalidates every cached
-  result of the namespace;
-* the cache schema version, so stale formats miss cleanly; and,
+* the constant ``results-v1``, the slot of a retired per-backend result
+  version, kept so no key moved;
+* the cache schema version, so stale formats miss cleanly (bumping
+  :data:`SCHEMA_VERSION` invalidates every entry); and,
 * for replication sweeps, the replication count and campaign seed
   (sweep results do not depend on the base task's ``seed_entropy``,
   which the expansion overrides, so sweep keys exclude it).
@@ -214,24 +213,6 @@ def default_cache_dir() -> str | None:
     return value or None
 
 
-def _namespace_result_version(task: "RunTask") -> int:
-    """The result version of the task's entropy-namespace backend.
-
-    Backends that are bit-identical to another (msg-fast to msg,
-    direct-batch to direct) share its namespace *and* its result
-    version, so a simulator change that bumps the version invalidates
-    both sides of the equivalence.
-    """
-    from .backends import get_backend
-
-    backend = get_backend(task.simulator)
-    try:
-        namespace = get_backend(backend.entropy_namespace)
-    except KeyError:  # namespace is not itself a registered backend
-        namespace = backend
-    return namespace.result_version
-
-
 class ResultCache:
     """A content-addressed on-disk store of :class:`RunResult` lists.
 
@@ -267,7 +248,7 @@ class ResultCache:
             kind,
             ",".join(str(v) for v in task.derived_entropy()),
             f"chunk_log={int(bool(task.collect_chunk_log))}",
-            f"results-v{_namespace_result_version(task)}",
+            "results-v1",
         ]
 
     def task_key(self, task: "RunTask") -> str:

@@ -300,10 +300,7 @@ class BatchDirectSimulator:
                 stats=RunStats(
                     fast_path=True,
                     events=num_chunks,
-                    heap_peak=p,
-                    live_peak=p,
                     wall_time=wall_share,
-                    extra={"block_reps": reps},
                 ),
             )
             for makespan, compute, counts, total in rows
@@ -542,10 +539,7 @@ class BatchDirectSimulator:
                 stats=RunStats(
                     fast_path=True,
                     events=int(num_chunks[r]),
-                    heap_peak=p,
-                    live_peak=p,
                     wall_time=wall_share,
-                    extra={"block_reps": reps},
                 ),
             )
             for r in range(reps)

@@ -211,12 +211,10 @@ class DirectSimulator:
                 "lost_tasks": lost_tasks,
             },
             # ``events`` counts worker ready-heap pops (one per chunk
-            # assignment attempt); the ready heap never exceeds p.
+            # assignment attempt).
             stats=RunStats(
                 fast_path=False,
                 events=events,
-                heap_peak=p,
-                live_peak=p,
                 wall_time=time.perf_counter() - t_wall,
             ),
         )

@@ -23,25 +23,24 @@ own seed, a replication sweep is ``runs`` spawned replications, and both
 go through the same lookup, resolution, execution, store, metrics and
 journal steps.
 
-Two throughput layers compose here:
-
-* **Process-level parallelism** — tasks fan out over a persistent worker
-  pool (created once, reused across calls) via ``imap_unordered`` with a
-  tuned chunksize.  The pool size defaults to ``os.cpu_count()`` and can
-  be overridden with the ``REPRO_WORKERS`` environment variable or the
-  ``processes`` argument (CLI: ``REPRO_WORKERS=N repro-dls figures``).
-* **Block-level batching** — backends that implement
-  ``replication_blocks`` (``direct-batch``, ``msg-fast``) split whole
-  replication sweeps into :class:`~repro.backends.ReplicationBlock`
-  objects that amortise the chunk-schedule precomputation (and, for the
-  batch kernel, step the replications together) instead of paying one
-  Python event loop per replication.
+A sweep is resolved once, in the parent process, and cut into
+:class:`~repro.backends.ReplicationBlock` objects, the one thing the
+executor runs: a campaign task is a block of one seed, and a replication
+sweep is cut into blocks of the resolved backend's ``block_runs`` (one
+run on ``msg`` and ``direct``; 64 on the fast paths, which amortise the
+chunk-schedule precomputation over a block and, on the batch kernel,
+step its replications together).  Each block runs through its backend's
+``run_seeds``.  Blocks fan out over a persistent worker pool (created
+once, reused across calls) via ``imap_unordered`` with a tuned
+chunksize.  The pool size defaults to ``os.cpu_count()`` and can be
+overridden with the ``REPRO_WORKERS`` environment variable or the
+``processes`` argument (CLI: ``REPRO_WORKERS=N repro-dls figures``).
 
 Replication seeds come from one function,
-:func:`repro.workloads.replication_entropies`: per-run tasks and the
-runs of every block take replication ``i``'s seed from it, so a (task,
-runs, campaign seed) triple names one set of replications on every
-backend, and a sweep of more runs keeps the earlier ones.
+:func:`repro.workloads.replication_entropies`: the runs of every block
+take replication ``i``'s seed from it, so a (task, runs, campaign seed)
+triple names one set of replications on every backend, and a sweep of
+more runs keeps the earlier ones.
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ import multiprocessing
 import os
 import signal
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
 
 from ..backends import (
     BATCH_BLOCK_RUNS,
@@ -85,7 +82,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BATCH_BLOCK_RUNS",
     "RunTask",
-    "expand_replications",
     "resolve_workers",
     "run_campaign",
     "run_replicated",
@@ -109,7 +105,7 @@ class RunTask:
     task twice always reproduces the same result — there is no silent
     fallback to OS entropy.  Distinct replications of one cell must
     therefore carry distinct explicit entropy (see
-    :func:`expand_replications`).
+    :func:`run_replicated`).
     """
 
     technique: str
@@ -178,11 +174,6 @@ class RunTask:
             int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)
         )
 
-    def seed_sequence(self) -> np.random.SeedSequence:
-        """The run's seed (explicit entropy, else derived from fields)."""
-        entropy = self.seed_entropy or self.derived_entropy()
-        return np.random.SeedSequence(entropy=list(entropy))
-
     def execute(self) -> RunResult:
         """Run this task on its resolved backend and return the result.
 
@@ -193,12 +184,6 @@ class RunTask:
         same journal records and metrics as any other.
         """
         return run_campaign([self], processes=1)[0]
-
-
-def _uncached_execute(task: RunTask) -> RunResult:
-    """Resolve and run ``task``, bypassing any active result cache."""
-    backend = resolve_backend(task)
-    return backend.run(task, task.seed_sequence())
 
 
 def _replay_entry_fallbacks(entry) -> None:
@@ -222,21 +207,11 @@ def _replay_entry_fallbacks(entry) -> None:
             continue
 
 
-def _run_item(item):
-    """Run one execution item directly on its backend.
-
-    Items are per-run tasks or replication blocks; neither goes back
-    through the cache or the journal, so a pool worker never writes to
-    the parent's journal.
-    """
-    if isinstance(item, RunTask):
-        return _uncached_execute(item)
-    return item.execute()
-
-
-def _execute_indexed(indexed: tuple[int, RunTask | ReplicationBlock]):
-    index, item = indexed
-    return index, _run_item(item)
+def _execute_indexed(indexed: tuple[int, ReplicationBlock]):
+    # A block runs straight on its backend, never through the cache or
+    # the journal, so a pool worker never writes to the parent's journal.
+    index, block = indexed
+    return index, block.execute()
 
 
 def resolve_workers(processes: int | None = None) -> int:
@@ -279,7 +254,7 @@ _IN_POOL_WORKER: bool = False
 
 
 def _pool_worker_init() -> None:
-    """Per-worker initialisation: drop any inherited active cache.
+    """Per-worker initialisation: drop the inherited cache and handlers.
 
     Cache traffic is a parent-process concern (lookups partition the
     work before pooling; stores happen after results return), so a
@@ -301,6 +276,10 @@ def _pool_worker_init() -> None:
     # with their own KeyboardInterrupt tracebacks (the long-running
     # serve process makes this the *normal* shutdown path)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # Pool.terminate() ends workers with SIGTERM; a handler inherited
+    # from the forking process (one that raises SystemExit, say) could
+    # keep a worker alive and hang shutdown_pool's join
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def in_pool_worker() -> bool:
@@ -365,47 +344,33 @@ atexit.register(shutdown_pool)
 
 def _advance_progress(
     tracker: obs_progress.ProgressTracker | None,
-    result: "RunResult | list[RunResult]",
+    results: list[RunResult],
 ) -> None:
-    """Count one completed task (or block of replications) as progress."""
-    if tracker is None:
-        return
-    group = result if isinstance(result, list) else [result]
-    events = sum(r.stats.events for r in group if r.stats is not None)
-    tracker.advance(len(group), events)
+    """Count one completed block of runs as progress."""
+    if tracker is not None:
+        tracker.advance(len(results), sum(r.stats.events for r in results))
 
 
-def _run_pooled(items: Sequence[RunTask | ReplicationBlock],
+def _run_pooled(blocks: Sequence[ReplicationBlock],
                 processes: int,
                 tracker: obs_progress.ProgressTracker | None = None) -> list:
-    """Execute items (in order) over the persistent pool."""
+    """Execute blocks (in order) over the persistent pool."""
     global _POOL_ACTIVE
     with _POOL_LOCK:
         pool = _get_pool(processes)
         _POOL_ACTIVE += 1
     try:
-        chunksize = max(1, len(items) // (processes * 4))
-        out: list = [None] * len(items)
-        for index, result in pool.imap_unordered(
-            _execute_indexed, list(enumerate(items)), chunksize=chunksize
+        chunksize = max(1, len(blocks) // (processes * 4))
+        out: list = [None] * len(blocks)
+        for index, results in pool.imap_unordered(
+            _execute_indexed, list(enumerate(blocks)), chunksize=chunksize
         ):
-            out[index] = result
-            _advance_progress(tracker, result)
+            out[index] = results
+            _advance_progress(tracker, results)
         return out
     finally:
         with _POOL_LOCK:
             _POOL_ACTIVE -= 1
-
-
-def expand_replications(task: RunTask, runs: int,
-                        campaign_seed: int | None) -> list[RunTask]:
-    """Clone ``task`` into ``runs`` tasks with independent spawned seeds."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    return [
-        replace(task, seed_entropy=entropy)
-        for entropy in replication_entropies(campaign_seed, runs)
-    ]
 
 
 # -- run journal ----------------------------------------------------------
@@ -416,8 +381,7 @@ def _journal_task_record(
 ) -> dict:
     """One JSONL ``task`` record: the task's identity plus aggregated
     :class:`~repro.obs.stats.RunStats` over all its replications."""
-    stats = [r.stats for r in results if r.stats is not None]
-    backend = next((s.backend for s in stats if s.backend), task.simulator)
+    stats = [r.stats for r in results]
     record = {
         "kind": "task",
         "technique": task.technique,
@@ -425,7 +389,7 @@ def _journal_task_record(
         "p": task.params.p,
         "h": task.params.h,
         "requested": task.simulator,
-        "backend": backend,
+        "backend": stats[0].backend,
         "runs": len(results),
         "wall_time_s": sum(s.wall_time for s in stats),
         "events": sum(s.events for s in stats),
@@ -483,22 +447,20 @@ class _Sweep:
             describe["campaign_seed"] = self.campaign_seed
         return describe
 
-    def items(self) -> list[RunTask | ReplicationBlock]:
-        """Resolve the backend, then split the sweep into execution items.
+    def items(self) -> list[ReplicationBlock]:
+        """Resolve the backend once, then cut the sweep into its blocks.
 
-        Resolution records the sweep's fallback events.  The items are
-        the task itself, the backend's pooled replication blocks, or one
-        expanded task per replication.
+        Resolution records the sweep's fallback events.  A campaign task
+        is one block holding its own seed (explicit, else derived from
+        its fields); a replication sweep runs the spawned replications
+        in blocks of the backend's ``block_runs``.
         """
         backend = resolve_backend(self.task)
         if self.single:
-            return [self.task]
-        blocks = backend.replication_blocks(
-            self.task, self.runs, self.campaign_seed
-        )
-        if blocks is not None:
-            return blocks
-        return expand_replications(self.task, self.runs, self.campaign_seed)
+            entropies = [self.task.seed_entropy or self.task.derived_entropy()]
+        else:
+            entropies = replication_entropies(self.campaign_seed, self.runs)
+        return backend.replication_blocks(self.task, entropies)
 
     # The progress label of this sweep run on its own (run_replicated,
     # or a --cache-verify recompute).
@@ -509,19 +471,19 @@ class _Sweep:
 
 
 def _run_items(
-    items: Sequence[RunTask | ReplicationBlock],
+    blocks: Sequence[ReplicationBlock],
     processes: int | None,
     tracker: obs_progress.ProgressTracker | None,
-) -> list:
-    """Execute items in order: one serial loop, or one pooled dispatch."""
+) -> list[list[RunResult]]:
+    """Execute blocks in order: one serial loop, or one pooled dispatch."""
     workers = _usable_workers(processes)
-    if workers > 1 and len(items) > 1:
-        return _run_pooled(items, workers, tracker)
+    if workers > 1 and len(blocks) > 1:
+        return _run_pooled(blocks, workers, tracker)
     outputs = []
-    for item in items:
-        output = _run_item(item)
-        outputs.append(output)
-        _advance_progress(tracker, output)
+    for block in blocks:
+        results = block.execute()
+        outputs.append(results)
+        _advance_progress(tracker, results)
     return outputs
 
 
@@ -545,7 +507,7 @@ def _execute_sweeps(
        unresolvable task fails before anything runs and every
        degradation is recorded (worker processes keep their own,
        discarded, fallback logs).
-    3. The items of all misses run in one serial loop or one pooled
+    3. The blocks of all misses run in one serial loop or one pooled
        dispatch, with the cache suspended; progress heartbeats are
        labelled ``label(misses)``.
     4. Each fresh sweep is stored with its own fallback hops, the fresh
@@ -576,10 +538,10 @@ def _execute_sweeps(
             _replay_entry_fallbacks(entry)
             results[index] = list(entry.results)
     misses = [i for i, group in enumerate(results) if group is None]
-    # Each sweep's items stay contiguous and in order, and execution
-    # returns outputs in item order, so regrouping them reproduces every
+    # Each sweep's blocks stay contiguous and in order, and execution
+    # returns outputs in block order, so regrouping them reproduces every
     # sweep bit for bit, however many sweeps share the dispatch.
-    items: list[RunTask | ReplicationBlock] = []
+    items: list[ReplicationBlock] = []
     owners: list[int] = []
     for index in misses:
         sweep_items = sweeps[index].items()
@@ -595,24 +557,21 @@ def _execute_sweeps(
     if tracker is not None:
         tracker.finish()
     fresh: dict[int, list[RunResult]] = {i: [] for i in misses}
-    for index, item, output in zip(owners, items, outputs):
-        if isinstance(item, RunTask):
-            fresh[index].append(output)
-        else:
-            fresh[index].extend(output)
+    for index, output in zip(owners, outputs):
+        fresh[index].extend(output)
     for index, group in fresh.items():
         results[index] = group
         if cache is None:
             continue
         sweep = sweeps[index]
-        stats = [r.stats for r in group if r.stats is not None]
+        stats = [r.stats for r in group]
         cache.put(
             keys[index],
             group,
             kind="task" if sweep.single else "sweep",
             describe=sweep.describe(),
             wall_time_s=sum(s.wall_time for s in stats),
-            backend=stats[0].backend if stats else "",
+            backend=stats[0].backend,
             fallbacks=walk_fallbacks(sweep.task)[1],
             platform=sweep.task.platform,
         )
@@ -678,12 +637,11 @@ def run_replicated(task: RunTask, runs: int, campaign_seed: int | None = None,
 
     The task's backend is resolved once through the registry's fallback
     chain (recording :class:`~repro.backends.FallbackEvent` objects for
-    any degradation).  Backends that support pooled block execution
-    (``direct-batch``, ``msg-fast``) split the replications into blocks
-    of :data:`BATCH_BLOCK_RUNS` (each run keeping its own seed, so the
-    results depend on neither the block size nor the worker count) that
-    each amortise one chunk-schedule precomputation; everything else
-    takes the per-run scalar path.
+    any degradation).  The fast paths (``direct-batch``, ``msg-fast``)
+    run the replications in blocks of :data:`BATCH_BLOCK_RUNS` that each
+    amortise one chunk-schedule precomputation; ``msg`` and ``direct``
+    run one replication per block.  Each run keeps its own seed, so the
+    results depend on neither the block size nor the worker count.
 
     While a result cache is active, the *whole sweep* is one cache
     entry keyed by (task identity, ``runs``, ``campaign_seed``): a hit

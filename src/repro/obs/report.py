@@ -22,8 +22,25 @@ from .metrics import Histogram
 __all__ = ["load_journal", "summarize_journal"]
 
 
+#: per record kind, the fields the journal readers (this report and
+#: ``repro.obs.timeline.chrome_trace_from_journal``) add up or format as
+#: numbers; ``t_s`` is read as one on every record
+_NUMERIC_FIELDS: dict[str, tuple[str, ...]] = {
+    "task": ("runs", "wall_time_s", "events", "lost_chunks", "lost_tasks"),
+    "cache": ("saved_wall_s",),
+    "progress": ("elapsed_s", "events_per_s"),
+    "artifact": ("fallbacks", "elapsed_s"),
+    "advise": ("cache_hits", "cache_misses", "elapsed_s"),
+}
+
+
 def load_journal(path: str | Path) -> list[dict]:
-    """Parse a JSONL journal; every non-empty line must be a JSON object."""
+    """Parse a JSONL journal; every non-empty line must be a JSON object.
+
+    A record whose field listed in ``_NUMERIC_FIELDS`` (or ``t_s``) holds
+    anything but a finite number is refused with a ``ValueError`` naming
+    the line and the field, before a reader trips over it.
+    """
     records: list[dict] = []
     for lineno, line in enumerate(
         Path(path).read_text().splitlines(), start=1
@@ -40,6 +57,18 @@ def load_journal(path: str | Path) -> list[dict]:
             raise ValueError(
                 f"{path}:{lineno}: journal line is not a JSON object"
             )
+        kind = record.get("kind")
+        if not isinstance(kind, str):
+            kind = None
+        for name in ("t_s", *_NUMERIC_FIELDS.get(kind, ())):
+            value = record.get(name, 0)
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float)
+            ) or not math.isfinite(value):
+                raise ValueError(
+                    f"{path}:{lineno}: field {name!r} of a {kind!r} "
+                    f"record is not a number: {value!r}"
+                )
         records.append(record)
     return records
 

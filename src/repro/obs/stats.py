@@ -1,13 +1,12 @@
 """Per-run kernel statistics attached to every :class:`RunResult`.
 
 Every execution substrate fills a :class:`RunStats` block as it runs:
-the event-driven MSG stack reports the engine's counters (events
-processed, event-heap peak, live-process high-water mark), the compiled
-fast paths report their loop analogues (master receipts served, pending
-heap bound), and the batch kernel reports per-replication shares of its
-block timings.  The owning backend stamps its registry name on the
-block afterwards, so a result always knows which substrate actually
-produced it — including after a capability fallback.
+the event-driven MSG stack reports the engine's event count, the MSG
+fast path the master receipts it served, the direct simulators their
+chunk assignments, and the batch kernel per-replication shares of its
+block timings.  The backend that ran the task stamps its registry name
+on the block afterwards, so a result always knows which substrate
+actually produced it — including after a capability fallback.
 
 Stats are observability metadata, **not** results: two runs with
 identical simulated observables but different stats compare equal
@@ -21,7 +20,7 @@ process pool unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["RunStats"]
 
@@ -32,9 +31,7 @@ class RunStats:
 
     ``events`` counts the substrate's unit of progress: engine events on
     the event-driven path, master scheduling receipts on the MSG fast
-    path, chunk assignments on the direct/batch kernels.  ``heap_peak``
-    and ``live_peak`` are the event-heap and live-process high-water
-    marks (the fast paths report their structural bounds).  ``wall_time``
+    path, chunk assignments on the direct/batch kernels.  ``wall_time``
     is host wall-clock seconds spent inside the simulator (the batch
     kernel reports each replication's share of its block).
     """
@@ -46,8 +43,4 @@ class RunStats:
     #: kernel) produced the run instead of a per-event/per-chunk loop
     fast_path: bool = False
     events: int = 0
-    heap_peak: int = 0
-    live_peak: int = 0
     wall_time: float = 0.0
-    #: free-form additional counters (block sizes, lost chunks, ...)
-    extra: dict = field(default_factory=dict)

@@ -99,10 +99,8 @@ class Engine:
         # Live processes only (insertion-ordered); finished processes are
         # dropped immediately so the engine does not retain dead state.
         self._live: dict[Process, None] = {}
-        # Kernel statistics (read by the simulators' RunStats blocks).
+        # Kernel statistic (read by the simulators' RunStats blocks).
         self.events_processed: int = 0
-        self.heap_peak: int = 0
-        self.live_peak: int = 0
 
     # -- event scheduling -------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., None],
@@ -116,8 +114,6 @@ class Engine:
             raise ValueError(f"delay must be >= 0, got {delay}")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, callback, args))
-        if len(self._heap) > self.heap_peak:
-            self.heap_peak = len(self._heap)
 
     # -- processes ----------------------------------------------------------
     def spawn(self, gen: Generator[Effect, Any, None],
@@ -131,8 +127,6 @@ class Engine:
             )
         process = Process(self, gen, name=name)
         self._live[process] = None
-        if len(self._live) > self.live_peak:
-            self.live_peak = len(self._live)
         self.schedule(delay, process.resume, None)
         return process
 

@@ -254,14 +254,10 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
                 "total_requests": sum(requests),
             },
             # The flattened loop has no event heap: ``events`` counts
-            # master receipts served, the structural analogue; the
-            # pending-request heap is bounded by p, and the live set by
-            # the master plus p workers.
+            # master receipts served, the structural analogue.
             stats=RunStats(
                 fast_path=True,
                 events=master_messages,
-                heap_peak=p,
-                live_peak=p + 1,
                 wall_time=time.perf_counter() - t_wall,
             ),
         )

@@ -255,8 +255,6 @@ class MasterWorkerSimulation:
             stats=RunStats(
                 fast_path=False,
                 events=engine.events_processed,
-                heap_peak=engine.heap_peak,
-                live_peak=engine.live_peak,
                 wall_time=time.perf_counter() - t_wall,
             ),
         )

@@ -25,11 +25,10 @@ def replication_entropies(
     Child ``i`` of ``SeedSequence(campaign_seed)`` contributes its
     entropy followed by its spawn key; a run's seed is
     ``SeedSequence(entropy=list(entropy))``.  The one seeding convention
-    of the package: per-run replications (``RunTask.seed_entropy``) and
-    the runs of msg-fast and direct-batch blocks take replication
-    ``i``'s seed from it, so a (cell, runs, campaign seed) names one set
-    of replications on every backend, and the first ``count`` seeds of
-    a longer sweep are these.
+    of the package: the runs of every backend's replication blocks take
+    replication ``i``'s seed from it, so a (cell, runs, campaign seed)
+    names one set of replications on every backend, and the first
+    ``count`` seeds of a longer sweep are these.
     """
     return [
         tuple(int(v) for v in np.atleast_1d(child.entropy))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.backends import (
@@ -20,7 +21,8 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.core.params import SchedulingParams
-from repro.experiments.runner import RunTask, expand_replications, run_replicated
+from repro.experiments.runner import RunTask, run_replicated
+from repro.scenarios import get_scenario, scenario_names
 from repro.simgrid.platform import star_platform
 from repro.workloads import (
     ConstantWorkload,
@@ -165,32 +167,77 @@ class TestExecution:
         assert [r.makespan for r in a] == [r.makespan for r in b]
 
     def test_replication_blocks_partition_runs(self):
-        backend = get_backend("direct-batch")
-        blocks = backend.replication_blocks(
-            make_task("gss", simulator="direct-batch"), 130, 3
+        entropies = replication_entropies(3, 130)
+        blocks = get_backend("direct-batch").replication_blocks(
+            make_task("gss", simulator="direct-batch"), entropies
         )
         assert [b.runs for b in blocks] == [64, 64, 2]
         assert all(isinstance(b, ReplicationBlock) for b in blocks)
+        blocks = get_backend("direct").replication_blocks(
+            make_task("gss", simulator="direct"), entropies
+        )
+        assert [b.runs for b in blocks] == [1] * 130
 
     def test_every_replication_path_draws_one_seed_convention(self):
-        """Per-run tasks, msg-fast blocks and direct-batch blocks all
-        give replication i the entropy replication_entropies gives it."""
-        task = make_task("gss", simulator="msg-fast")
-        per_run = [t.seed_entropy for t in expand_replications(task, 130, 3)]
-        assert per_run == replication_entropies(3, 130)
-        fast_blocks = get_backend("msg-fast").replication_blocks(task, 130, 3)
-        assert [e for b in fast_blocks for e in b.seed_entropies] == per_run
-        batch_blocks = get_backend("direct-batch").replication_blocks(
-            make_task("gss", simulator="direct-batch"), 130, 3
-        )
-        assert [e for b in batch_blocks for e in b.seed_entropies] == per_run
+        """Every backend's blocks give replication i the entropy
+        replication_entropies gives it."""
+        entropies = replication_entropies(3, 130)
+        for name in backend_names():
+            blocks = get_backend(name).replication_blocks(
+                make_task("gss", simulator=name), entropies
+            )
+            assert [e for b in blocks for e in b.seed_entropies] == entropies
 
-    def test_run_block_not_implemented_on_scalar_backends(self):
+    def test_scalar_backend_runs_a_block_of_one_seed(self):
+        task = make_task(simulator="direct")
         block = ReplicationBlock(
-            backend="direct", task=make_task(), seed_entropies=((1,),)
+            backend="direct", task=task, seed_entropies=((1,),)
         )
-        with pytest.raises(NotImplementedError):
-            block.execute()
+        (result,) = block.execute()
+        assert result.stats.backend == "direct"
+        assert result == RunTask(
+            **{**task.__dict__, "seed_entropy": (1,)}
+        ).execute()
+
+
+#: case id -> (backend, technique, task fields) that the backend's
+#: ``unsupported_reason`` rejects
+REJECTED = {
+    **{
+        f"{name}-{preset}": (name, "gss", {"scenario": get_scenario(preset)})
+        for name in ("msg", "msg-fast") for preset in scenario_names()
+    },
+    "direct-platform": ("direct", "gss", {"platform": star_platform(4)}),
+    "direct-batch-platform": (
+        "direct-batch", "gss", {"platform": star_platform(4)}
+    ),
+    "direct-batch-chunk-log": (
+        "direct-batch", "gss", {"collect_chunk_log": True}
+    ),
+    "msg-fast-af": ("msg-fast", "af", {}),
+    "direct-batch-awf-c-wave-mild": (
+        "direct-batch", "awf-c", {"scenario": get_scenario("wave-mild")}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "simulator, technique, fields", list(REJECTED.values()),
+    ids=list(REJECTED),
+)
+def test_run_seeds_refuses_what_the_backend_rejects(
+    simulator, technique, fields
+):
+    """Called directly, bypassing resolution, a backend refuses a task
+    it cannot serve instead of running it without its scenario,
+    platform or chunk log."""
+    backend = get_backend(simulator)
+    task = make_task(technique, simulator=simulator, **fields)
+    reason = backend.unsupported_reason(task)
+    assert reason is not None
+    with pytest.raises(BackendResolutionError, match=simulator) as err:
+        backend.run_seeds(task, [np.random.SeedSequence(1)])
+    assert reason in str(err.value)
 
 
 class TestDerivedEntropy:

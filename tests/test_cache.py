@@ -191,16 +191,6 @@ def test_perturbed_sweeps_cache_separately_from_clean(tmp_path):
     assert all(r.extras["scenario"] == "slow-quarter" for r in warm)
 
 
-def test_result_version_bump_invalidates_keys(tmp_path, monkeypatch):
-    from repro.backends.builtin import MsgBackend
-
-    cache = ResultCache(tmp_path / "cache")
-    task = small_task()
-    before = cache.task_key(task)
-    monkeypatch.setattr(MsgBackend, "result_version", 2)
-    assert cache.task_key(task) != before
-
-
 #: task and sweep keys (4 runs, campaign seed 1) that must not move, so
 #: these cells' entries stay hits.  msg-fast shares msg's keys and
 #: direct-batch shares direct's: each fast path runs its oracle's runs

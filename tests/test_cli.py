@@ -414,7 +414,8 @@ class TestTraceExport:
 CELL = ["--technique", "fac2", "--n", "64", "--p", "2"]
 
 #: bad input to each command; paths are relative to a directory that
-#: holds only ``broken.jsonl``, a malformed journal, and a valid
+#: holds only ``broken.jsonl``, a malformed journal, two journals with
+#: a mistyped number (``progress.jsonl``, ``task.jsonl``), and a valid
 #: platform and deployment (``p.xml``, ``d.xml``)
 BAD_INPUT = [
     ["simulate", *CELL, "--runs", "0"],
@@ -451,6 +452,10 @@ BAD_INPUT = [
     ["serve", "--cache-verify", "nan"],
     ["stats", "broken.jsonl"],
     ["trace-export", "broken.jsonl", "--out", "t.json"],
+    ["stats", "progress.jsonl"],
+    ["stats", "task.jsonl"],
+    ["trace-export", "progress.jsonl", "--out", "t.json"],
+    ["trace-export", "task.jsonl", "--out", "t.json"],
 ]
 
 
@@ -471,6 +476,12 @@ def test_bad_input_ends_in_one_line_and_exit_two(
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "broken.jsonl").write_text("not json\n")
+    (tmp_path / "progress.jsonl").write_text(
+        '{"kind": "progress", "elapsed_s": "x"}\n'
+    )
+    (tmp_path / "task.jsonl").write_text(
+        '{"kind": "task", "wall_time_s": "slow"}\n'
+    )
     (tmp_path / "p.xml").write_text(platform_to_xml(star_platform(2)))
     (tmp_path / "d.xml").write_text(
         deployment_to_xml(master_worker_deployment(2))

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from repro.backends import BackendResolutionError, get_backend
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique, technique_names
 from repro.core.schedule import (
@@ -133,7 +133,7 @@ def test_direct_batch_equals_direct(cell, scenario, data):
             overhead_model=cell["model"], simulator="direct-batch",
             scenario=scenario,
         )
-        with pytest.raises(ScheduleUnavailableError):
+        with pytest.raises(BackendResolutionError):
             get_backend("direct-batch").run_seeds(task, seeds)
         direct = dataclasses.replace(task, simulator="direct")
         sweep = dict(runs=cell["reps"], campaign_seed=cell["seed"],

@@ -231,32 +231,6 @@ class TestZeroAllocationKernel:
         engine.run()
         assert fired[0] == 100_000
 
-    def test_kernel_statistics_track_events_and_peaks(self):
-        engine = Engine()
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-
-        for i in range(10):
-            engine.schedule(float(i), tick)
-        assert engine.heap_peak == 10
-        engine.run()
-        assert engine.events_processed == 10
-        assert engine.heap_peak == 10  # peaks survive the drain
-
-    def test_live_peak_tracks_process_high_water_mark(self):
-        engine = Engine()
-
-        def proc():
-            yield Timeout(1.0)
-
-        for _ in range(4):
-            engine.spawn(proc(), name="p")
-        engine.run()
-        assert engine.live_processes == 0
-        assert engine.live_peak == 4
-
     def test_events_processed_counts_across_resumed_runs(self):
         engine = Engine()
         for i in range(5):

@@ -133,6 +133,21 @@ class TestJournal:
         with pytest.raises(ValueError, match="broken.jsonl:2"):
             load_journal(path)
 
+    @pytest.mark.parametrize("record", [
+        '{"kind": "progress", "elapsed_s": "x"}',
+        '{"kind": "task", "wall_time_s": "slow"}',
+        '{"kind": "task", "runs": NaN}',
+        '{"kind": "advise", "cache_hits": true}',
+        '{"kind": "fallback", "t_s": null}',
+    ])
+    def test_load_journal_rejects_mistyped_numbers(self, tmp_path, record):
+        path = tmp_path / "mistyped.jsonl"
+        path.write_text('{"kind": "provenance", "t_s": 0.0}\n' + record)
+        field = next(iter(json.loads(record).keys() - {"kind"}))
+        with pytest.raises(ValueError, match=f"mistyped.jsonl:2: field "
+                           f"'{field}'"):
+            load_journal(path)
+
 
 class TestSinkScopes:
     """Every ``*_to`` scope restores the sink active before it, so a run

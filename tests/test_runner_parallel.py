@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import signal
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.runner import (
     RunTask,
-    expand_replications,
     run_campaign,
     run_replicated,
 )
 from repro.experiments.bold_experiments import scheduling_params
-from repro.workloads import ExponentialWorkload
+from repro.workloads import ExponentialWorkload, replication_entropies
 
 
 def make_task(simulator: str = "direct") -> RunTask:
@@ -23,26 +27,35 @@ def make_task(simulator: str = "direct") -> RunTask:
     )
 
 
+def seeded_tasks(task: RunTask, runs: int, campaign_seed: int):
+    """One task per replication of a sweep, under the sweep's seeds."""
+    return [
+        replace(task, seed_entropy=entropy)
+        for entropy in replication_entropies(campaign_seed, runs)
+    ]
+
+
+def exit_on_sigterm(signum, frame):
+    sys.exit(1)
+
+
 class TestExpandReplications:
     def test_seeds_distinct(self):
-        tasks = expand_replications(make_task(), 5, campaign_seed=1)
-        assert len({t.seed_entropy for t in tasks}) == 5
+        assert len(set(replication_entropies(1, 5))) == 5
 
     def test_deterministic(self):
-        a = expand_replications(make_task(), 3, campaign_seed=2)
-        b = expand_replications(make_task(), 3, campaign_seed=2)
-        assert [t.seed_entropy for t in a] == [t.seed_entropy for t in b]
+        assert replication_entropies(2, 3) == replication_entropies(2, 3)
 
     def test_invalid_runs(self):
         with pytest.raises(ValueError):
-            expand_replications(make_task(), 0, campaign_seed=1)
+            run_replicated(make_task(), 0, campaign_seed=1)
 
 
 class TestProcessPool:
     def test_pool_path_matches_sequential(self):
         """processes=2 exercises pickling + Pool; results must match the
         in-process path exactly (same seeds, same tasks)."""
-        tasks = expand_replications(make_task(), 4, campaign_seed=7)
+        tasks = seeded_tasks(make_task(), 4, campaign_seed=7)
         sequential = run_campaign(tasks, processes=1)
         pooled = run_campaign(tasks, processes=2)
         assert [r.makespan for r in pooled] == [
@@ -70,7 +83,7 @@ class TestProcessPool:
             workload=ExponentialWorkload(1.0),
             simulator="msg",
         )
-        tasks = expand_replications(task, 2, campaign_seed=3)
+        tasks = seeded_tasks(task, 2, campaign_seed=3)
         results = run_campaign(tasks, processes=2)
         assert all(r.total_task_time > 0 for r in results)
 
@@ -173,8 +186,6 @@ class TestSharedPoolSafety:
         ]
 
     def test_concurrent_threads_share_one_pool(self):
-        import threading
-
         from repro.experiments import runner
 
         # warm the pool so every thread finds one to share
@@ -210,6 +221,30 @@ class TestSharedPoolSafety:
             assert [r.makespan for r in got] == [
                 r.makespan for r in expected
             ]
+
+    def test_workers_drop_an_inherited_sigterm_handler(self):
+        """A SIGTERM handler of the forking process (one that calls
+        sys.exit, say) must not reach the workers, or terminate() may
+        leave one alive and shutdown_pool() hang on its join."""
+        from repro.experiments import runner
+
+        runner.shutdown_pool()
+        previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
+        try:
+            with runner._POOL_LOCK:
+                pool = runner._get_pool(2)
+            handler = pool.apply_async(
+                signal.getsignal, (signal.SIGTERM,)
+            ).get(timeout=30)
+            assert handler == signal.SIG_DFL
+            shutdown = threading.Thread(
+                target=runner.shutdown_pool, daemon=True
+            )
+            shutdown.start()
+            shutdown.join(timeout=30)
+            assert not shutdown.is_alive(), "shutdown_pool() hung"
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     def test_differing_size_request_does_not_kill_busy_pool(self):
         from repro.experiments import runner
@@ -253,7 +288,7 @@ class TestRunReplicatedBatch:
         from repro.cache import cache_to
         from repro.obs import journal_to, load_journal
 
-        single = expand_replications(make_task(), 1, campaign_seed=44)[0]
+        (single,) = seeded_tasks(make_task(), 1, campaign_seed=44)
         sides = {
             "batch": lambda: (run_replicated_batch(sweeps, processes=2),
                               run_campaign([single], processes=2)),

@@ -21,11 +21,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.backends import drain_fallback_events, get_backend, resolve_backend
+from repro.backends import (
+    BackendResolutionError,
+    drain_fallback_events,
+    get_backend,
+    resolve_backend,
+)
 from repro.cli import main
 from repro.core.params import SchedulingParams
 from repro.core.registry import technique_names
-from repro.core.schedule import ScheduleUnavailableError, closed_form_supported
+from repro.core.schedule import closed_form_supported
 from repro.directsim.faults import AllWorkersFailedError, SimulationError
 from repro.experiments.runner import RunTask, run_replicated
 from repro.scenarios import (
@@ -235,9 +240,9 @@ class TestCapabilities:
                 assert len(events) == (0 if stays else 1)
                 if not stays:
                     assert scenario.name in events[0].reason
-                    with pytest.raises(ScheduleUnavailableError):
-                        get_backend("direct-batch").run(
-                            task, np.random.SeedSequence(1)
+                    with pytest.raises(BackendResolutionError):
+                        get_backend("direct-batch").run_seeds(
+                            task, [np.random.SeedSequence(1)]
                         )
                 direct = dataclasses.replace(task, simulator="direct")
                 assert run_replicated(

@@ -271,7 +271,8 @@ class TestCacheRegression:
             key = cache.task_key(task)
             sim = DirectSimulator(task.params, task.workload)
             scalar_result = sim.run(
-                get_technique(task.technique), seed=task.seed_sequence()
+                get_technique(task.technique),
+                seed=np.random.SeedSequence(list(task.derived_entropy())),
             )
             cache.put(key, [scalar_result], backend="direct")
             result = task.execute()
