@@ -16,11 +16,12 @@ from __future__ import annotations
 import sys
 
 from repro.experiments import (
+    BOLD_PE_COUNTS,
+    BOLD_TECHNIQUES,
+    bold_cells,
     bold_reference,
     bold_reference_available,
-    run_bold_experiment,
 )
-from repro.experiments.bold_experiments import BOLD_PE_COUNTS
 from repro.metrics import discrepancy, relative_discrepancy
 
 
@@ -35,9 +36,7 @@ def main() -> None:
         f"BOLD experiment cell: n={n:,} tasks, p={p} PEs, exp(mu=1s), "
         f"h=0.5s, {runs} runs (paper: 1,000)\n"
     )
-    result = run_bold_experiment(
-        n, pe_counts=(p,), runs=runs, simulator="msg", seed=42
-    )
+    cells = bold_cells(n, (p,), BOLD_TECHNIQUES, runs, "msg", seed=42)
 
     have_reference = bold_reference_available()
     reference = bold_reference(n) if have_reference else {}
@@ -47,8 +46,8 @@ def main() -> None:
         f"{'technique':>10} {'AWT [s]':>10} {'ref [s]':>10} "
         f"{'disc [s]':>9} {'rel [%]':>8}"
     )
-    for technique, values in result.values.items():
-        simulated = values[0]
+    for technique, (summary,) in cells.items():
+        simulated = summary.mean
         line = f"{technique:>10} {simulated:>10.2f}"
         if have_reference:
             ref = reference[technique][pe_index]

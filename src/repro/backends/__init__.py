@@ -5,8 +5,8 @@ The four execution substrates (``msg``, ``msg-fast``, ``direct``,
 objects declaring their capabilities; :func:`resolve_backend` picks the
 backend that will actually execute a task, degrading explicitly along
 declared fallback chains and recording every degradation as a
-:class:`FallbackEvent` (drained by campaign reports — see
-:func:`drain_fallback_events`).  Adding a backend is a registration
+:class:`FallbackEvent` (drained by the figures pipeline and the CLI —
+see :func:`drain_fallback_events`).  Adding a backend is a registration
 (:func:`register_backend`), not a runner rewrite.
 """
 

@@ -9,9 +9,9 @@ powers ``RunTask`` dispatch, the CLI ``--simulator`` choices, the
 Dispatch is *capability-checked*: :func:`resolve_backend` asks the
 requested backend whether it can serve the task and walks the declared
 fallback chain when it cannot, recording a :class:`FallbackEvent` per
-degradation.  Campaign code drains the event log
-(:func:`drain_fallback_events`) and surfaces the degradations in its
-reports — nothing falls back silently.  :func:`walk_fallbacks` is the
+degradation.  The figures pipeline (around each artifact) and the CLI
+drain the event log (:func:`drain_fallback_events`) and surface the
+degradations — nothing falls back silently.  :func:`walk_fallbacks` is the
 same walk without the recording: it returns the hops of one task, which
 is what a cache entry or an advisor answer attributes to that task.
 """
@@ -75,8 +75,8 @@ def iter_backends() -> Iterator[SimulationBackend]:
 # -- fallback event log ---------------------------------------------------
 # Deduplicated insertion-ordered log of capability degradations.  The
 # same (task cell, hop) resolves once per replication on the serial path,
-# so the log dedupes on the event itself; campaign code drains it after a
-# cell sweep and attaches the events to its result/report.  Worker
+# so the log dedupes on the event itself; the figures pipeline drains it
+# around each artifact and the CLI around a command's runs.  Worker
 # processes keep their own (discarded) logs — the campaign layer resolves
 # every task in the parent process before pooling, so nothing is lost.
 _FALLBACK_LOG: dict[FallbackEvent, None] = {}

@@ -1,7 +1,8 @@
-"""Experiment runners behind the paper's artifacts.
+"""Experiment building blocks behind the paper's artifacts.
 
-The artifacts themselves — which experiment, with which parameters,
-rendered how — are defined once, in :mod:`repro.figures.registry`.
+The artifacts themselves — which runs, with which parameters, rendered
+how — are defined once, in :mod:`repro.figures.registry`, whose
+producers build their tasks from the constants and helpers here.
 """
 
 from .bold_experiments import (
@@ -11,11 +12,7 @@ from .bold_experiments import (
     BOLD_SIGMA,
     BOLD_TASK_COUNTS,
     BOLD_TECHNIQUES,
-    BoldExperimentResult,
-    FacOutlierResult,
-    compare_to_reference,
-    fac_outlier_study,
-    run_bold_experiment,
+    bold_cells,
 )
 from .published import (
     bold_reference,
@@ -26,11 +23,6 @@ from .published import (
 )
 from .report import format_table, series_table, write_csv
 from .runner import RunTask, run_campaign, run_replicated
-from .scalability import (
-    ScalingResult,
-    efficiency_report,
-    run_scaling_study,
-)
 from .tables import (
     format_table2,
     format_table3,
@@ -40,14 +32,10 @@ from .tables import (
 from .tss_experiments import (
     TSS_PE_COUNTS,
     TSS_WORKLOAD_SHAPES,
-    TssExperimentResult,
     bbn_gp1000_platform,
     remote_access_slowdown,
-    run_css_k_sweep,
-    run_remote_ratio_study,
-    run_tss_experiment,
-    run_tss_workload_study,
     tss_reproduction_verdicts,
+    tss_run,
     tss_workload,
 )
 
@@ -58,38 +46,26 @@ __all__ = [
     "BOLD_SIGMA",
     "BOLD_TASK_COUNTS",
     "BOLD_TECHNIQUES",
-    "BoldExperimentResult",
-    "FacOutlierResult",
     "RunTask",
-    "ScalingResult",
     "TSS_PE_COUNTS",
     "TSS_WORKLOAD_SHAPES",
-    "TssExperimentResult",
-    "efficiency_report",
-    "remote_access_slowdown",
-    "run_css_k_sweep",
-    "run_remote_ratio_study",
-    "run_scaling_study",
-    "run_tss_workload_study",
-    "tss_workload",
     "bbn_gp1000_platform",
+    "bold_cells",
     "bold_reference",
     "bold_reference_available",
     "bold_reference_metadata",
-    "compare_to_reference",
-    "fac_outlier_study",
     "format_table",
     "format_table2",
     "format_table3",
     "generate_bold_reference",
-    "run_bold_experiment",
+    "remote_access_slowdown",
     "run_campaign",
     "run_replicated",
-    "run_tss_experiment",
     "series_table",
     "table2_matches_publication",
     "table2_rows",
     "tss_published_speedups",
     "tss_reproduction_verdicts",
-    "write_csv",
+    "tss_run",
+    "tss_workload",
 ]

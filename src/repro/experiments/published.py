@@ -138,18 +138,14 @@ def generate_bold_reference(
     Writes JSON to ``path`` (default: the packaged data file) and returns
     the document.
     """
-    from ..metrics.summary import summarize
-    from ..metrics.wasted_time import OverheadModel
     from ..workloads.distributions import ExponentialWorkload, PerTaskSampling
     from .bold_experiments import (
         BOLD_MU,
         BOLD_PE_COUNTS,
         BOLD_TASK_COUNTS,
         BOLD_TECHNIQUES,
-        _cell_seed,
-        scheduling_params,
+        bold_cells,
     )
-    from .runner import RunTask, run_replicated
 
     if path is None:
         path = _BOLD_REFERENCE_PATH
@@ -175,34 +171,18 @@ def generate_bold_reference(
         "experiments": {},
     }
     for n in task_counts:
-        runs = runs_per_n[n]
-        values: dict[str, list[float]] = {}
-        stds: dict[str, list[float]] = {}
-        for technique in BOLD_TECHNIQUES:
-            means, devs = [], []
-            for p in BOLD_PE_COUNTS:
-                task = RunTask(
-                    technique=technique.lower(),
-                    params=scheduling_params(n, p),
-                    workload=workload,
-                    simulator="direct",
-                    overhead_model=OverheadModel.POST_HOC,
-                )
-                results = run_replicated(
-                    task, runs, campaign_seed=_cell_seed(seed, n, p, technique),
-                    processes=1,
-                )
-                summary = summarize([r.average_wasted_time for r in results])
-                means.append(summary.mean)
-                devs.append(summary.std)
-            values[technique] = means
-            stds[technique] = devs
-            if verbose:
+        cells = bold_cells(
+            n, BOLD_PE_COUNTS, BOLD_TECHNIQUES, runs_per_n[n], "direct",
+            seed, workload=workload,
+        )
+        values = {t: [s.mean for s in cells[t]] for t in cells}
+        if verbose:
+            for technique, means in values.items():
                 print(f"n={n} {technique}: {['%.2f' % v for v in means]}")
         document["experiments"][str(n)] = {
-            "runs": runs,
+            "runs": runs_per_n[n],
             "values": values,
-            "std": stds,
+            "std": {t: [s.std for s in cells[t]] for t in cells},
         }
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:

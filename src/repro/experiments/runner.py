@@ -14,7 +14,8 @@ through the capability-checked fallback chain —
 ``resolve_backend(task)`` returns the backend that will actually run,
 recording a :class:`~repro.backends.FallbackEvent` for every explicit
 degradation (e.g. ``direct-batch`` -> ``direct`` for an adaptive
-technique).  Campaign reports drain and surface those events.
+technique).  The figures pipeline and the CLI drain and surface those
+events.
 
 ``RunTask.execute``, :func:`run_campaign`, :func:`run_replicated` and
 :func:`run_replicated_batch` are thin wrappers over one executor,
@@ -583,7 +584,7 @@ def _execute_sweeps(
             new_fallbacks=len(peek_fallback_events()) - fallbacks_before,
         )
     if journal is not None:
-        # peeked, not drained: campaign reports still surface the events
+        # peeked, not drained: the pipeline and the CLI surface the events
         for event in peek_fallback_events()[fallbacks_before:]:
             journal.write({"kind": "fallback", **event.to_json()})
         for index, group in fresh.items():

@@ -68,20 +68,18 @@ def produce_artifact(
     """Produce one artifact, its fallbacks and its claim outcomes.
 
     The process-wide fallback log is drained before the producer runs,
-    so what is left in it afterwards belongs to this artifact; those
-    events join the ones the producer attached itself, deduplicated in
-    order.  ``overrides`` replace parameters of ``mode``'s set.  The
-    spec's claims state what that set must show, so they are evaluated
-    only when ``overrides`` leave it unchanged; otherwise the outcome
-    map is empty.
+    so what is in it afterwards belongs to this artifact.  ``overrides``
+    replace parameters of ``mode``'s set.  The spec's claims state what
+    that set must show, so they are evaluated only when ``overrides``
+    leave it unchanged; otherwise the outcome map is empty.
     """
     drain_fallback_events()
     data = spec.produce(mode, **overrides)
-    events = dict.fromkeys([*data.fallbacks, *drain_fallback_events()])
+    events = drain_fallback_events()
     params = spec.params(mode)
     claims = (spec.check_claims(mode, data)
               if {**params, **overrides} == params else {})
-    return data, list(events), claims
+    return data, events, claims
 
 
 def generate_artifacts(

@@ -2,9 +2,11 @@
 
 Each :class:`ArtifactSpec` names one artifact of the paper (Fig 3–9,
 Tables II/III) or of the extension studies (robustness, scalability,
-ablations), carries a ``quick`` and a ``full`` parameter set, and knows
-how to produce the artifact's tidy data (:class:`ArtifactData`) by
-calling the underlying experiment.  The pipeline
+ablations), carries a ``quick`` and a ``full`` parameter set, and
+names its producer: the one function that runs the artifact's
+experiment (it builds the :class:`~repro.experiments.runner.RunTask`
+objects and calls the runner) and returns its tidy data
+(:class:`ArtifactData`).  The pipeline
 (:mod:`repro.figures.pipeline`) iterates this registry; the drift layer
 (:mod:`repro.figures.drift`) compares its quick output against the
 committed references.
@@ -33,7 +35,7 @@ evaluates them whenever a mode's parameter set is used unmodified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "ARTIFACTS",
@@ -54,9 +56,7 @@ class ArtifactData:
     exactly what :func:`repro.experiments.report.write_csv` emits.
     ``text`` is the human rendering written next to the CSV.  ``extra``
     holds per-artifact payloads that do not fit the wide CSV (fig9's
-    per-run distribution).  ``fallbacks`` are the events the producer
-    collected itself (:func:`repro.figures.pipeline.produce_artifact`
-    adds those left in the global log).
+    per-run distribution).
     """
 
     series: dict[str, list[float]]
@@ -64,7 +64,6 @@ class ArtifactData:
     key_header: str = "pes"
     text: str = ""
     extra: dict = field(default_factory=dict)
-    fallbacks: list = field(default_factory=list)
     #: platform content identities in play, e.g. {"p=16": sha256hex}
     platforms: dict[str, str] = field(default_factory=dict)
 
@@ -115,7 +114,7 @@ class ArtifactSpec:
         }
 
 
-def _seq(values: Sequence[float]) -> list[float]:
+def _seq(values: Iterable[float]) -> list[float]:
     return [float(v) for v in values]
 
 
@@ -177,187 +176,367 @@ def _tss_platform_hashes(pe_counts) -> dict[str, str]:
 
 def _produce_tss(experiment: int, pe_counts: tuple, simulator: str,
                  seed: int) -> ArtifactData:
+    """Figure 3b (experiment 1) or 4b (experiment 2): speedup curves.
+
+    One run per (technique, p) point, as the original single
+    measurements; the Tzen-Ni overhead and imbalance degrees ride along
+    in ``extra``.  A sweep covering the digitized PE counts adds
+    Section IV-A's reproduced/not verdicts.
+    """
     from ..experiments.published import TSS_PUBLISHED_PES
     from ..experiments.report import series_table
     from ..experiments.tss_experiments import (
-        run_tss_experiment,
+        TSS_EXPERIMENTS,
         tss_reproduction_verdicts,
+        tss_run,
+        tss_technique_set,
     )
+    from ..metrics.speedup import tzen_ni_metrics
+    from ..workloads.distributions import ConstantWorkload
 
-    result = run_tss_experiment(
-        experiment, pe_counts=pe_counts, simulator=simulator, seed=seed
-    )
-    series = {k: _seq(v) for k, v in result.speedups.items()}
+    if experiment not in TSS_EXPERIMENTS:
+        raise ValueError(
+            f"experiment must be one of {sorted(TSS_EXPERIMENTS)}, "
+            f"got {experiment}"
+        )
+    spec = TSS_EXPERIMENTS[experiment]
+    pe_counts = tuple(pe_counts)
+    workload = ConstantWorkload(spec["task_time"])
+    series, overheads, imbalances = {}, {}, {}
+    for label, name, kwargs in tss_technique_set(experiment):
+        metrics = [
+            tzen_ni_metrics(tss_run(name, kwargs, spec["n"], p, workload,
+                                    simulator, seed))
+            for p in pe_counts
+        ]
+        series[label] = _seq(m.speedup for m in metrics)
+        overheads[label] = _seq(m.scheduling_overhead for m in metrics)
+        imbalances[label] = _seq(m.load_imbalance for m in metrics)
     text = (
-        f"TSS experiment {experiment}: n={result.n:,}, "
-        f"task_time={result.task_time:g}s, simulator={simulator}\n"
-        + series_table(series, result.pe_counts, key_header="speedup\\PEs")
+        f"TSS experiment {experiment}: n={spec['n']:,}, "
+        f"task_time={spec['task_time']:g}s, simulator={simulator}\n"
+        + series_table(series, pe_counts, key_header="speedup\\PEs")
     )
-    extra = {
-        "overheads": {k: _seq(v) for k, v in result.overheads.items()},
-        "imbalances": {k: _seq(v) for k, v in result.imbalances.items()},
-    }
-    if set(TSS_PUBLISHED_PES) <= set(result.pe_counts):
-        verdicts = tss_reproduction_verdicts(result)
-        extra["reproduced"] = {v.technique: v.reproduced for v in verdicts}
+    extra = {"overheads": overheads, "imbalances": imbalances}
+    if set(TSS_PUBLISHED_PES) <= set(pe_counts):
+        verdicts = tss_reproduction_verdicts(experiment, series, pe_counts)
+        extra["reproduced"] = {t: ok for t, _, ok in verdicts}
         text += "\n\nReproduction verdicts vs digitized published curves:"
-        for v in verdicts:
-            status = "reproduced" if v.reproduced else "NOT reproduced"
+        for technique, worst, ok in verdicts:
+            status = "reproduced" if ok else "NOT reproduced"
             text += (
-                f"\n  {v.technique:>8}: max |rel. discrepancy| = "
-                f"{v.max_abs_relative_discrepancy:6.1f}%  -> {status}"
+                f"\n  {technique:>8}: max |rel. discrepancy| = "
+                f"{worst:6.1f}%  -> {status}"
             )
     return ArtifactData(
         series=series,
-        keys=result.pe_counts,
+        keys=pe_counts,
         key_header="pes",
         text=text,
         extra=extra,
-        platforms=_tss_platform_hashes(result.pe_counts),
+        platforms=_tss_platform_hashes(pe_counts),
     )
 
 
 # --- BOLD experiments (Figures 5-9) -----------------------------------------
 
 def _produce_bold(n: int, pe_counts: tuple, runs: int, simulator: str,
-                  seed: int, scenario: str | None = None) -> ArtifactData:
+                  seed: int, scenario: str | None = None,
+                  techniques: Sequence[str] | None = None) -> ArtifactData:
+    """Figures 5-8 (a/b): average wasted time per technique and PE count.
+
+    ``techniques`` defaults to the paper's eight.  The full PE sweep
+    adds the discrepancy rows (c/d) against the regenerated reference.
+    """
     from ..experiments.bold_experiments import (
         BOLD_PE_COUNTS,
-        compare_to_reference,
-        run_bold_experiment,
+        BOLD_TECHNIQUES,
+        bold_cells,
     )
-    from ..experiments.published import bold_reference_available
+    from ..experiments.published import (
+        bold_reference,
+        bold_reference_available,
+    )
     from ..experiments.report import series_table
+    from ..metrics.discrepancy import discrepancy_table
     from ..scenarios import load_scenario
 
-    result = run_bold_experiment(
-        n, pe_counts=pe_counts, runs=runs, simulator=simulator, seed=seed,
+    pe_counts = tuple(pe_counts)
+    cells = bold_cells(
+        n, pe_counts, techniques or BOLD_TECHNIQUES, runs, simulator, seed,
         scenario=None if scenario is None else load_scenario(scenario),
     )
-    series = {k: _seq(v) for k, v in result.values.items()}
+    series = {t: _seq(s.mean for s in cells[t]) for t in cells}
     text = (
         f"BOLD experiment: n={n:,}, {runs} run(s)/cell, "
         f"simulator={simulator}\n"
-        + series_table(series, result.pe_counts, key_header="wasted\\PEs")
+        + series_table(series, pe_counts, key_header="wasted\\PEs")
     )
-    if result.pe_counts == BOLD_PE_COUNTS and bold_reference_available():
-        rows = compare_to_reference(result)
+    if pe_counts == BOLD_PE_COUNTS and bold_reference_available():
+        rows = discrepancy_table(series, bold_reference(n), pe_counts)
         text += "\n\nDiscrepancy vs reference [s] (positive = slower):"
         for row in rows:
-            cells = " ".join(f"{d:8.2f}" for d in row.discrepancies)
-            text += f"\n  {row.technique:>5}: {cells}"
+            cells_text = " ".join(f"{d:8.2f}" for d in row.discrepancies)
+            text += f"\n  {row.technique:>5}: {cells_text}"
         text += "\nRelative discrepancy vs reference [%]:"
         for row in rows:
-            cells = " ".join(f"{d:8.1f}" for d in row.relative_discrepancies)
-            text += f"\n  {row.technique:>5}: {cells}"
+            cells_text = " ".join(
+                f"{d:8.1f}" for d in row.relative_discrepancies
+            )
+            text += f"\n  {row.technique:>5}: {cells_text}"
     return ArtifactData(
         series=series,
-        keys=result.pe_counts,
+        keys=pe_counts,
         key_header="pes",
         text=text,
-        fallbacks=list(result.fallbacks),
     )
 
 
 def _produce_fig9(runs: int, simulator: str, seed: int, n: int = 524288,
-                  p: int = 2, scenario: str | None = None) -> ArtifactData:
-    from ..experiments.bold_experiments import fac_outlier_study
-    from ..experiments.report import ascii_histogram
-    from ..scenarios import load_scenario
+                  p: int = 2, scenario: str | None = None,
+                  threshold: float = 400.0) -> ArtifactData:
+    """Figure 9: the heavy tail of FAC's per-run wasted time.
 
-    result = fac_outlier_study(
-        n=n, p=p, runs=runs, simulator=simulator, seed=seed,
+    The paper observes 15 of 1,000 runs above 400 s (1.5 %) and an
+    outlier-excluded mean of 25.82 s.
+    """
+    from ..experiments.bold_experiments import BOLD_MU, scheduling_params
+    from ..experiments.report import ascii_histogram
+    from ..experiments.runner import RunTask, run_replicated
+    from ..metrics.summary import mean_excluding_above
+    from ..metrics.wasted_time import OverheadModel
+    from ..scenarios import load_scenario
+    from ..workloads.distributions import ExponentialWorkload
+
+    task = RunTask(
+        technique="fac",
+        params=scheduling_params(n, p),
+        workload=ExponentialWorkload(BOLD_MU),
+        simulator=simulator,
+        overhead_model=OverheadModel.POST_HOC,
         scenario=None if scenario is None else load_scenario(scenario),
     )
-    series = {
-        "FAC": [
-            result.mean,
-            result.mean_excluding,
-            float(result.num_above),
-            result.fraction_above,
-        ]
-    }
+    per_run = [
+        r.average_wasted_time
+        for r in run_replicated(task, runs, campaign_seed=seed)
+    ]
+    mean = sum(per_run) / len(per_run)
+    try:
+        mean_excluding, num_above = mean_excluding_above(per_run, threshold)
+    except ValueError:
+        # a perturbed machine can push every run past the outlier
+        # threshold; report that instead of aborting the campaign
+        mean_excluding, num_above = float("nan"), len(per_run)
     text = (
         f"FAC outlier study: n={n:,}, p={p}, {runs} run(s), "
-        f"threshold={result.threshold:g}s\n"
-        f"mean={result.mean:.2f}s  "
-        f"mean_excluding={result.mean_excluding:.2f}s  "
-        f"{result.num_above}/{runs} above threshold\n"
-        + ascii_histogram(result.per_run, log_counts=True)
+        f"threshold={threshold:g}s\n"
+        f"mean={mean:.2f}s  "
+        f"mean_excluding={mean_excluding:.2f}s  "
+        f"{num_above}/{runs} above threshold\n"
+        + ascii_histogram(per_run, log_counts=True)
     )
     return ArtifactData(
-        series=series,
+        series={"FAC": [mean, mean_excluding, float(num_above),
+                        num_above / runs]},
         keys=("mean", "mean_excluding", "num_above", "fraction_above"),
         key_header="stat",
         text=text,
-        extra={"per_run": _seq(result.per_run),
-               "threshold": result.threshold},
-        fallbacks=list(result.fallbacks),
+        extra={"per_run": _seq(per_run), "threshold": threshold},
     )
 
 
 # --- extension studies ------------------------------------------------------
 
-def _produce_robustness(scenario: str, n: int, p: int, runs: int,
-                        simulator: str, seed: int) -> ArtifactData:
-    from ..experiments.robustness import (
-        robustness_report,
-        run_robustness_study,
-    )
-    from ..scenarios import load_scenario
+#: techniques spanning static, non-adaptive dynamic, and adaptive DLS
+_ROBUSTNESS_TECHNIQUES = ("stat", "ss", "gss", "tss", "fac", "awf-c", "bold")
 
-    result = run_robustness_study(
-        load_scenario(scenario), n=n, p=p, runs=runs, simulator=simulator,
-        seed=seed,
-    )
-    series = {
-        row.technique: [
-            row.clean_makespan,
-            row.perturbed_makespan,
-            row.degradation_percent,
-        ]
-        for row in result.rows
-    }
+
+def _produce_robustness(scenario: str, n: int, p: int, runs: int,
+                        simulator: str, seed: int,
+                        techniques: Sequence[str] = _ROBUSTNESS_TECHNIQUES,
+                        ) -> ArtifactData:
+    """Mean makespan per technique, clean vs under ``scenario``.
+
+    Regenerates the spirit of the companion studies' robustness figures
+    (IPDPS-W 2013 flexibility, ISPDC 2015 resilience).  Both halves of a
+    cell take the same campaign seed; the scenario enters the cache
+    key, so a cached clean baseline is reused while the perturbed runs
+    are keyed separately.
+    """
+    import zlib
+    from dataclasses import replace
+
+    from ..experiments.bold_experiments import BOLD_MU, scheduling_params
+    from ..experiments.runner import RunTask, run_replicated
+    from ..scenarios import load_scenario
+    from ..workloads.distributions import ExponentialWorkload
+
+    perturbation = load_scenario(scenario)
+    workload = ExponentialWorkload(BOLD_MU)
+    series: dict[str, list[float]] = {}
+    lost: dict[str, int] = {}
+    for technique in techniques:
+        clean_task = RunTask(
+            technique=technique,
+            params=scheduling_params(n, p),
+            workload=workload,
+            simulator=simulator,
+        )
+        cell_seed = zlib.crc32(f"{seed}:{n}:{p}:{technique}".encode())
+        clean = run_replicated(clean_task, runs, campaign_seed=cell_seed)
+        perturbed = run_replicated(
+            replace(clean_task, scenario=perturbation), runs,
+            campaign_seed=cell_seed,
+        )
+        clean_s = sum(r.makespan for r in clean) / runs
+        perturbed_s = sum(r.makespan for r in perturbed) / runs
+        degradation = (
+            0.0 if clean_s == 0.0
+            else 100.0 * (perturbed_s / clean_s - 1.0)
+        )
+        series[technique] = [clean_s, perturbed_s, degradation]
+        lost[technique] = sum(
+            r.extras.get("lost_chunks", 0) for r in perturbed
+        )
+
+    # an ASCII robustness figure: degradation bars per technique
+    width = 30
+    lines = [
+        f"robustness under scenario {perturbation.name!r}: "
+        f"n={n:,}, p={p}, {runs} run(s)/cell, "
+        f"simulator={simulator}",
+        f"  {'technique':>10} {'clean[s]':>10} {'perturbed[s]':>13} "
+        f"{'degradation':>12}  {'lost':>5}",
+    ]
+    degradations = {t: values[2] for t, values in series.items()}
+    worst = max(map(abs, degradations.values()), default=0.0)
+    for technique, (clean_s, perturbed_s, deg) in series.items():
+        bar_len = (
+            0 if worst == 0.0
+            else max(0, round(width * abs(deg) / worst))
+        )
+        bar = ("+" if deg >= 0 else "-") * bar_len
+        lines.append(
+            f"  {technique:>10} {clean_s:>10.2f} "
+            f"{perturbed_s:>13.2f} {deg:>+11.1f}%  "
+            f"{lost[technique]:>5d} {bar}"
+        )
+    most = max(degradations, key=degradations.get, default=None)
+    least = min(degradations, key=degradations.get, default=None)
+    if most is not None and least is not None and most != least:
+        lines.append(
+            f"  most robust: {least} "
+            f"({degradations[least]:+.1f}%), least robust: "
+            f"{most} ({degradations[most]:+.1f}%)"
+        )
     return ArtifactData(
         series=series,
         keys=("clean_s", "perturbed_s", "degradation_pct"),
         key_header="metric",
-        text=robustness_report(result),
-        fallbacks=list(result.fallbacks),
+        text="\n".join(lines),
     )
+
+
+#: from static chunking to the batched and adaptive techniques
+_SCALING_TECHNIQUES = ("stat", "ss", "gss", "tss", "fac2", "bold")
 
 
 def _produce_scalability(mode: str, pe_counts: tuple, n_total: int,
-                         runs: int, simulator: str,
-                         seed: int) -> ArtifactData:
-    from ..experiments.scalability import (
-        efficiency_report,
-        run_scaling_study,
-    )
+                         runs: int, simulator: str, seed: int,
+                         techniques: Sequence[str] = _SCALING_TECHNIQUES,
+                         tasks_per_pe: int = 256) -> ArtifactData:
+    """Strong- or weak-scaling efficiency (Balasubramaniam et al. 2012).
 
-    result = run_scaling_study(
-        mode=mode, pe_counts=pe_counts, n_total=n_total, runs=runs,
-        simulator=simulator, seed=seed,
+    Strong scaling keeps ``n_total`` tasks; weak scaling keeps
+    ``tasks_per_pe`` per PE.  Efficiency is speedup / p (1.0 = perfect).
+    The SERIALIZED_MASTER overhead model makes scheduling operations
+    contend at the master — the contention that actually limits SS's
+    scalability; post-hoc accounting would make SS look free.
+    """
+    import statistics
+
+    from ..core.params import SchedulingParams
+    from ..experiments.report import series_table
+    from ..experiments.runner import RunTask
+    from ..metrics.wasted_time import OverheadModel
+    from ..workloads.distributions import ExponentialWorkload
+
+    if mode not in ("strong", "weak"):
+        raise ValueError(f"mode must be 'strong' or 'weak', got {mode!r}")
+    pe_counts = tuple(pe_counts)
+    workload = ExponentialWorkload(1.0)
+    tasks_at = {
+        p: n_total if mode == "strong" else tasks_per_pe * p
+        for p in pe_counts
+    }
+    efficiency: dict[str, list[float]] = {}
+    wasted: dict[str, list[float]] = {}
+    for technique in techniques:
+        effs: list[float] = []
+        wts: list[float] = []
+        for p in pe_counts:
+            params = SchedulingParams(
+                n=tasks_at[p], p=p, h=0.05, mu=workload.mean,
+                sigma=workload.std,
+            )
+            samples = [
+                RunTask(
+                    technique=technique,
+                    params=params,
+                    workload=workload,
+                    simulator=simulator,
+                    overhead_model=OverheadModel.SERIALIZED_MASTER,
+                    seed_entropy=(seed * 1000 + p * 10 + i,),
+                ).execute()
+                for i in range(runs)
+            ]
+            effs.append(statistics.mean(r.efficiency for r in samples))
+            wts.append(
+                statistics.mean(r.average_wasted_time for r in samples)
+            )
+        efficiency[technique] = effs
+        wasted[technique] = wts
+    title = (
+        f"{mode} scaling, "
+        f"n per point: {[tasks_at[p] for p in pe_counts]}"
+    )
+    table = series_table(
+        {t.upper(): v for t, v in efficiency.items()},
+        pe_counts,
+        key_header="eff\\PEs",
     )
     return ArtifactData(
-        series={k: _seq(v) for k, v in result.efficiency.items()},
-        keys=result.pe_counts,
+        series={k: _seq(v) for k, v in efficiency.items()},
+        keys=pe_counts,
         key_header="pes",
-        text=efficiency_report(result),
-        extra={"wasted": {k: _seq(v) for k, v in result.wasted.items()}},
+        text=f"{title}\n{table}",
+        extra={"wasted": {k: _seq(v) for k, v in wasted.items()}},
     )
 
 
 def _produce_css_sweep(k_values: tuple, p: int, simulator: str,
                        seed: int) -> ArtifactData:
-    from ..experiments.report import series_table
-    from ..experiments.tss_experiments import run_css_k_sweep
+    """CSS(k) speedup versus chunk size (the TSS publication's tuning).
 
-    sweep = run_css_k_sweep(
-        k_values=k_values, p=p, simulator=simulator, seed=seed
-    )
-    series = {"CSS": _seq(sweep.values())}
-    keys = tuple(sweep)
+    With ``(P, I, L(i)) = (72, 100000, 110us)`` the choice
+    ``k = I/P = 1389`` achieves speedup 69.2, "very close to the ideal
+    speedup, 72" (Section IV-A).  Tiny ``k`` degenerates to SS (overhead
+    bound), huge ``k`` to STAT with fewer chunks (imbalance from the
+    final partial chunks).
+    """
+    from ..experiments.report import series_table
+    from ..experiments.tss_experiments import TSS_EXPERIMENTS, tss_run
+    from ..metrics.speedup import tzen_ni_metrics
+    from ..workloads.distributions import ConstantWorkload
+
+    spec = TSS_EXPERIMENTS[1]
+    workload = ConstantWorkload(spec["task_time"])
+    keys = tuple(k_values)
+    series = {"CSS": _seq(
+        tzen_ni_metrics(tss_run("css", {"k": k}, spec["n"], p, workload,
+                                simulator, seed, chunk_size=k)).speedup
+        for k in keys
+    )}
     text = (
         f"CSS(k) chunk-size ablation: p={p}, simulator={simulator}\n"
         + series_table(series, keys, key_header="speedup\\k")
@@ -369,15 +548,31 @@ def _produce_css_sweep(k_values: tuple, p: int, simulator: str,
 
 
 def _produce_remote_ratio(ratios: tuple, p: int, simulator: str,
-                          seed: int) -> ArtifactData:
-    from ..experiments.report import series_table
-    from ..experiments.tss_experiments import run_remote_ratio_study
+                          seed: int, n: int = 100_000) -> ArtifactData:
+    """TSS speedup versus remote memory reference ratio (TSS pub., Sec. V).
 
-    sweep = run_remote_ratio_study(
-        ratios=ratios, p=p, simulator=simulator, seed=seed
+    Speedup is measured against the *local* serial execution, so it
+    degrades as remote references inflate the parallel compute time
+    (:func:`~repro.experiments.tss_experiments.remote_access_slowdown`).
+    """
+    from ..experiments.report import series_table
+    from ..experiments.tss_experiments import (
+        TSS_EXPERIMENTS,
+        remote_access_slowdown,
+        tss_run,
     )
-    series = {"TSS": _seq(sweep.values())}
-    keys = tuple(sweep)
+    from ..workloads.distributions import ConstantWorkload
+
+    task_time = TSS_EXPERIMENTS[1]["task_time"]
+    keys = tuple(ratios)
+    series = {"TSS": _seq(
+        (n * task_time) / tss_run(
+            "tss", {}, n, p,
+            ConstantWorkload(task_time * remote_access_slowdown(ratio, p)),
+            simulator, seed,
+        ).makespan
+        for ratio in keys
+    )}
     text = (
         f"remote-reference ratio ablation: p={p}, simulator={simulator}\n"
         + series_table(series, keys, key_header="speedup\\ratio")
@@ -388,29 +583,46 @@ def _produce_remote_ratio(ratios: tuple, p: int, simulator: str,
     )
 
 
-def _produce_tss_shapes(experiment: int, p: int, simulator: str,
-                        seed: int) -> ArtifactData:
+def _produce_tss_shapes(experiment: int, p: int, simulator: str, seed: int,
+                        shapes: Sequence[str] | None = None) -> ArtifactData:
+    """The five TSS curves' speedups across the loop workload shapes.
+
+    Extends Figures 3/4 to the TSS publication's random, decreasing and
+    increasing loops: TSS stays near-ideal across shapes while GSS
+    suffers on decreasing workloads (its huge early chunks contain the
+    longest iterations).  ``shapes`` defaults to all four.
+    """
     from ..experiments.report import series_table
     from ..experiments.tss_experiments import (
+        TSS_EXPERIMENTS,
         TSS_WORKLOAD_SHAPES,
-        run_tss_workload_study,
+        tss_run,
+        tss_technique_set,
+        tss_workload,
     )
+    from ..metrics.speedup import tzen_ni_metrics
 
-    study = run_tss_workload_study(
-        experiment=experiment, p=p, simulator=simulator, seed=seed
-    )
-    shapes = tuple(s for s in TSS_WORKLOAD_SHAPES if s in study)
-    techniques = list(study[shapes[0]])
+    spec = TSS_EXPERIMENTS[experiment]
+    study: dict[str, dict[str, float]] = {}
+    for shape in shapes or TSS_WORKLOAD_SHAPES:
+        workload = tss_workload(shape, spec["n"], spec["task_time"])
+        study[shape] = {
+            label: tzen_ni_metrics(tss_run(name, kwargs, spec["n"], p,
+                                           workload, simulator,
+                                           seed)).speedup
+            for label, name, kwargs in tss_technique_set(experiment)
+        }
+    keys = tuple(s for s in TSS_WORKLOAD_SHAPES if s in study)
     series = {
-        t: [float(study[s][t]) for s in shapes] for t in techniques
+        t: [float(study[s][t]) for s in keys] for t in study[keys[0]]
     }
     text = (
         f"workload-shape ablation: experiment {experiment}, p={p}, "
         f"simulator={simulator}\n"
-        + series_table(series, shapes, key_header="speedup\\shape")
+        + series_table(series, keys, key_header="speedup\\shape")
     )
     return ArtifactData(
-        series=series, keys=shapes, key_header="shape", text=text,
+        series=series, keys=keys, key_header="shape", text=text,
         platforms=_tss_platform_hashes((p,)),
     )
 

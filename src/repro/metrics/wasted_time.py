@@ -43,16 +43,6 @@ class OverheadModel(Enum):
     PER_WORKER = "per-worker"
     SERIALIZED_MASTER = "serialized-master"
 
-    @classmethod
-    def from_name(cls, name: str) -> "OverheadModel":
-        for model in cls:
-            if model.value == name or model.name.lower() == name.lower():
-                return model
-        raise ValueError(
-            f"unknown overhead model {name!r}; "
-            f"known: {[m.value for m in cls]}"
-        )
-
 
 def average_wasted_time(
     makespan: float,

@@ -382,9 +382,8 @@ def record_results(
                 chunk_size.observe(execution.record.size)
         elif result.num_chunks:
             chunk_size.observe(result.n / result.num_chunks)
-        if result.stats is not None:
-            events.incr(result.stats.events)
-            wall.incr(result.stats.wall_time)
+        events.incr(result.stats.events)
+        wall.incr(result.stats.wall_time)
     runs.incr(len(results))
     perturbed = [r for r in results if "scenario" in r.extras]
     if perturbed:

@@ -33,13 +33,26 @@ _NUMERIC_FIELDS: dict[str, tuple[str, ...]] = {
     "advise": ("cache_hits", "cache_misses", "elapsed_s"),
 }
 
+#: per record kind, the fields the readers format as text, use as keys
+#: or count (``files``), with the type each must have where present
+_TYPED_FIELDS: dict[str, dict[str, type]] = {
+    "task": dict.fromkeys(("technique", "backend", "requested", "scenario"),
+                          str),
+    "cache": {"op": str},
+    "fallback": dict.fromkeys(("requested", "chosen", "reason"), str),
+    "artifact": {"artifact": str, "mode": str, "plot": str, "files": list},
+    "advise": {"best": str},
+}
+
 
 def load_journal(path: str | Path) -> list[dict]:
     """Parse a JSONL journal; every non-empty line must be a JSON object.
 
     A record whose field listed in ``_NUMERIC_FIELDS`` (or ``t_s``) holds
-    anything but a finite number is refused with a ``ValueError`` naming
-    the line and the field, before a reader trips over it.
+    anything but a finite number, or whose field listed in
+    ``_TYPED_FIELDS`` is present with another type, is refused with a
+    ``ValueError`` naming the line and the field, before a reader trips
+    over it.
     """
     records: list[dict] = []
     for lineno, line in enumerate(
@@ -68,6 +81,13 @@ def load_journal(path: str | Path) -> list[dict]:
                 raise ValueError(
                     f"{path}:{lineno}: field {name!r} of a {kind!r} "
                     f"record is not a number: {value!r}"
+                )
+        for name, expected in _TYPED_FIELDS.get(kind, {}).items():
+            if name in record and not isinstance(record[name], expected):
+                raise ValueError(
+                    f"{path}:{lineno}: field {name!r} of a {kind!r} "
+                    f"record is not a {expected.__name__}: "
+                    f"{record[name]!r}"
                 )
         records.append(record)
     return records

@@ -575,11 +575,8 @@ class Advisor:
         for task, results in zip(tasks, groups):
             makespans = summarize([r.makespan for r in results])
             speedups = summarize([r.speedup for r in results])
-            backend = next(
-                (r.stats.backend for r in results if r.stats is not None),
-                task.simulator,
-            )
-            rows.append((task.technique, makespans, speedups, backend))
+            rows.append((task.technique, makespans, speedups,
+                         results[0].stats.backend))
         rows.sort(key=lambda row: (row[1].mean, row[0]))
         return [
             RankedTechnique(

@@ -456,7 +456,19 @@ BAD_INPUT = [
     ["stats", "task.jsonl"],
     ["trace-export", "progress.jsonl", "--out", "t.json"],
     ["trace-export", "task.jsonl", "--out", "t.json"],
+    ["stats", "backend.jsonl"],
+    ["stats", "scenario.jsonl"],
+    ["stats", "files.jsonl"],
+    ["stats", "op.jsonl"],
 ]
+
+#: journals whose one record has a mistyped text field, by file name
+MISTYPED_TEXT = {
+    "backend.jsonl": '{"kind": "task", "backend": 5, "runs": 1}',
+    "scenario.jsonl": '{"kind": "task", "scenario": ["x"]}',
+    "files.jsonl": '{"kind": "artifact", "files": 3}',
+    "op.jsonl": '{"kind": "cache", "op": ["hit"]}',
+}
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
@@ -482,6 +494,8 @@ def test_bad_input_ends_in_one_line_and_exit_two(
     (tmp_path / "task.jsonl").write_text(
         '{"kind": "task", "wall_time_s": "slow"}\n'
     )
+    for name, record in MISTYPED_TEXT.items():
+        (tmp_path / name).write_text(record + "\n")
     (tmp_path / "p.xml").write_text(platform_to_xml(star_platform(2)))
     (tmp_path / "d.xml").write_text(
         deployment_to_xml(master_worker_deployment(2))

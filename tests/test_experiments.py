@@ -1,6 +1,13 @@
-"""Tests for the experiment harness (BOLD + TSS experiments, runner)."""
+"""Tests for the experiment harness (BOLD + TSS experiments, runner).
+
+The experiments run through their registry producers
+(``ArtifactSpec.produce`` with overrides), the one definition of each
+artifact.
+"""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -11,16 +18,23 @@ from repro.experiments import (
     bold_reference,
     bold_reference_available,
     bold_reference_metadata,
-    compare_to_reference,
-    fac_outlier_study,
-    run_bold_experiment,
+    generate_bold_reference,
     run_replicated,
-    run_tss_experiment,
     tss_published_speedups,
-    tss_reproduction_verdicts,
 )
-from repro.experiments.bold_experiments import scheduling_params
-from repro.workloads import ExponentialWorkload
+from repro.experiments.bold_experiments import _cell_seed, scheduling_params
+from repro.figures import ARTIFACTS
+from repro.workloads import ExponentialWorkload, PerTaskSampling
+
+
+def bold(**overrides):
+    """A BOLD experiment (Figures 5-8) produced with ``overrides``."""
+    return ARTIFACTS["fig5"].produce("quick", **overrides)
+
+
+def value(data, label, key):
+    """One series' value at sweep key ``key``."""
+    return data.series[label][list(data.keys).index(key)]
 
 
 class TestRunner:
@@ -79,29 +93,29 @@ class TestRunner:
 
 class TestBoldExperiment:
     def test_small_experiment_shape(self):
-        result = run_bold_experiment(
+        data = bold(
             n=256, pe_counts=(2, 8), techniques=("STAT", "SS", "FAC2"),
             runs=3, simulator="direct", seed=1,
         )
-        assert set(result.values) == {"STAT", "SS", "FAC2"}
-        assert all(len(v) == 2 for v in result.values.values())
-        assert result.value("SS", 2) > result.value("FAC2", 2)
+        assert set(data.series) == {"STAT", "SS", "FAC2"}
+        assert all(len(v) == 2 for v in data.series.values())
+        assert value(data, "SS", 2) > value(data, "FAC2", 2)
 
     def test_ss_wasted_time_dominated_by_overhead(self):
         # SS's POST_HOC wasted time is ~ h*n/p plus a small idle term.
-        result = run_bold_experiment(
+        data = bold(
             n=256, pe_counts=(2,), techniques=("SS",), runs=3,
             simulator="direct", seed=1,
         )
-        assert result.value("SS", 2) == pytest.approx(64.0, rel=0.2)
+        assert value(data, "SS", 2) == pytest.approx(64.0, rel=0.2)
 
     def test_msg_and_direct_agree(self):
         kwargs = dict(
             n=256, pe_counts=(4,), techniques=("FAC2",), runs=10, seed=5
         )
-        msg = run_bold_experiment(simulator="msg", **kwargs)
-        direct = run_bold_experiment(simulator="direct", **kwargs)
-        m, d = msg.value("FAC2", 4), direct.value("FAC2", 4)
+        msg = bold(simulator="msg", **kwargs)
+        direct = bold(simulator="direct", **kwargs)
+        m, d = value(msg, "FAC2", 4), value(direct, "FAC2", 4)
         assert abs(m - d) / d < 0.5
 
 
@@ -133,63 +147,111 @@ class TestReference:
             bold_reference(999)
 
     def test_compare_to_reference_rows(self):
-        result = run_bold_experiment(
+        data = bold(
             n=1024, pe_counts=BOLD_PE_COUNTS,
             techniques=("STAT", "FAC2"), runs=5, simulator="direct", seed=2,
         )
-        rows = compare_to_reference(result)
-        assert {r.technique for r in rows} == {"STAT", "FAC2"}
-        for row in rows:
-            assert len(row.discrepancies) == len(BOLD_PE_COUNTS)
+        block = data.text.split(
+            "Discrepancy vs reference [s] (positive = slower):\n"
+        )[1].split("\nRelative")[0]
+        rows = dict(line.split(":") for line in block.splitlines())
+        assert {t.strip() for t in rows} == {"STAT", "FAC2"}
+        for cells in rows.values():
+            assert len(cells.split()) == len(BOLD_PE_COUNTS)
+
+
+class TestGenerateBoldReference:
+    def test_regenerated_cell_is_the_per_task_direct_sweep(self, tmp_path):
+        from repro.experiments import published
+
+        path = tmp_path / "reference.json"
+        document = generate_bold_reference(
+            path, task_counts=(1024,), runs_per_n={1024: 2}, verbose=False
+        )
+        assert json.loads(path.read_text()) == document
+        cell = document["experiments"]["1024"]
+        assert cell["runs"] == 2
+        assert set(cell["values"]) == set(BOLD_TECHNIQUES)
+        task = RunTask(
+            technique="fac2",
+            params=scheduling_params(1024, 8),
+            workload=PerTaskSampling(ExponentialWorkload(1.0)),
+            simulator="direct",
+        )
+        results = run_replicated(
+            task, 2,
+            campaign_seed=_cell_seed(published.BOLD_REFERENCE_SEED,
+                                     1024, 8, "FAC2"),
+        )
+        wasted = [r.average_wasted_time for r in results]
+        i = BOLD_PE_COUNTS.index(8)
+        assert cell["values"]["FAC2"][i] == sum(wasted) / 2
+        assert cell["std"]["FAC2"][i] == pytest.approx(
+            abs(wasted[0] - wasted[1]) / 2 ** 0.5
+        )
+
+
+def fac_outliers(**overrides):
+    """Figure 9's study produced with ``overrides``: (stats, per-run)."""
+    data = ARTIFACTS["fig9"].produce("quick", **overrides)
+    return dict(zip(data.keys, data.series["FAC"])), data.extra["per_run"]
 
 
 class TestFacOutlierStudy:
     def test_small_study(self):
-        study = fac_outlier_study(
+        study, per_run = fac_outliers(
             n=8192, p=2, runs=30, threshold=60.0, simulator="direct", seed=4
         )
-        assert len(study.per_run) == 30
-        assert study.mean > 0
-        assert 0 <= study.num_above <= 30
-        assert study.mean_excluding <= max(study.per_run)
+        assert len(per_run) == 30
+        assert study["mean"] > 0
+        assert 0 <= study["num_above"] <= 30
+        assert study["mean_excluding"] <= max(per_run)
 
     def test_heavy_tail_exists_at_paper_cell(self):
         """Some runs are far above the median (the Figure 9 phenomenon)."""
-        study = fac_outlier_study(
+        _, per_run = fac_outliers(
             n=65536, p=2, runs=40, threshold=200.0, simulator="direct",
             seed=7,
         )
         import statistics
 
-        med = statistics.median(study.per_run)
-        assert max(study.per_run) > 3 * med
+        med = statistics.median(per_run)
+        assert max(per_run) > 3 * med
+
+
+def tss(experiment, mode="quick", **overrides):
+    """Figure 3 (experiment 1) or 4 (experiment 2) with ``overrides``."""
+    artifact = {1: "fig3", 2: "fig4"}[experiment]
+    return ARTIFACTS[artifact].produce(mode, **overrides)
 
 
 class TestTssExperiment:
     def test_small_sweep(self):
-        result = run_tss_experiment(1, pe_counts=(2, 8, 16))
-        assert set(result.speedups) == {
+        data = tss(1, pe_counts=(2, 8, 16))
+        assert set(data.series) == {
             "SS", "CSS", "GSS(1)", "GSS(80)", "TSS",
         }
-        for curve in result.speedups.values():
+        for curve in data.series.values():
             assert len(curve) == 3
             assert all(s > 0 for s in curve)
 
     def test_css_and_tss_near_ideal(self):
-        result = run_tss_experiment(1, pe_counts=(16,))
-        assert result.speedups["CSS"][0] > 14.0
-        assert result.speedups["TSS"][0] > 14.0
+        data = tss(1, pe_counts=(16,))
+        assert data.series["CSS"][0] > 14.0
+        assert data.series["TSS"][0] > 14.0
 
     def test_metrics_triple_available(self):
-        result = run_tss_experiment(2, pe_counts=(8,))
-        m = result.metrics["TSS"][0]
-        assert m.total == pytest.approx(8.0, rel=0.05)
-        assert result.overheads["TSS"][0] >= 0
-        assert result.imbalances["TSS"][0] >= 0
+        data = tss(2, pe_counts=(8,))
+        overhead = data.extra["overheads"]["TSS"][0]
+        imbalance = data.extra["imbalances"]["TSS"][0]
+        total = data.series["TSS"][0] + overhead + imbalance
+        assert total == pytest.approx(8.0, rel=0.05)
+        assert overhead >= 0
+        assert imbalance >= 0
 
     def test_invalid_experiment_rejected(self):
         with pytest.raises(ValueError):
-            run_tss_experiment(3)
+            ARTIFACTS["fig3"].produce("quick", experiment=3)
 
     def test_published_data_shape(self):
         for exp in (1, 2):
@@ -204,10 +266,9 @@ class TestTssExperiment:
         """The paper's negative result: SS diverges from the 1993 values."""
         from repro.experiments.tss_experiments import TSS_PE_COUNTS
 
-        result = run_tss_experiment(1, pe_counts=TSS_PE_COUNTS)
-        verdicts = {
-            v.technique: v for v in tss_reproduction_verdicts(result)
-        }
-        assert not verdicts["SS"].reproduced
-        assert verdicts["CSS"].reproduced
-        assert verdicts["TSS"].reproduced
+        data = tss(1, "full")
+        assert data.keys == TSS_PE_COUNTS
+        verdicts = data.extra["reproduced"]
+        assert not verdicts["SS"]
+        assert verdicts["CSS"]
+        assert verdicts["TSS"]

@@ -15,8 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cache import cache_to
 from repro.cli import main
@@ -41,6 +47,21 @@ from repro.figures import registry as figures_registry
 from repro.workloads import ExponentialWorkload
 
 CHEAP = ["table2", "table3"]
+
+
+def test_importing_the_figures_loads_no_experiment_or_simulator():
+    """The producers import the experiments, and through them the
+    simulators, when they run; ``import repro.figures`` stays cheap."""
+    code = (
+        "import sys, repro.figures; print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['repro', 'experiments'], "
+        "['repro', 'simgrid'], ['repro', 'directsim'])))"
+    )
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def make_artifact_manifest(**overrides) -> ArtifactManifest:
@@ -300,29 +321,37 @@ class TestProvenanceEvents:
 
 @pytest.fixture
 def published_tss(monkeypatch):
-    """``run_tss_experiment`` answering with the digitized published
-    curves (SS ten times too fast), so the TSS producer renders its
-    verdicts without simulating a full PE sweep."""
+    """``tss_run`` answering with the digitized published curves (SS ten
+    times too fast), so the TSS producer renders its verdicts without
+    simulating a full PE sweep."""
     from repro.experiments import tss_experiments
     from repro.experiments.published import (
         TSS_PUBLISHED_PES,
         tss_published_speedups,
     )
+    from repro.metrics.wasted_time import OverheadModel
+    from repro.results import RunResult
 
-    def run_tss_experiment(experiment, pe_counts, simulator, seed):
-        result = tss_experiments.TssExperimentResult(
-            experiment=experiment, n=100_000, task_time=110e-6,
-            pe_counts=tuple(pe_counts),
+    def tss_run(technique, kwargs, n, p, workload, simulator, seed,
+                chunk_size=None):
+        experiment = next(e for e, spec in
+                          tss_experiments.TSS_EXPERIMENTS.items()
+                          if spec["n"] == n)
+        label = next(label for label, name, kw in
+                     tss_experiments.tss_technique_set(experiment)
+                     if (name, kw) == (technique, kwargs))
+        at = dict(zip(TSS_PUBLISHED_PES,
+                      tss_published_speedups(experiment)[label]))
+        scale = 10.0 if label == "SS" else 1.0
+        # a unit makespan with no compute recorded: speedup = task time
+        return RunResult(
+            technique=technique, n=n, p=p, h=0.0,
+            overhead_model=OverheadModel.POST_HOC, makespan=1.0,
+            compute_times=[0.0] * p, chunks_per_worker=[0] * p,
+            num_chunks=0, total_task_time=scale * at.get(p, 1.0),
         )
-        for label, curve in tss_published_speedups(experiment).items():
-            at = dict(zip(TSS_PUBLISHED_PES, curve))
-            scale = 10.0 if label == "SS" else 1.0
-            result.speedups[label] = [scale * at.get(p, 1.0)
-                                      for p in pe_counts]
-        return result
 
-    monkeypatch.setattr(tss_experiments, "run_tss_experiment",
-                        run_tss_experiment)
+    monkeypatch.setattr(tss_experiments, "tss_run", tss_run)
 
 
 class TestVerificationLines:

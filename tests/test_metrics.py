@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics import (
-    OverheadModel,
     Summary,
     average_wasted_time,
     discrepancy,
@@ -52,12 +51,6 @@ class TestWastedTime:
     def test_empty_workers_rejected(self):
         with pytest.raises(ValueError):
             average_wasted_time(1.0, [], 1, 0.5, OM.POST_HOC)
-
-    def test_model_from_name(self):
-        assert OverheadModel.from_name("post-hoc") is OM.POST_HOC
-        assert OverheadModel.from_name("PER_WORKER") is OM.PER_WORKER
-        with pytest.raises(ValueError):
-            OverheadModel.from_name("bogus")
 
     def test_run_result_property_consistent(self):
         r = make_result()

@@ -148,6 +148,20 @@ class TestJournal:
                            f"'{field}'"):
             load_journal(path)
 
+    @pytest.mark.parametrize("record, field", [
+        ('{"kind": "task", "backend": 5, "runs": 1}', "backend"),
+        ('{"kind": "task", "scenario": ["x"]}', "scenario"),
+        ('{"kind": "artifact", "files": 3}', "files"),
+        ('{"kind": "cache", "op": ["hit"]}', "op"),
+    ])
+    def test_load_journal_rejects_mistyped_text_fields(self, tmp_path,
+                                                        record, field):
+        path = tmp_path / "mistyped.jsonl"
+        path.write_text('{"kind": "provenance", "t_s": 0.0}\n' + record)
+        with pytest.raises(ValueError, match=f"mistyped.jsonl:2: field "
+                           f"'{field}'"):
+            load_journal(path)
+
 
 class TestSinkScopes:
     """Every ``*_to`` scope restores the sink active before it, so a run

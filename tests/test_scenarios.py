@@ -387,44 +387,47 @@ class TestObservability:
 
 # -- experiment and CLI integration ---------------------------------------
 class TestIntegration:
-    def test_bold_experiment_accepts_scenario(self):
-        from repro.experiments.bold_experiments import run_bold_experiment
+    def test_bold_experiment_accepts_scenario(self, monkeypatch):
+        from repro.figures import ARTIFACTS, produce_artifact
 
-        result = run_bold_experiment(
-            1024, pe_counts=(8,), techniques=("SS", "BOLD"), runs=2,
-            simulator="direct", scenario=get_scenario("slow-quarter"),
-            processes=1,
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        data, fallbacks, _ = produce_artifact(
+            ARTIFACTS["fig5"], "quick", pe_counts=(8,),
+            techniques=("SS", "BOLD"), runs=2, simulator="direct",
+            scenario="slow-quarter",
         )
-        assert set(result.values) == {"SS", "BOLD"}
-        assert result.fallbacks == []
+        assert set(data.series) == {"SS", "BOLD"}
+        assert fallbacks == []
 
-    def test_fac_outlier_study_survives_all_runs_above_threshold(self):
+    def test_fac_outlier_study_survives_all_runs_above_threshold(
+        self, monkeypatch
+    ):
         import math
 
-        from repro.experiments.bold_experiments import fac_outlier_study
+        from repro.figures import ARTIFACTS
 
-        study = fac_outlier_study(
-            n=256, p=2, runs=2, threshold=1e-6, simulator="direct",
-            scenario=get_scenario("slow-quarter"), processes=1,
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        data = ARTIFACTS["fig9"].produce(
+            "quick", n=256, p=2, runs=2, threshold=1e-6,
+            simulator="direct", scenario="slow-quarter",
         )
-        assert study.num_above == 2
-        assert study.fraction_above == 1.0
-        assert math.isnan(study.mean_excluding)
+        study = dict(zip(data.keys, data.series["FAC"]))
+        assert study["num_above"] == 2
+        assert study["fraction_above"] == 1.0
+        assert math.isnan(study["mean_excluding"])
 
-    def test_robustness_study_reports_degradation(self):
-        from repro.experiments.robustness import (
-            robustness_report,
-            run_robustness_study,
-        )
+    def test_robustness_study_reports_degradation(self, monkeypatch):
+        from repro.figures import ARTIFACTS
 
-        result = run_robustness_study(
-            get_scenario("slow-quarter"), n=256, p=4,
-            techniques=("ss", "awf-c"), runs=2, processes=1,
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        data = ARTIFACTS["robustness"].produce(
+            "quick", scenario="slow-quarter", n=256, p=4,
+            techniques=("ss", "awf-c"), runs=2,
         )
-        assert [row.technique for row in result.rows] == ["ss", "awf-c"]
-        assert all(row.degradation_percent > 0 for row in result.rows)
-        report = robustness_report(result)
-        assert "degradation" in report and "awf-c" in report
+        assert list(data.series) == ["ss", "awf-c"]
+        degradation = data.keys.index("degradation_pct")
+        assert all(row[degradation] > 0 for row in data.series.values())
+        assert "degradation" in data.text and "awf-c" in data.text
 
     def test_cli_simulate_with_scenario(self, capsys):
         code = main([
