@@ -1,49 +1,32 @@
 """Core DLS scheduling: parameters, scheduler protocol, technique registry."""
 
-from .params import SchedulingParams, weights_from_speeds
-from .base import ChunkRecord, Scheduler, SchedulerState, chunk_sizes
-from .schedule import (
-    PrecomputedSchedule,
-    ScheduleUnavailableError,
-    closed_form_supported,
-    precompute_schedule,
-    schedule_ineligibility,
-)
-from .prediction import (
-    Prediction,
-    predict,
-    predict_all,
-    prediction_report,
-    recommend_technique,
-)
-from .registry import (
-    create,
-    get_technique,
-    iter_techniques,
-    make_factory,
-    technique_names,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Prediction",
-    "PrecomputedSchedule",
-    "ScheduleUnavailableError",
-    "SchedulingParams",
-    "closed_form_supported",
-    "precompute_schedule",
-    "schedule_ineligibility",
-    "predict",
-    "predict_all",
-    "prediction_report",
-    "recommend_technique",
-    "weights_from_speeds",
-    "ChunkRecord",
-    "Scheduler",
-    "SchedulerState",
-    "chunk_sizes",
-    "create",
-    "get_technique",
-    "iter_techniques",
-    "make_factory",
-    "technique_names",
-]
+_EXPORTS = {
+    "params": ("SchedulingParams", "weights_from_speeds"),
+    "base": ("ChunkRecord", "Scheduler", "SchedulerState", "chunk_sizes"),
+    "schedule": (
+        "PrecomputedSchedule",
+        "ScheduleUnavailableError",
+        "closed_form_supported",
+        "precompute_schedule",
+        "schedule_ineligibility",
+    ),
+    "prediction": (
+        "Prediction",
+        "predict",
+        "predict_all",
+        "prediction_report",
+        "recommend_technique",
+    ),
+    "registry": (
+        "create",
+        "get_technique",
+        "iter_techniques",
+        "make_factory",
+        "technique_names",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -36,7 +36,9 @@ at a time, with each technique's adaptive state held as ``(R,)``/``(R,
 p)`` arrays (:mod:`repro.core.stepping`).  One round performs one
 argmin worker pop, one deferred completion report, one vectorized
 chunk-size update, and one scalar ``chunk_time`` draw per live
-replication.
+replication.  A block too narrow for the round's fixed NumPy cost to
+pay off runs ``DirectSimulator``'s loop once per replication instead
+(:func:`_scalar_wins`).
 
 Replication ``i`` of :meth:`BatchDirectSimulator.run_batch` draws only
 from the generator of ``seeds[i]``, in ``DirectSimulator``'s per-chunk
@@ -54,12 +56,13 @@ technique under a fluctuation model, and the simulator takes no
 fail-stop model: both run on the scalar simulator, where the
 ``direct-batch`` backend sends them through the registry.  Per-chunk
 execution logs are recorded only on request (``record_chunks=True``)
-and only on the stepping path; the closed-form path refuses the
+and only for feedback techniques; the closed-form path refuses the
 request.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import heapq
 import itertools
@@ -88,6 +91,7 @@ from .faults import (
     Fluctuation,
     StepFluctuation,
 )
+from .simulator import DirectSimulator
 
 #: cap on R * C elements of a block's chunk-time matrix (~128 MB of
 #: float64), so huge cells stream through in smaller replication
@@ -122,6 +126,48 @@ def _lockstep_wins(reps: int, p: int) -> bool:
     )
 
 
+#: the feedback-loop crossover.  The stepping kernel pays a fixed NumPy
+#: cost per round for the whole block, ``DirectSimulator``'s loop a cost
+#: per chunk and replication that grows with p for the AWF family, so
+#: the scalar loop wins on narrow blocks: up to ``SCALAR_MAX_REPS``
+#: replications and ``SCALAR_MAX_REPS_P`` replications times p.
+#: Measured as scalar time over stepping time (below 1 the scalar loop
+#: is faster), the 10 feedback techniques summed, exponential times,
+#: h = 0.5, best of 3, on a 2-vCPU x86 host with NumPy 2.4; ``*`` marks
+#: the blocks the rule sends to the scalar loop:
+#:
+#: =========  ===  =====  =====  =====  =====  =====
+#: n          p    1 rep  2      4      8      16
+#: =========  ===  =====  =====  =====  =====  =====
+#: 1,024      4    0.11*  0.19*  0.35*  0.62*  1.03
+#: 1,024      16   0.12*  0.24*  0.44*  0.75*  1.31
+#: 1,024      64   0.15*  0.29*  0.59*  1.07   1.82
+#: 1,024      256  0.34*  0.71   1.33   2.28   3.60
+#: 4,096      4                  0.35*  0.62*  1.06
+#: 4,096      16                 0.43*  0.81*  1.37
+#: 4,096      64                 0.67*  1.19   2.03
+#: 4,096      256  0.30*  0.57   1.12
+#: 16,384     4    0.10*  0.19*  0.36*  0.61*  1.10
+#: 16,384     16   0.14*  0.27*  0.44*  0.81*  1.38
+#: 16,384     64   0.21*  0.43*  0.84*  1.42   2.57
+#: 16,384     256  0.37*  0.80   1.42   2.49   3.97
+#: =========  ===  =====  =====  =====  =====  =====
+#:
+#: Between the columns the ratio crosses 1 at 12-16 replications for
+#: p = 4 (12 read 0.85-0.88), 10-12 for p = 16, 5-6 for p = 64 (5
+#: read 0.80-1.02); at p = 128, 2, 3 and 4 replications read 0.41-0.65,
+#: 0.61-0.92 and 0.77-1.21, and at p = 1,024 one read 0.77-1.01.  So
+#: the rule sends the scalar loop no block the stepping kernel wins;
+#: above p = 64 it leaves a few that the scalar loop would win.
+SCALAR_MAX_REPS = 8
+SCALAR_MAX_REPS_P = 256
+
+
+def _scalar_wins(reps: int, p: int) -> bool:
+    """Whether ``DirectSimulator``'s loop beats the stepping kernel."""
+    return reps <= SCALAR_MAX_REPS and reps * p <= SCALAR_MAX_REPS_P
+
+
 def _draws_per_chunk(fluctuation: Fluctuation) -> bool:
     """Whether ``fluctuation`` may draw from a replication's generator.
 
@@ -148,7 +194,7 @@ class BatchDirectSimulator:
     simulates one replication per seed in each :meth:`run_batch` call.
     A fluctuation model applies to closed-form techniques only; a
     feedback technique refuses it.  ``record_chunks`` keeps per-chunk
-    execution logs; only the stepping path records them, and a
+    execution logs; only the feedback paths record them, and a
     closed-form technique refuses the request.
     """
 
@@ -196,14 +242,17 @@ class BatchDirectSimulator:
         the schedule-precomputation path; feedback-loop techniques with
         a registered stepping state take the lock-step round kernel
         (the instance then serves as the never-mutated prototype its
-        batched state is built from), on a clean system only.
-        Replication ``i`` draws only from the generator of ``seeds[i]``,
-        in ``DirectSimulator``'s per-chunk order, so it equals
-        ``DirectSimulator.run(scheduler, seeds[i])``.
+        batched state is built from), on a clean system only, or, on a
+        block narrow enough for it to win (:func:`_scalar_wins`),
+        ``DirectSimulator`` with a fresh scheduler per replication (a
+        copy of an instance).  Replication ``i`` draws only from the
+        generator of ``seeds[i]``, in ``DirectSimulator``'s per-chunk
+        order, so it equals ``DirectSimulator.run(scheduler, seeds[i])``.
         """
         rngs = [make_rng(seed) for seed in seeds]
         if not rngs:
             raise ValueError("need at least one seed")
+        requested = scheduler
         if not isinstance(scheduler, Scheduler):
             scheduler = scheduler(self.params)
         if closed_form_supported(scheduler):
@@ -224,6 +273,8 @@ class BatchDirectSimulator:
                     "system only; use the scalar simulator under a "
                     "fluctuation model"
                 )
+            if _scalar_wins(len(rngs), self.params.p):
+                return self._run_scalar(requested, rngs)
             block = max(
                 1,
                 MAX_BLOCK_ELEMENTS
@@ -240,6 +291,34 @@ class BatchDirectSimulator:
         for lo in range(0, len(rngs), block):
             results.extend(run(rngs[lo:lo + block]))
         return results
+
+    # -- the scalar loop -------------------------------------------------
+    def _run_scalar(
+        self,
+        scheduler: Scheduler | Callable[[SchedulingParams], Scheduler],
+        rngs: list[np.random.Generator],
+    ) -> list[RunResult]:
+        """One ``DirectSimulator`` run per RNG, as ``direct`` runs them.
+
+        Each run takes a fresh scheduler: the factory's, or a copy of
+        the never-mutated instance.
+        """
+        simulator = DirectSimulator(
+            self.params,
+            self.workload,
+            overhead_model=self.overhead_model,
+            speeds=self.speeds.tolist(),
+            start_times=self.start_times.tolist(),
+            record_chunks=self.record_chunks,
+        )
+        return [
+            simulator.run(
+                copy.deepcopy(scheduler)
+                if isinstance(scheduler, Scheduler) else scheduler,
+                rng,
+            )
+            for rng in rngs
+        ]
 
     # -- the closed-form kernel ------------------------------------------
     def _run_block(

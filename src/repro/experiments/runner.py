@@ -73,12 +73,12 @@ from ..obs import metrics as obs_metrics
 from ..obs import progress as obs_progress
 from ..obs.journal import active_journal
 from ..results import RunResult
-from ..simgrid.platform import Platform
 from ..workloads.distributions import Workload
 from ..workloads.generator import replication_entropies
 
 if TYPE_CHECKING:
     from ..scenarios import Scenario
+    from ..simgrid.platform import Platform
 
 __all__ = [
     "BATCH_BLOCK_RUNS",

@@ -63,13 +63,14 @@ def _cache_delta(before: dict | None, after: dict | None) -> dict:
 
 
 def produce_artifact(
-    spec: ArtifactSpec, mode: str, **overrides
+    spec: ArtifactSpec, mode: str, /, **overrides
 ) -> tuple[ArtifactData, list[FallbackEvent], dict[str, bool]]:
     """Produce one artifact, its fallbacks and its claim outcomes.
 
     The process-wide fallback log is drained before the producer runs,
     so what is in it afterwards belongs to this artifact.  ``overrides``
-    replace parameters of ``mode``'s set.  The spec's claims state what
+    replace parameters of ``mode``'s set; ``mode`` is positional-only,
+    so every producer parameter can be one.  The spec's claims state what
     that set must show, so they are evaluated only when ``overrides``
     leave it unchanged; otherwise the outcome map is empty.
     """

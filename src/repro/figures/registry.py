@@ -100,8 +100,12 @@ class ArtifactSpec:
             raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
         return dict(self.quick if mode == "quick" else self.full)
 
-    def produce(self, mode: str, **overrides) -> ArtifactData:
-        """The artifact from ``mode``'s parameters, ``overrides`` on top."""
+    def produce(self, mode: str, /, **overrides) -> ArtifactData:
+        """The artifact from ``mode``'s parameters, ``overrides`` on top.
+
+        ``mode`` is positional-only, so a producer parameter of the same
+        name (the scalability study's strong/weak switch) is an override.
+        """
         return self.producer(**{**self.params(mode), **overrides})
 
     def check_claims(self, mode: str, data: ArtifactData) -> dict[str, bool]:

@@ -39,56 +39,36 @@ and the progress callback (:func:`progress_to`) — is turned on by one
 scope, which restores the sink active before it on exit.
 """
 
-from .journal import RunJournal, active_journal, journal_to
-from .metrics import (
-    Histogram,
-    MetricsRegistry,
-    active_registry,
-    clear_registry,
-    metrics_to,
-    set_registry,
-)
-from .progress import (
-    ProgressEvent,
-    ProgressTracker,
-    progress_to,
-    stream_renderer,
-)
-from .provenance import capture_provenance, platform_xml_hash
-from .report import load_journal, summarize_journal
-from .stats import RunStats
-from .timeline import (
-    TraceEvent,
-    chrome_trace,
-    chrome_trace_from_journal,
-    chrome_trace_from_results,
-    save_chrome_trace,
-    timeline_from_result,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "Histogram",
-    "MetricsRegistry",
-    "ProgressEvent",
-    "ProgressTracker",
-    "RunJournal",
-    "RunStats",
-    "TraceEvent",
-    "active_journal",
-    "active_registry",
-    "capture_provenance",
-    "chrome_trace",
-    "chrome_trace_from_journal",
-    "chrome_trace_from_results",
-    "clear_registry",
-    "journal_to",
-    "load_journal",
-    "metrics_to",
-    "platform_xml_hash",
-    "progress_to",
-    "save_chrome_trace",
-    "set_registry",
-    "stream_renderer",
-    "summarize_journal",
-    "timeline_from_result",
-]
+_EXPORTS = {
+    "journal": ("RunJournal", "active_journal", "journal_to"),
+    "metrics": (
+        "Histogram",
+        "MetricsRegistry",
+        "active_registry",
+        "clear_registry",
+        "metrics_to",
+        "set_registry",
+    ),
+    "progress": (
+        "ProgressEvent",
+        "ProgressTracker",
+        "progress_to",
+        "stream_renderer",
+    ),
+    "provenance": ("capture_provenance", "platform_xml_hash"),
+    "report": ("load_journal", "summarize_journal"),
+    "stats": ("RunStats",),
+    "timeline": (
+        "TraceEvent",
+        "chrome_trace",
+        "chrome_trace_from_journal",
+        "chrome_trace_from_results",
+        "save_chrome_trace",
+        "timeline_from_result",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

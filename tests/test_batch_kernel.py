@@ -190,8 +190,8 @@ class TestKernelDistribution:
 
     def test_closed_form_refuses_chunk_logs(self):
         """The closed-form path records no chunk log, so it refuses the
-        request instead of returning empty logs; the stepping path keeps
-        its logs."""
+        request instead of returning empty logs; a feedback technique
+        keeps its logs."""
         pr = params(n=100, p=4)
         sim = BatchDirectSimulator(pr, ConstantWorkload(1.0),
                                    record_chunks=True)

@@ -4,7 +4,9 @@
   every technique (closed-form or stepping), on any workload, clean or
   under any scenario preset (the kernel replays closed-form techniques
   under fluctuations; the registry sends every other perturbed cell to
-  ``direct``);
+  ``direct``), and the stepping kernel ≡ ``direct`` on every clean
+  feedback block, also one narrow enough for ``run_batch`` to run on
+  the scalar loop;
 * ``msg-fast`` ≡ ``msg`` run for run, for every closed-form technique
   on any workload;
 * the closed-form kernel's two loops, the heap walk and the lock-step
@@ -147,9 +149,14 @@ def test_direct_batch_equals_direct(cell, scenario, data):
         assert run_replicated(task, **sweep) == want
         return
     direct = DirectSimulator(params, workload, **kwargs)
-    assert batch.run_batch(factory, seeds) == [
-        direct.run(factory, seed) for seed in seeds
-    ]
+    want = [direct.run(factory, seed) for seed in seeds]
+    assert batch.run_batch(factory, seeds) == want
+    if not closed_form_supported(factory):
+        # run_batch runs a block this narrow on the scalar loop, so the
+        # stepping kernel is checked on the same seeds directly
+        assert batch._run_stepping_block(
+            factory(params), [make_rng(seed) for seed in seeds]
+        ) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,14 +16,8 @@ from repro.figures import ARTIFACTS
 
 
 def produce(artifact, **overrides):
-    """``artifact``'s quick set with ``overrides`` on top.
-
-    Calls the producer itself: ``ArtifactSpec.produce`` takes the mode
-    of the parameter set first, and the scalability producer's own
-    ``mode`` (strong or weak) is one of the overrides.
-    """
-    spec = ARTIFACTS[artifact]
-    return spec.producer(**{**spec.params("quick"), **overrides})
+    """``artifact``'s quick set with ``overrides`` on top."""
+    return ARTIFACTS[artifact].produce("quick", **overrides)
 
 
 def at(data, label, key):
@@ -32,6 +26,20 @@ def at(data, label, key):
 
 
 class TestScalingStudy:
+    def test_mode_is_an_override_through_produce(self):
+        """The parameter-set mode is positional-only, so the producer's
+        own ``mode`` (strong or weak) overrides like any parameter."""
+        from repro.figures.pipeline import produce_artifact
+
+        spec = ARTIFACTS["scalability"]
+        overrides = dict(mode="weak", techniques=("fac2",), pe_counts=(2, 4),
+                         tasks_per_pe=128, runs=2)
+        data = spec.produce("quick", **overrides)
+        assert "n per point: [256, 512]" in data.text
+        piped, _, claims = produce_artifact(spec, "quick", **overrides)
+        assert piped.text == data.text
+        assert claims == {}
+
     def test_strong_scaling_shape(self):
         data = produce(
             "scalability",

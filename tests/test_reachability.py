@@ -3,7 +3,9 @@
 The closure follows every ``import`` statement of each module, those
 inside functions included, so a subsystem a command imports lazily is
 reached; imports made only for type checkers do not count.  A package
-that only its own tests import fails here.
+that resolves its public names from an ``_EXPORTS`` table reaches every
+submodule the table names, as its first use of a name imports it.  A
+package that only its own tests import fails here.
 """
 
 from __future__ import annotations
@@ -39,11 +41,22 @@ def _runtime_imports(tree: ast.AST):
             yield from _runtime_imports(node)
 
 
+def _exported_submodules(name: str, tree: ast.Module) -> list[str]:
+    """The submodules named by a package's ``_EXPORTS`` table, if any."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "_EXPORTS"
+                for target in node.targets):
+            return [f"{name}.{sub}" for sub in ast.literal_eval(node.value)]
+    return []
+
+
 def imported_modules(name: str, path: Path, modules) -> set[str]:
     """The ``repro`` modules that importing ``name`` can run."""
     package = name if path.name == "__init__.py" else name.rpartition(".")[0]
-    targets = []
-    for node in _runtime_imports(ast.parse(path.read_text())):
+    tree = ast.parse(path.read_text())
+    targets = _exported_submodules(name, tree)
+    for node in _runtime_imports(tree):
         if isinstance(node, ast.Import):
             targets += [alias.name for alias in node.names]
             continue

@@ -4,6 +4,10 @@ scalar direct simulator (the reference oracle).
 Fidelity contract (docs/simulators.md, "The adaptive stepping kernel"):
 every replication is bit-identical to the scalar run under its seed —
 including the per-chunk execution logs — on every workload.
+
+``run_batch`` runs a block narrow enough for ``DirectSimulator``'s loop
+to win on that loop (``_scalar_wins``), so the bit-identity checks on
+a few replications call the stepping kernel itself.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from repro.directsim import (
     DirectSimulator,
     OverheadModel,
 )
+from repro.directsim.batch import _scalar_wins
 from repro.experiments.runner import RunTask, run_replicated
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 from repro.workloads.distributions import LinearWorkload, TraceWorkload
+from repro.workloads.generator import make_rng
 
 #: every technique served by the stepping kernel (no closed-form path)
 STEPPING = (
@@ -58,9 +64,10 @@ def scalar_runs(pr, workload, name, reps, **kwargs):
 
 
 def batch_runs(pr, workload, name, reps, **kwargs):
+    """``reps`` replications on the stepping kernel, however few."""
     sim = BatchDirectSimulator(pr, workload, record_chunks=True, **kwargs)
-    return sim.run_batch(
-        get_technique(name), [1000 + i for i in range(reps)]
+    return sim._run_stepping_block(
+        get_technique(name)(pr), [make_rng(1000 + i) for i in range(reps)]
     )
 
 
@@ -144,12 +151,13 @@ class TestBitIdentity:
         deterministic workload the partitioning cannot change results."""
         pr = params(n=300, p=4)
         workload = ConstantWorkload(1.0)
+        assert not _scalar_wins(12, pr.p)
         one = BatchDirectSimulator(pr, workload).run_batch(
-            get_technique(name), range(7)
+            get_technique(name), range(12)
         )
         monkeypatch.setattr("repro.directsim.batch.MAX_BLOCK_ELEMENTS", 1)
         many = BatchDirectSimulator(pr, workload).run_batch(
-            get_technique(name), range(7)
+            get_technique(name), range(12)
         )
         assert [r.makespan for r in many] == [r.makespan for r in one]
         assert [r.num_chunks for r in many] == [r.num_chunks for r in one]
@@ -207,6 +215,51 @@ class TestDistributionalEquality:
             ]
 
 
+def widths_around_the_rule(p):
+    """The widest block ``run_batch`` runs on the scalar loop at ``p``
+    and the narrowest it runs on the stepping kernel."""
+    wide = next(reps for reps in range(1, 1000) if not _scalar_wins(reps, p))
+    return wide - 1, wide
+
+
+class TestKernelChoice:
+    """``run_batch`` runs narrow feedback blocks on ``DirectSimulator``'s
+    loop and wider ones on the stepping kernel; either side returns
+    ``direct``'s results for the same seeds."""
+
+    @pytest.mark.parametrize("name", ("awf-c", "bold", "rnd"))
+    @pytest.mark.parametrize("p", (4, 64))
+    def test_each_side_of_the_rule_equals_direct(self, name, p):
+        pr = params(n=700, p=p)
+        workload = ExponentialWorkload(1.0)
+        narrow, wide = widths_around_the_rule(p)
+        assert narrow >= 1
+        scalar = DirectSimulator(pr, workload)
+        for reps, fast_path in ((narrow, False), (wide, True)):
+            seeds = [np.random.SeedSequence([5, i]) for i in range(reps)]
+            got = BatchDirectSimulator(pr, workload).run_batch(
+                get_technique(name), seeds
+            )
+            assert got == [scalar.run(get_technique(name), s) for s in seeds]
+            # RunStats.fast_path tells the stepping kernel from the loop
+            assert {r.stats.fast_path for r in got} == {fast_path}
+
+    @pytest.mark.parametrize("name", STEPPING)
+    def test_scalar_side_copies_an_instance(self, name):
+        """An instance is the never-mutated prototype on both sides: the
+        scalar loop runs a fresh copy of it per replication."""
+        pr = params(n=300, p=4)
+        workload = ExponentialWorkload(1.0)
+        prototype = get_technique(name)(pr)
+        seeds = [1, 2, 3]
+        assert _scalar_wins(len(seeds), pr.p)
+        got = BatchDirectSimulator(pr, workload).run_batch(prototype, seeds)
+        assert got == BatchDirectSimulator(pr, workload).run_batch(
+            get_technique(name), seeds
+        )
+        assert prototype.state.scheduled_chunks == 0
+
+
 class TestRunnerIntegration:
     def make_task(self, technique="awf-c", simulator="direct-batch",
                   **overrides):
@@ -262,8 +315,8 @@ class TestCacheRegression:
     def test_deterministic_scalar_era_entry_is_a_clean_hit(self, tmp_path):
         """An entry the direct simulator produced, stored under the
         direct-batch task's key (the key of the same task on direct):
-        the stepping kernel serves it bit-identically, so it is a hit
-        and passes verification."""
+        direct-batch serves it bit-identically, so it is a hit and
+        passes verification."""
         from repro.cache import cache_to
 
         task = self.det_task()
@@ -281,17 +334,23 @@ class TestCacheRegression:
         assert result.makespan == scalar_result.makespan
 
     def test_stochastic_direct_entry_is_a_verified_hit(self, tmp_path):
-        """A stochastic cell too: the entry a direct task stored serves
-        the same direct-batch task, and a fresh stepping-kernel run
-        under verification reproduces it."""
+        """A stochastic sweep too: the entry a direct sweep stored
+        serves the same direct-batch sweep, and a fresh stepping-kernel
+        run under verification reproduces it."""
         from repro.cache import cache_to
 
         task = self.det_task(workload=ExponentialWorkload(1.0))
         direct = dataclasses.replace(task, simulator="direct")
+        runs = 16
+        assert not _scalar_wins(runs, task.params.p)
         with cache_to(tmp_path, verify_fraction=1.0) as cache:
-            assert cache.task_key(task) == cache.task_key(direct)
-            stored = direct.execute()
-            served = task.execute()
+            assert cache.sweep_key(task, runs, 3) == cache.sweep_key(
+                direct, runs, 3
+            )
+            stored = run_replicated(direct, runs, campaign_seed=3,
+                                    processes=1)
+            served = run_replicated(task, runs, campaign_seed=3,
+                                    processes=1)
         assert served == stored
         assert cache.stats.hits == 1
         assert cache.stats.verified == 1
