@@ -13,9 +13,10 @@ technique module focused on its formula.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -213,20 +214,24 @@ class Scheduler(ABC):
         return self.state.scheduled_chunks
 
     # -- schedule precomputation ----------------------------------------
-    def chunk_schedule(self) -> np.ndarray | None:
-        """The full chunk-size sequence this scheduler will produce.
+    def chunk_schedule(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The full chunk-size sequence this scheduler will produce, as runs.
 
-        Returns an int64 array of chunk sizes (summing to ``n``), or
-        ``None`` when the sequence depends on run-time feedback (worker
-        identity, request timing, or measured execution times) and
-        therefore cannot be precomputed.
+        Returns two int64 arrays ``(sizes, counts)``: run ``j`` is
+        ``counts[j]`` consecutive chunks of ``sizes[j]`` tasks, each run
+        a maximal stretch of equal sizes, so ``np.repeat(sizes, counts)``
+        is the sequence (summing to ``n``).  A constant-chunk technique
+        (SS, CSS, FSC, STAT) has at most two runs, so its schedule holds
+        no entry per chunk.  Returns ``None`` when the sequence depends on
+        run-time feedback (worker identity, request timing, or measured
+        execution times) and therefore cannot be precomputed.
 
         Must be called on a *fresh* scheduler.  The generic
         implementation drains ``self`` through the real
         :meth:`next_chunk` machinery, so the instance is consumed; most
         techniques override it with a closed form that leaves the
-        instance untouched.  Used by the batch-replication kernel
-        (:mod:`repro.directsim.batch`) to compute the schedule once per
+        instance untouched.  Used by the closed-form kernels
+        (:mod:`repro.core.schedule`) to compute the schedule once per
         cell and reuse it across all replications.
         """
         if not self.deterministic_schedule:
@@ -235,36 +240,42 @@ class Scheduler(ABC):
             raise ValueError("chunk_schedule requires a fresh scheduler")
         return self._chunk_schedule()
 
-    def _chunk_schedule(self) -> np.ndarray:
-        """Closed-form hook behind :meth:`chunk_schedule`.
+    def _chunk_schedule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form hook behind :meth:`chunk_schedule`: the runs of
+        :meth:`_chunk_sizes`, merged as they are produced."""
+        return _runs(self._chunk_sizes())
+
+    def _chunk_sizes(self) -> Iterator[int]:
+        """The chunk sizes in order, one at a time.
 
         The generic fallback drains ``self`` through the real
-        :meth:`next_chunk` machinery (consuming the instance); most
-        techniques override it with a closed form that leaves the
-        instance untouched.
+        :meth:`next_chunk` machinery (consuming the instance); a
+        technique with a chunk-size formula overrides it with the
+        formula, which leaves the instance untouched.
         """
         mu = self.params.mu or 1.0
-        sizes: list[int] = []
         while not self.done:
             size = self.next_chunk(0)
             if size == 0:
                 break
-            sizes.append(size)
+            yield size
             self.record_finished(0, size, elapsed=size * mu)
-        return np.asarray(sizes, dtype=np.int64)
 
     @staticmethod
-    def _constant_schedule(n: int, k: int) -> np.ndarray:
+    def _constant_schedule(
+        n: int, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Closed form for constant-chunk techniques: ``k``-sized chunks
-        until fewer than ``k`` tasks remain, then the remainder."""
+        until fewer than ``k`` tasks remain, then the remainder — at
+        most two runs."""
         if n <= 0:
-            return np.zeros(0, dtype=np.int64)
+            return _runs(())
         k = max(1, min(int(k), n))
         full, rem = divmod(n, k)
-        sizes = np.full(full + (1 if rem else 0), k, dtype=np.int64)
-        if rem:
-            sizes[-1] = rem
-        return sizes
+        return (
+            np.array([k, rem] if rem else [k], dtype=np.int64),
+            np.array([full, 1] if rem else [full], dtype=np.int64),
+        )
 
     # -- hooks for subclasses -------------------------------------------
     @abstractmethod
@@ -287,6 +298,17 @@ class Scheduler(ABC):
             f"<{type(self).__name__} n={self.params.n} p={self.params.p} "
             f"remaining={self.state.remaining}>"
         )
+
+
+def _runs(chunk_sizes: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(sizes, counts)`` runs of a chunk-size sequence: one entry
+    per maximal stretch of equal consecutive sizes."""
+    sizes: list[int] = []
+    counts: list[int] = []
+    for size, run in itertools.groupby(chunk_sizes):
+        sizes.append(size)
+        counts.append(sum(1 for _ in run))
+    return np.array(sizes, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def chunk_sizes(scheduler: Scheduler) -> list[int]:

@@ -6,10 +6,12 @@ same precondition: the technique's chunk sequence must be a pure
 function of ``(n, p, params)`` so it can be computed once via
 :meth:`~repro.core.base.Scheduler.chunk_schedule` and replayed across
 replications.  This module holds the single eligibility predicate, the
-precomputation helper and the one place that draws a schedule's chunk
-times, so the two fast paths cannot drift apart.  Both replay a run
-under its own seed: each replication draws from its own generator, in
-the scalar simulators' chunk order.
+precomputation helper and the one place that expands a schedule's runs
+and draws its chunk times, so the two fast paths cannot drift apart.
+Both replay a run under its own seed: each replication draws from its
+own generator, in the scalar simulators' chunk order.  Both walk the
+schedule a tile of at most :data:`SEGMENT_CHUNKS` chunks at a time, so
+their memory does not grow with the number of chunks.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .registry import get_technique
 if TYPE_CHECKING:
     from ..workloads.distributions import Workload
 
-#: chunks per segment of :meth:`PrecomputedSchedule.replication_times`:
-#: 64 KB of floats, and one draw call per 2,048 chunks walked, which
-#: keeps the call's fixed cost to a few percent of the walk.  Larger
-#: segments hold more memory without walking faster.
+#: chunks per tile of :meth:`PrecomputedSchedule.tiles`: 16 KB of
+#: floats per replication, and one draw call per replication and 2,048
+#: chunks walked, which keeps the call's fixed cost to a few percent of
+#: the walk.  Larger tiles hold more memory without walking faster.
 SEGMENT_CHUNKS = 2048
 
 
@@ -78,61 +80,83 @@ def closed_form_supported(
 class PrecomputedSchedule:
     """One cell's chunk schedule, computed once and replayed per run.
 
-    It is also the one place that draws the schedule's chunk times, one
-    replication per generator, each from its own generator in chunk
-    order — the order in which the scalar simulators draw them, so a
-    replay under a run's seed draws that run's chunk times:
-    :meth:`block_times` as a ``(R, C)`` matrix and
-    :meth:`replication_times` as Python floats, a segment at a time.
+    The schedule is stored as runs of equal chunk sizes (see
+    :meth:`~repro.core.base.Scheduler.chunk_schedule`) and expanded a
+    tile of at most :data:`SEGMENT_CHUNKS` chunks at a time, so no
+    consumer holds an entry per chunk.  It is also the one place that
+    draws the schedule's chunk times, one replication per generator,
+    each from its own generator in chunk order — the order in which the
+    scalar simulators draw them, so a replay under a run's seed draws
+    that run's chunk times: :meth:`block_times` as ``(R, tile)``
+    matrices and :meth:`replication_times` as Python floats.
     """
 
     label: str
-    sizes: np.ndarray      # int64 chunk sizes, summing to n
+    sizes: np.ndarray      # int64 chunk size of each run
+    counts: np.ndarray     # int64 chunks in each run
 
     @property
     def num_chunks(self) -> int:
-        return int(self.sizes.size)
+        return int(self.counts.sum())
+
+    def tiles(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The chunks' ``(starts, sizes)``, a tile at a time, in order.
+
+        Each tile holds the next :data:`SEGMENT_CHUNKS` chunks (fewer in
+        the last), expanded from the runs that overlap it.
+        """
+        ends = np.cumsum(self.counts)           # chunk after each run
+        total = int(ends[-1]) if ends.size else 0
+        first_task = 0
+        for lo in range(0, total, SEGMENT_CHUNKS):
+            hi = min(lo + SEGMENT_CHUNKS, total)
+            first = int(np.searchsorted(ends, lo, side="right"))
+            last = int(np.searchsorted(ends, hi, side="left")) + 1
+            run_ends = ends[first:last]
+            taken = (np.minimum(run_ends, hi)
+                     - np.maximum(run_ends - self.counts[first:last], lo))
+            sizes = np.repeat(self.sizes[first:last], taken)
+            stops = np.cumsum(sizes) + first_task
+            first_task = int(stops[-1])
+            yield stops - sizes, sizes
+
+    def chunks(self) -> Iterator[tuple[int, int]]:
+        """Every chunk's ``(start, size)`` as Python ints, in order."""
+        for starts, sizes in self.tiles():
+            yield from zip(starts.tolist(), sizes.tolist())
 
     def block_times(
         self, workload: "Workload", rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """The ``(R, C)`` chunk times, row ``r`` drawn from ``rngs[r]``.
+    ) -> Iterator[np.ndarray]:
+        """The chunk times as ``(R, tile)`` matrices, in chunk order.
 
-        The matrix is filled in place, one replication at a time.
+        Row ``r`` of every tile is drawn from ``rngs[r]``, whose
+        consecutive draws equal one draw over the whole schedule (the
+        :meth:`~repro.workloads.distributions.Workload.chunk_times_batch`
+        contract), so a block holds one tile, never an ``(R, C)``
+        matrix.
         """
-        sizes = self.sizes
-        starts = np.cumsum(sizes) - sizes
-        times = np.empty((len(rngs), sizes.size))
-        for row, rng in zip(times, rngs):
-            row[:] = workload.chunk_times_batch(starts, sizes, rng)
-        return times
+        for starts, sizes in self.tiles():
+            times = np.empty((len(rngs), sizes.size))
+            for row, rng in zip(times, rngs):
+                row[:] = workload.chunk_times_batch(starts, sizes, rng)
+            yield times
 
     def replication_times(
         self, workload: "Workload", rng: np.random.Generator
     ) -> Iterator[float]:
         """One replication's chunk times, in chunk order, as floats.
 
-        The values and RNG consumption of a :meth:`block_times` row,
-        drawn :data:`SEGMENT_CHUNKS` chunks at a time as the iterator is
-        consumed, so SS at n = 524,288 holds its sizes plus one segment.
+        The one-row case of :meth:`block_times`, drawn a tile at a time
+        as the iterator is consumed.
         """
         return itertools.chain.from_iterable(
-            self._drawn_segments(workload, rng)
+            tile[0].tolist() for tile in self.block_times(workload, [rng])
         )
-
-    def _drawn_segments(
-        self, workload: "Workload", rng: np.random.Generator
-    ) -> Iterator[list[float]]:
-        first = 0
-        for lo in range(0, self.num_chunks, SEGMENT_CHUNKS):
-            sizes = self.sizes[lo:lo + SEGMENT_CHUNKS]
-            ends = np.cumsum(sizes) + first
-            first = int(ends[-1])
-            yield workload.chunk_times_batch(ends - sizes, sizes, rng).tolist()
 
 
 def precompute_schedule(scheduler: Scheduler) -> PrecomputedSchedule:
-    """The ``(label, sizes)`` schedule both fast paths replay.
+    """The ``(label, runs)`` schedule both fast paths replay.
 
     ``scheduler`` must be fresh; raises :class:`ScheduleUnavailableError`
     when the technique has no closed-form schedule.
@@ -142,10 +166,11 @@ def precompute_schedule(scheduler: Scheduler) -> PrecomputedSchedule:
             "scheduler has already been used; pass a fresh one"
         )
     label = scheduler.label or scheduler.name
-    sizes = scheduler.chunk_schedule()
-    if sizes is None:
+    runs = scheduler.chunk_schedule()
+    if runs is None:
         raise ScheduleUnavailableError(
             f"{label or type(scheduler).__name__} has no precomputable "
             f"chunk schedule; use a scalar simulator"
         )
-    return PrecomputedSchedule(label=label, sizes=sizes)
+    sizes, counts = runs
+    return PrecomputedSchedule(label=label, sizes=sizes, counts=counts)

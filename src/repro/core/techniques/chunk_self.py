@@ -37,5 +37,5 @@ class ChunkSelfScheduling(Scheduler):
     def _chunk_size(self, worker: int) -> int:
         return self.k
 
-    def _chunk_schedule(self) -> np.ndarray:
+    def _chunk_schedule(self) -> tuple[np.ndarray, np.ndarray]:
         return self._constant_schedule(self.params.n, self.k)

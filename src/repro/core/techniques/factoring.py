@@ -32,9 +32,9 @@ requires only ``p`` and ``r``.
 
 from __future__ import annotations
 
+import itertools
 import math
-
-import numpy as np
+from typing import Iterator
 
 from ..base import Scheduler
 from ..registry import register
@@ -86,14 +86,13 @@ class _BatchedScheduler(Scheduler):
     def _batch_chunk(self, remaining: int) -> int:
         raise NotImplementedError
 
-    def _chunk_schedule(self) -> np.ndarray:
+    def _chunk_sizes(self) -> Iterator[int]:
         # Closed form: per batch, p equal chunks (the last clipped to the
         # batch's allocation).  _batch_chunk may consult _batch_index
         # (FAC's first-batch x), so drive it the way _start_batch would.
         p = self.params.p
         remaining = self.params.n
         saved = self._batch_index
-        sizes: list[int] = []
         try:
             self._batch_index = 0
             while remaining > 0:
@@ -101,13 +100,12 @@ class _BatchedScheduler(Scheduler):
                 batch_left = min(chunk * p, remaining)
                 self._batch_index += 1
                 full, rem = divmod(batch_left, chunk)
-                sizes.extend([chunk] * full)
+                yield from itertools.repeat(chunk, full)
                 if rem:
-                    sizes.append(rem)
+                    yield rem
                 remaining -= batch_left
         finally:
             self._batch_index = saved
-        return np.asarray(sizes, dtype=np.int64)
 
 
 @register

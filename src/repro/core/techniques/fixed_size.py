@@ -62,5 +62,5 @@ class FixedSizeChunking(Scheduler):
     def _chunk_size(self, worker: int) -> int:
         return self.k
 
-    def _chunk_schedule(self) -> np.ndarray:
+    def _chunk_schedule(self) -> tuple[np.ndarray, np.ndarray]:
         return self._constant_schedule(self.params.n, self.k)

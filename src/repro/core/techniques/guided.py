@@ -9,7 +9,7 @@ technique requires ``p`` and ``r``.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Iterator
 
 from ..base import Scheduler
 from ..registry import register
@@ -40,12 +40,10 @@ class GuidedSelfScheduling(Scheduler):
         guided = self._ceil_div(self.state.remaining, self.params.p)
         return max(self.min_chunk_size, guided)
 
-    def _chunk_schedule(self) -> np.ndarray:
+    def _chunk_sizes(self) -> Iterator[int]:
         remaining, p = self.params.n, self.params.p
-        sizes: list[int] = []
         while remaining > 0:
             size = max(self.min_chunk_size, self._ceil_div(remaining, p))
             size = min(size, remaining)
-            sizes.append(size)
+            yield size
             remaining -= size
-        return np.asarray(sizes, dtype=np.int64)

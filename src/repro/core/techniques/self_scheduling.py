@@ -26,5 +26,5 @@ class SelfScheduling(Scheduler):
     def _chunk_size(self, worker: int) -> int:
         return 1
 
-    def _chunk_schedule(self) -> np.ndarray:
-        return np.ones(max(0, self.params.n), dtype=np.int64)
+    def _chunk_schedule(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._constant_schedule(self.params.n, 1)

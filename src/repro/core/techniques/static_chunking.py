@@ -27,6 +27,6 @@ class StaticChunking(Scheduler):
     def _chunk_size(self, worker: int) -> int:
         return self._ceil_div(self.params.n, self.params.p)
 
-    def _chunk_schedule(self) -> np.ndarray:
+    def _chunk_schedule(self) -> tuple[np.ndarray, np.ndarray]:
         n, p = self.params.n, self.params.p
         return self._constant_schedule(n, self._ceil_div(n, p))

@@ -19,8 +19,7 @@ balanced time with confidence level ``alpha``:
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import Iterator
 
 from ..base import Scheduler
 from ..registry import register
@@ -61,14 +60,12 @@ class Taper(Scheduler):
             self.state.remaining, self.params.p, mu, sigma, self.alpha
         )
 
-    def _chunk_schedule(self) -> np.ndarray:
+    def _chunk_sizes(self) -> Iterator[int]:
         mu = self.params.mu if self.params.mu is not None else 1.0
         sigma = self.params.sigma if self.params.sigma is not None else 0.0
         remaining, p = self.params.n, self.params.p
-        sizes: list[int] = []
         while remaining > 0:
             size = taper_chunk(remaining, p, mu, sigma, self.alpha)
             size = max(1, min(size, remaining))
-            sizes.append(size)
+            yield size
             remaining -= size
-        return np.asarray(sizes, dtype=np.int64)

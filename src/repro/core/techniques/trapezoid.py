@@ -15,7 +15,7 @@ and ``l``.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Iterator
 
 from ..base import Scheduler
 from ..registry import register
@@ -69,19 +69,17 @@ class TrapezoidSelfScheduling(Scheduler):
         if self._current < self.last:
             self._current = float(self.last)
 
-    def _chunk_schedule(self) -> np.ndarray:
+    def _chunk_sizes(self) -> Iterator[int]:
         # Replays _chunk_size/_after_assignment arithmetic exactly
         # (including the round() and the floor at ``l``) without
         # touching the instance's state.
         remaining = self.params.n
         current = float(self.first)
-        sizes: list[int] = []
         while remaining > 0:
             size = max(1, max(self.last, int(round(current))))
             size = min(size, remaining)
-            sizes.append(size)
+            yield size
             remaining -= size
             current -= self.delta
             if current < self.last:
                 current = float(self.last)
-        return np.asarray(sizes, dtype=np.int64)

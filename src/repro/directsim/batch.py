@@ -11,22 +11,25 @@ of one cell without the per-chunk scheduler calls, in three layers:
    sequence is a pure function of ``(n, p, params)``
    (:attr:`~repro.core.base.Scheduler.deterministic_schedule`), the
    size sequence is computed once per cell via
-   :meth:`~repro.core.base.Scheduler.chunk_schedule` and reused across
-   all replications.
+   :meth:`~repro.core.base.Scheduler.chunk_schedule`, as runs of equal
+   chunk sizes (SS at any n is one run), and reused across all
+   replications.
 2. **Bulk sampling** — the :class:`~repro.core.schedule.
-   PrecomputedSchedule` draws each replication's chunk times from that
-   replication's own generator with :meth:`~repro.workloads.
-   distributions.Workload.chunk_times_batch`: a block's ``(R, C)``
-   matrix a row at a time, or a single replication in 2,048-chunk
-   segments, so SS at n = 524,288 never holds an n-sized matrix.
+   PrecomputedSchedule` expands its runs a tile of at most 2,048
+   chunks at a time and draws each replication's chunk times for the
+   tile from that replication's own generator with
+   :meth:`~repro.workloads.distributions.Workload.chunk_times_batch`:
+   an ``(R, tile)`` matrix for a block, or one row for one
+   replication.  So the kernel holds one tile, whatever the number of
+   chunks: SS at n = 524,288 holds no n-sized array.
 3. **Worker assignment** — one of two loops, chosen from the block's
    shape and scenario and returning the same results: a heap walk per
    replication (``DirectSimulator``'s ``(time, worker)`` heap on plain
    floats, with the scheduler replaced by the drawn chunk times), or,
    for wide blocks, an argmin loop over the whole ``(R, p)`` ready
-   matrix at once.  Both pop the earliest-ready, lowest-index worker,
-   repeat the scalar loop's float operations in its order and sum
-   ``total_task_time`` in chunk order.
+   matrix at once, stepping through the tiles.  Both pop the
+   earliest-ready, lowest-index worker, repeat the scalar loop's float
+   operations in its order and sum ``total_task_time`` in chunk order.
 
 Techniques whose chunk sequence *cannot* be precomputed — the adaptive
 feedback loops (AWF family, AF, BOLD) and the worker-dependent
@@ -74,6 +77,7 @@ import numpy as np
 from ..core.base import ChunkRecord, Scheduler
 from ..core.params import SchedulingParams
 from ..core.schedule import (
+    SEGMENT_CHUNKS,
     PrecomputedSchedule,
     ScheduleUnavailableError,
     closed_form_supported,
@@ -93,9 +97,11 @@ from .faults import (
 )
 from .simulator import DirectSimulator
 
-#: cap on R * C elements of a block's chunk-time matrix (~128 MB of
-#: float64), so huge cells stream through in smaller replication
-#: blocks; a block of one replication is drawn in segments instead.
+#: cap on the elements a replication block holds at once (~128 MB of
+#: float64), so huge blocks stream through in smaller ones: a
+#: closed-form block holds one ``(R, SEGMENT_CHUNKS)`` tile of chunk
+#: times whatever its number of chunks, a stepping block ``(R, p)``
+#: state arrays.
 MAX_BLOCK_ELEMENTS = 1 << 24
 
 #: the stepping path holds ~this many (R, p) state arrays alive at once
@@ -172,9 +178,9 @@ def _draws_per_chunk(fluctuation: Fluctuation) -> bool:
     """Whether ``fluctuation`` may draw from a replication's generator.
 
     Waves and steps never draw, so a replication's chunk times can be
-    drawn ahead in segments.  Any other model (load noise) draws right
-    after each chunk's time, as in ``DirectSimulator``, so its chunk
-    times must be drawn one chunk at a time.
+    drawn ahead a tile at a time.  Any other model (load noise) draws
+    right after each chunk's time, as in ``DirectSimulator``, so its
+    chunk times must be drawn one chunk at a time.
     """
     components = (
         fluctuation.components
@@ -263,7 +269,7 @@ class BatchDirectSimulator:
                     "the scalar simulator to collect one"
                 )
             schedule = precompute_schedule(scheduler)
-            block = max(1, MAX_BLOCK_ELEMENTS // max(1, schedule.num_chunks))
+            block = max(1, MAX_BLOCK_ELEMENTS // SEGMENT_CHUNKS)
             run = functools.partial(self._run_block, schedule)
         elif stepping_supported(scheduler):
             if self.fluctuation is not None:
@@ -339,17 +345,16 @@ class BatchDirectSimulator:
         fluctuation = self.fluctuation
         if fluctuation is None and _lockstep_wins(reps, self.params.p):
             rows = self._run_lockstep(
-                schedule.block_times(self.workload, rngs)
+                schedule.block_times(self.workload, rngs), reps
             )
         elif fluctuation is not None and _draws_per_chunk(fluctuation):
             # Lazy one-chunk draws, so each chunk's noise factor follows
             # its time in the replication's stream, as in DirectSimulator
-            sizes = schedule.sizes.tolist()
+            chunk_time = self.workload.chunk_time
             rows = [
-                self._walk(map(
-                    self.workload.chunk_time,
-                    itertools.accumulate(sizes, initial=0), sizes,
-                    itertools.repeat(rng),
+                self._walk((
+                    chunk_time(start, size, rng)
+                    for start, size in schedule.chunks()
                 ), rng)
                 for rng in rngs
             ]
@@ -432,16 +437,17 @@ class BatchDirectSimulator:
         return makespan, compute, counts, total
 
     def _run_lockstep(
-        self, task_times: np.ndarray
+        self, tiles: Iterable[np.ndarray], reps: int
     ) -> list[tuple[float, list[float], list[int], float]]:
-        """All rows of ``task_times`` in lock-step, one chunk at a time.
+        """``reps`` replications in lock-step, one chunk at a time.
 
-        The argmin over the ``(reps, p)`` ready matrix pops the same
-        worker as the scalar heap — ties break toward the lowest worker
-        index, as argmin does — and the float operations are
-        :meth:`_walk`'s, so both loops agree bit for bit.
+        ``tiles`` are ``(reps, C)`` chunk-time matrices in chunk order
+        (:meth:`PrecomputedSchedule.block_times`), stepped through a
+        column at a time.  The argmin over the ``(reps, p)`` ready matrix
+        pops the same worker as the scalar heap — ties break toward the
+        lowest worker index, as argmin does — and the float operations
+        are :meth:`_walk`'s, so both loops agree bit for bit.
         """
-        reps, num_chunks = task_times.shape
         p = self.params.p
         h = self.params.h
         model = self.overhead_model
@@ -454,10 +460,11 @@ class BatchDirectSimulator:
         if model is OverheadModel.SERIALIZED_MASTER:
             master_free = np.zeros(reps)
 
-        for c in range(num_chunks):
+        for task_time in itertools.chain.from_iterable(
+            tile.T for tile in tiles
+        ):
             w = np.argmin(ready, axis=1)
             t = ready[rows, w]
-            task_time = task_times[:, c]
             # True division (not multiplication by a reciprocal) so the
             # ready times match the scalar simulator bit-for-bit.
             elapsed = task_time / self.speeds[w]

@@ -7,8 +7,8 @@ instrumentation that makes a run auditable:
 
 * :class:`RunStats` (:mod:`repro.obs.stats`) — the per-run kernel
   statistics block every simulator attaches to its
-  :class:`~repro.results.RunResult` (events processed, heap peak,
-  live-process high-water mark, host wall time).  Stats are
+  :class:`~repro.results.RunResult` (the backend that ran it, whether
+  a fast path did, events processed, host wall time).  Stats are
   observability metadata, not results: ``RunResult`` equality ignores
   them.  They ride back from pool workers with the results.
 * :class:`RunJournal` (:mod:`repro.obs.journal`) — an append-only JSONL

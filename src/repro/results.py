@@ -45,9 +45,10 @@ class RunResult:
     chunk_log: list[ChunkExecution] = field(default_factory=list)
     #: extra per-run observables (message counts, comm time, ...)
     extras: dict = field(default_factory=dict)
-    #: kernel statistics of the run (events, heap peak, wall time, ...).
-    #: Observability metadata, not a result: excluded from equality, so
-    #: bit-identical runs compare equal even across substrates.
+    #: kernel statistics of the run (backend, fast_path, events,
+    #: wall_time).  Observability metadata, not a result: excluded from
+    #: equality, so bit-identical runs compare equal even across
+    #: substrates.
     stats: RunStats | None = field(default=None, compare=False, repr=False)
 
     @property

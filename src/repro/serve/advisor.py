@@ -75,6 +75,10 @@ DEFAULT_SIMULATOR = "direct-batch"
 #: hard per-query replication ceiling — the advisor is a service, and a
 #: single query must not be able to occupy the box for minutes
 MAX_RUNS = 1024
+#: hard per-query ceiling on ``runs`` × ``n``, the tasks one candidate
+#: sweep simulates, for the same reason: SS walks one chunk per task.
+#: It admits the paper's largest cell, n = 524,288, at up to 32 runs.
+MAX_RUNS_TIMES_N = 1 << 24
 
 
 class AdviseValidationError(ValueError):
@@ -186,7 +190,7 @@ class AdviseRequest:
                 f"unknown request key(s) {', '.join(map(repr, unknown))}; "
                 f"understood: {', '.join(sorted(_KNOWN_KEYS))}",
             )
-        n = _require_int(payload, "n", minimum=1)
+        n = _require_int(payload, "n", minimum=1, maximum=MAX_RUNS_TIMES_N)
         p = _require_int(payload, "p", minimum=1)
         h = _optional_float(payload, "h", 0.0, minimum=0.0)
         mean = _optional_float(payload, "mean", 1.0, positive=True)
@@ -201,6 +205,13 @@ class AdviseRequest:
             payload, "runs", minimum=1, maximum=MAX_RUNS,
             default=default_runs,
         )
+        if runs * n > MAX_RUNS_TIMES_N:
+            raise AdviseValidationError(
+                "runs",
+                f"'runs' x 'n' must be <= {MAX_RUNS_TIMES_N}, got {runs} x "
+                f"{n}; at n = {n} ask for at most "
+                f"{MAX_RUNS_TIMES_N // n} runs",
+            )
         seed = _require_int(payload, "seed", minimum=0, default=0)
         simulator = payload.get("simulator", default_simulator)
         if not isinstance(simulator, str) or (

@@ -10,11 +10,13 @@ operations:
 
 1. the chunk-size sequence is precomputed once via
    :meth:`~repro.core.base.Scheduler.chunk_schedule`;
-2. chunk execution times are drawn in segments of the schedule
+2. chunk execution times are drawn in tiles of the schedule
    (:meth:`~repro.core.schedule.PrecomputedSchedule.replication_times`),
    which consume the RNG stream *identically* to the per-chunk draws of
    the event-driven path (chunks are drawn in assignment order in both)
-   while holding one segment at a time;
+   while holding one tile at a time, and the chunk log reads the
+   schedule's runs a tile at a time too, so a run's memory does not grow
+   with its number of chunks;
 3. the master's serialised request servicing is replayed directly: the
    master always serves pending work requests in global delivery order,
    so a small heap of at most ``p`` pending requests replaces the event
@@ -139,9 +141,8 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         per_worker = model is OverheadModel.PER_WORKER
 
         label = schedule.label
-        sizes = schedule.sizes
         num_chunks = schedule.num_chunks
-        # Drawn in assignment order, a segment at a time — consumes the
+        # Drawn in assignment order, a tile at a time — consumes the
         # RNG exactly as the event path's per-chunk draws do.
         task_times = schedule.replication_times(self.workload, rng)
 
@@ -186,7 +187,7 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         log_entries: list[tuple[float, ChunkExecution]] | None = (
             [] if config.record_chunks else None
         )
-        first_task = 0                  # start of chunk c, for the log
+        chunks = schedule.chunks()      # (start, size) of chunk c, for the log
         master_messages = 0
         master_busy_time = 0.0
         master_free = 0.0
@@ -212,11 +213,10 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
                 task_time_acc[w] += task_time
                 chunk_counts[w] += 1
                 if log_entries is not None:
-                    size = int(sizes[c])
+                    start, size = next(chunks)
                     record = ChunkRecord(
-                        index=c, worker=w, start=first_task, size=size,
+                        index=c, worker=w, start=start, size=size,
                     )
-                    first_task += size
                     log_entries.append(
                         (end, ChunkExecution(record, begin, elapsed))
                     )

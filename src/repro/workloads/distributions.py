@@ -23,6 +23,7 @@ expressed as ``(start, size)`` pairs everywhere in the simulators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 
@@ -89,10 +90,12 @@ class Workload(ABC):
         the same state, so consecutive chunk ranges drawn in successive
         calls draw as one call over all of them.
 
-        The default draws every task time with one :meth:`sample` call.
-        The chunks of one size form a ``(count, size)`` matrix summed
-        along its rows; NumPy sums each row as it sums a 1-D array, so
-        every chunk sum equals :meth:`chunk_time`'s ``.sum()``.
+        The default draws every task time with one :meth:`sample` call,
+        so its memory is the call's tasks.  Each run of ``count``
+        consecutive chunks of one size is a ``(count, size)`` view of
+        those tasks, summed along its rows; NumPy sums each row as it
+        sums a 1-D array, so every chunk sum equals :meth:`chunk_time`'s
+        ``.sum()``.
         """
         starts, sizes = _validate_chunks(starts, sizes)
         sizes = np.maximum(sizes, 0)
@@ -105,14 +108,14 @@ class Workload(ABC):
         tasks = self.sample(
             int(starts[0]), int(offsets[-1] + sizes[-1]), rng
         )
-        order = np.argsort(sizes, kind="stable")
-        edges = np.flatnonzero(np.diff(sizes[order])) + 1
-        for group in np.split(order, edges):
-            size = int(sizes[group[0]])
+        edges = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+        for lo, hi in itertools.pairwise([0, *edges, sizes.size]):
+            size = int(sizes[lo])
             if size:
-                out[group] = tasks[
-                    offsets[group, None] + np.arange(size)
-                ].sum(axis=1)
+                first = int(offsets[lo])
+                out[lo:hi] = tasks[first:first + (hi - lo) * size].reshape(
+                    hi - lo, size
+                ).sum(axis=1)
         return out
 
     def serial_time(self, n: int) -> float:
@@ -316,11 +319,15 @@ class LinearWorkload(Workload):
         return abs(self.last - self.first) / math.sqrt(12.0)
 
     def _times(self, start: int, size: int) -> np.ndarray:
-        idx = np.arange(start, start + size, dtype=np.float64)
         if self.n == 1:
             return np.full(size, self.first)
-        frac = np.clip(idx / (self.n - 1), 0.0, 1.0)
-        return self.first + (self.last - self.first) * frac
+        # first + (last - first) * clip(i / (n - 1), 0, 1), in place
+        times = np.arange(start, start + size, dtype=np.float64)
+        times /= self.n - 1
+        np.clip(times, 0.0, 1.0, out=times)
+        times *= self.last - self.first
+        times += self.first
+        return times
 
     def sample(self, start, size, rng) -> np.ndarray:
         return self._times(start, size)
@@ -416,7 +423,7 @@ class TraceWorkload(Workload):
 
     def _prefix_sums(self) -> np.ndarray:
         # Cached: the scalar simulators and the stepping kernel ask once
-        # per chunk, the closed-form kernels once per segment.
+        # per chunk, the closed-form kernels once per tile.
         if not hasattr(self, "_csum"):
             self._csum = np.concatenate(([0.0], np.cumsum(self.times)))
         return self._csum

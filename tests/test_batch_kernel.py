@@ -13,6 +13,7 @@ from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique
 from repro.core.schedule import (
     SEGMENT_CHUNKS,
+    PrecomputedSchedule,
     ScheduleUnavailableError,
     closed_form_supported,
     precompute_schedule,
@@ -23,6 +24,7 @@ from repro.directsim import (
     DirectSimulator,
     OverheadModel,
 )
+from repro.directsim.batch import _lockstep_wins
 from repro.experiments.bold_experiments import scheduling_params
 from repro.experiments.runner import RunTask, run_replicated
 from repro.simgrid.fastpath import FastMasterWorkerSimulation
@@ -71,6 +73,15 @@ class TestBatchSupported:
                    for name in technique_names())
 
 
+def assert_maximal_runs(sizes, counts):
+    """``(sizes, counts)`` are int64 runs: positive counts, and no two
+    neighbouring runs of one size."""
+    assert sizes.dtype == counts.dtype == np.int64
+    assert sizes.shape == counts.shape
+    assert (counts > 0).all()
+    assert (sizes[1:] != sizes[:-1]).all()
+
+
 class TestChunkSchedule:
     @pytest.mark.parametrize("name", BATCHABLE)
     @pytest.mark.parametrize("n,p", [(0, 4), (1, 4), (257, 3), (1024, 8)])
@@ -78,11 +89,24 @@ class TestChunkSchedule:
         """chunk_schedule() must replay exactly what next_chunk produces."""
         make = get_technique(name)
         pr = SchedulingParams(n=n, p=p, h=0.25, mu=1.0, sigma=1.0)
-        closed_form = make(pr).chunk_schedule()
-        drained = chunk_sizes(make(pr))
-        assert closed_form is not None
-        assert closed_form.tolist() == list(drained)
-        assert int(closed_form.sum()) == n
+        runs = make(pr).chunk_schedule()
+        assert runs is not None
+        assert_maximal_runs(*runs)
+        assert np.repeat(*runs).tolist() == chunk_sizes(make(pr))
+        assert int(np.repeat(*runs).sum()) == n
+
+    @pytest.mark.parametrize("name,h", [
+        ("ss", 0.25), ("fsc", 0.0), ("css", 0.25), ("stat", 0.25),
+    ])
+    @pytest.mark.parametrize("n,p", [(1, 4), (257, 3), (1024, 8), (4099, 8)])
+    def test_constant_chunks_are_at_most_two_runs(self, name, h, n, p):
+        """SS, FSC at h = 0 (k = 1), CSS and STAT hold no entry per
+        chunk: their runs match the drain and number at most two."""
+        make = get_technique(name)
+        pr = SchedulingParams(n=n, p=p, h=h, mu=1.0, sigma=1.0)
+        sizes, counts = make(pr).chunk_schedule()
+        assert sizes.size == counts.size <= 2
+        assert np.repeat(sizes, counts).tolist() == chunk_sizes(make(pr))
 
     def test_worker_dependent_returns_none(self):
         assert get_technique("wf")(params()).chunk_schedule() is None
@@ -145,13 +169,25 @@ class TestKernelIdentity:
 
     def test_block_streaming_matches_single_block(self, monkeypatch):
         """Splitting reps over internal memory blocks must not change
-        per-replication results (each replication has its own RNG)."""
+        per-replication results (each replication has its own RNG).  A
+        closed-form block holds one tile per replication, so a cap of
+        one tile streams one replication per block."""
         pr = params(n=64, p=2)
         workload = ConstantWorkload(1.0)
         factory = get_technique("gss")
         one = BatchDirectSimulator(pr, workload).run_batch(factory, range(5))
-        monkeypatch.setattr("repro.directsim.batch.MAX_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(
+            "repro.directsim.batch.MAX_BLOCK_ELEMENTS", SEGMENT_CHUNKS
+        )
+        blocks = []
+        run_block = BatchDirectSimulator._run_block
+        monkeypatch.setattr(
+            BatchDirectSimulator, "_run_block",
+            lambda self, schedule, rngs: blocks.append(len(rngs))
+            or run_block(self, schedule, rngs),
+        )
         tiny = BatchDirectSimulator(pr, workload).run_batch(factory, range(5))
+        assert blocks == [1] * 5
         assert [r.makespan for r in one] == [r.makespan for r in tiny]
 
 
@@ -272,6 +308,46 @@ class TestChunkTimesBatchDispatch:
                 values[i * size:(i + 1) * size].sum() for i in range(count)
             ], size
 
+    @pytest.mark.parametrize(
+        "workload",
+        [UniformWorkload(0.1, 2.0), LinearWorkload(600_000, 2.0, 0.3)],
+        ids=lambda w: type(w).__name__,
+    )
+    def test_random_runs_sum_like_chunk_by_chunk(self, workload):
+        """Random runs of sizes 1-2,000: each run's row sums equal the
+        per-chunk ``.sum()`` of the same draw."""
+        design = np.random.default_rng(0)
+        for _ in range(40):
+            sizes = np.repeat(
+                design.integers(1, 2001, size=4),
+                design.integers(1, 6, size=4),
+            )
+            starts = 3 + np.cumsum(sizes) - sizes
+            got = workload.chunk_times_batch(starts, sizes, make_rng(1))
+            tasks = workload.sample(3, int(sizes.sum()), make_rng(1))
+            assert got.tolist() == [
+                tasks[start - 3:start - 3 + size].sum()
+                for start, size in zip(starts.tolist(), sizes.tolist())
+            ]
+
+    def test_linear_times_are_the_closed_form(self):
+        """LinearWorkload computes its times in place, with the bits of
+        ``first + (last - first) * clip(i / (n - 1), 0, 1)``."""
+        design = np.random.default_rng(1)
+        for _ in range(200):
+            n = int(design.integers(2, 10**6))
+            workload = LinearWorkload(n, *design.uniform(0.01, 5.0, size=2))
+            start = int(design.integers(0, n + 10))
+            size = int(design.integers(0, 3000))
+            frac = np.clip(
+                np.arange(start, start + size, dtype=np.float64) / (n - 1),
+                0.0, 1.0,
+            )
+            want = workload.first + (workload.last - workload.first) * frac
+            assert workload.sample(start, size, None).tolist() == (
+                want.tolist()
+            )
+
     def test_batch_shape_and_positivity(self):
         workload = ExponentialWorkload(1.0)
         sizes = np.asarray([4, 1, 9], dtype=np.int64)
@@ -281,39 +357,75 @@ class TestChunkTimesBatchDispatch:
         assert (out > 0).all()
 
 
+#: runs of mixed sizes spanning four tiles, with run edges inside tiles
+#: and tile edges inside runs
+MIXED_RUNS = PrecomputedSchedule(
+    label="mixed",
+    sizes=np.array([1, 3, 1, 2, 5], dtype=np.int64),
+    counts=np.array([2500, 700, 1500, 900, 700], dtype=np.int64),
+)
+
+
 class TestReplicationTimes:
-    """One replication's chunk times, drawn segment by segment."""
+    """Chunk times drawn a tile at a time."""
+
+    def test_tiles_expand_the_runs(self):
+        sizes = np.repeat(MIXED_RUNS.sizes, MIXED_RUNS.counts)
+        starts = np.cumsum(sizes) - sizes
+        tiles = list(MIXED_RUNS.tiles())
+        assert [t[1].size for t in tiles] == [SEGMENT_CHUNKS] * 3 + [
+            sizes.size - 3 * SEGMENT_CHUNKS
+        ]
+        assert np.concatenate([t[0] for t in tiles]).tolist() == (
+            starts.tolist()
+        )
+        assert np.concatenate([t[1] for t in tiles]).tolist() == (
+            sizes.tolist()
+        )
+        assert list(MIXED_RUNS.chunks()) == list(
+            zip(starts.tolist(), sizes.tolist())
+        )
+        assert MIXED_RUNS.num_chunks == sizes.size
+
+    def test_an_empty_schedule_has_no_tiles(self):
+        schedule = precompute_schedule(get_technique("ss")(params(n=0)))
+        assert schedule.num_chunks == 0
+        assert list(schedule.tiles()) == []
+        assert list(schedule.replication_times(
+            ExponentialWorkload(1.0), make_rng(0)
+        )) == []
 
     @pytest.mark.parametrize(
-        "workload",
-        [
-            ConstantWorkload(0.3),
-            ExponentialWorkload(2.0),
-            GammaWorkload(2.0, 0.5),
-            UniformWorkload(0.0, 2.0),
-            PerTaskSampling(ExponentialWorkload(1.0)),
-            decreasing_workload(3 * SEGMENT_CHUNKS + 17, 2.0, 0.3),
-            TraceWorkload(np.linspace(0.1, 3.0, 3 * SEGMENT_CHUNKS + 17)),
-        ],
-        ids=lambda w: type(w).__name__,
+        "workload", EVERY_WORKLOAD, ids=lambda w: type(w).__name__
     )
     def test_segments_draw_like_one_block(self, workload):
-        """Same values, in chunk order, and the same RNG state after as
-        a ``block_times`` row drawn in one call; the schedule spans four
-        segments."""
-        schedule = precompute_schedule(
-            get_technique("ss")(params(n=3 * SEGMENT_CHUNKS + 17, p=4))
+        """Three rows drawn a tile at a time: the concatenated tiles
+        equal each row drawn in one call, every generator ends in that
+        call's state, and ``replication_times`` is the one-row case."""
+        sizes = np.repeat(MIXED_RUNS.sizes, MIXED_RUNS.counts)
+        starts = np.cumsum(sizes) - sizes
+        seeds = (5, 6, 7)
+        rngs = [make_rng(seed) for seed in seeds]
+        tiles = list(MIXED_RUNS.block_times(workload, rngs))
+        assert len(tiles) >= 3
+        assert all(tile.shape[1] <= SEGMENT_CHUNKS for tile in tiles)
+        got = np.hstack(tiles)
+        for row, seed, rng in zip(got, seeds, rngs):
+            one = make_rng(seed)
+            want = workload.chunk_times_batch(starts, sizes, one)
+            assert row.tolist() == want.tolist()
+            assert rng.bit_generator.state == one.bit_generator.state
+        single = make_rng(seeds[0])
+        assert list(MIXED_RUNS.replication_times(workload, single)) == (
+            got[0].tolist()
         )
-        a, b = make_rng(5), make_rng(5)
-        got = list(schedule.replication_times(workload, a))
-        want = schedule.block_times(workload, [b]).tolist()
-        assert [got] == want
-        assert a.bit_generator.state == b.bit_generator.state
+        assert single.bit_generator.state == rngs[0].bit_generator.state
 
     @pytest.mark.parametrize("simulator", ["direct-batch", "msg-fast"])
     def test_single_replication_peak_memory(self, simulator):
-        """SS at n = 2**16 holds its chunk sizes and one segment, not
-        n-sized chunk-time, shape and start arrays."""
+        """SS at n = 2**16 holds a tile of its chunks, not one entry per
+        chunk: no per-chunk array of 4 or more bytes an entry fits in
+        the traced peak."""
         workload = ExponentialWorkload(1.0)
         factory = get_technique("ss")
 
@@ -326,14 +438,39 @@ class TestReplicationTimes:
 
         run(64)  # imports and first-call caches are not the run's memory
         n = 1 << 16
-        tracemalloc.start()
-        try:
-            run(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        sizes_nbytes = np.ones(n, dtype=np.int64).nbytes
-        assert peak < 2 * sizes_nbytes, peak / sizes_nbytes
+        peak = traced_peak(run, n)
+        assert peak < 4 * n, peak / n
+
+    def test_lockstep_block_peak_memory(self):
+        """A lock-step block of 48 SS replications at n = 2**15 steps
+        through ``(48, SEGMENT_CHUNKS)`` tiles, never the ``(48, n)``
+        chunk-time matrix (16 tiles, 12.6 MB): its traced peak stays
+        within three tiles."""
+        n, p, reps = 1 << 15, 64, 48
+        assert _lockstep_wins(reps, p)
+        workload = ExponentialWorkload(1.0)
+        factory = get_technique("ss")
+
+        def run(n):
+            BatchDirectSimulator(params(n=n, p=p), workload).run_batch(
+                factory, range(reps)
+            )
+
+        run(64)  # imports and first-call caches are not the run's memory
+        peak = traced_peak(run, n)
+        tile_nbytes = reps * SEGMENT_CHUNKS * 8
+        assert n >= 16 * SEGMENT_CHUNKS
+        assert peak < 3 * tile_nbytes, peak / tile_nbytes
+
+
+def traced_peak(run, n):
+    """The traced peak of ``run(n)``, in bytes."""
+    tracemalloc.start()
+    try:
+        run(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRunnerIntegration:

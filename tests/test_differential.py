@@ -31,6 +31,7 @@ from repro.backends import BackendResolutionError, get_backend
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique, technique_names
 from repro.core.schedule import (
+    SEGMENT_CHUNKS,
     ScheduleUnavailableError,
     closed_form_supported,
     precompute_schedule,
@@ -197,11 +198,12 @@ def test_msg_fast_equals_msg(cell, record_chunks, data):
 @pytest.mark.parametrize("model", list(OverheadModel))
 def test_heap_walk_and_lockstep_agree(model, scenario, workload):
     """One clean block through both closed-form loops (constant times
-    make every pop a tie, so the tie-break is exercised too).  The
-    lock-step loop has no fluctuation model: a block under a scenario,
-    even one wide enough for that loop, is walked and equals direct."""
+    make every pop a tie, so the tie-break is exercised too); the
+    lock-step loop steps through three tiles.  The lock-step loop has
+    no fluctuation model: a block under a scenario, even one wide
+    enough for that loop, is walked and equals direct."""
     # the scenario rows run the scalar oracle 64 times
-    n = 2000 if scenario is None else 400
+    n = 2 * SEGMENT_CHUNKS + 904 if scenario is None else 400
     params = SchedulingParams(n=n, p=8, h=0.1, mu=1.0, sigma=1.0)
     kwargs = dict(
         overhead_model=model,
@@ -222,12 +224,13 @@ def test_heap_walk_and_lockstep_agree(model, scenario, workload):
         return
     simulator = BatchDirectSimulator(params, workload, **kwargs)
     schedule = precompute_schedule(ss(params))
-    times = schedule.block_times(
+    tiles = list(schedule.block_times(
         workload, [make_rng(3 + i) for i in range(5)]
-    )
+    ))
+    assert len(tiles) == 3
     rng = make_rng(4)
-    heap = [simulator._walk(row.tolist(), rng) for row in times]
-    assert heap == simulator._run_lockstep(times)
+    heap = [simulator._walk(row.tolist(), rng) for row in np.hstack(tiles)]
+    assert heap == simulator._run_lockstep(iter(tiles), 5)
 
 
 @pytest.mark.parametrize("dist", WORKLOAD_DISTS)

@@ -21,6 +21,7 @@ from repro.serve import (
     make_server,
     serve_forever_in_thread,
 )
+from repro.serve.advisor import MAX_RUNS_TIMES_N
 
 QUICK = {"n": 256, "p": 4, "runs": 2, "seed": 1,
          "techniques": ["gss", "fac2", "tss"]}
@@ -64,6 +65,9 @@ def test_defaults_cover_all_techniques():
          "must be > 0"),
         ({"n": 64, "p": 4, "frobnicate": True}, "frobnicate",
          "unknown request key"),
+        ({"n": 10**9, "p": 8}, "n", "'n' must be <= 16777216"),
+        ({"n": 524288, "p": 8, "runs": 33}, "runs",
+         "at n = 524288 ask for at most 32 runs"),
     ],
 )
 def test_validation_names_the_offender(payload, field, fragment):
@@ -74,6 +78,11 @@ def test_validation_names_the_offender(payload, field, fragment):
     body = err.value.to_json()
     assert body["error"] == "validation"
     assert body["field"] == field
+
+
+def test_runs_times_n_bound_admits_the_papers_largest_cell():
+    request = AdviseRequest.from_json({"n": 524288, "p": 8, "runs": 32})
+    assert request.runs * request.params.n == MAX_RUNS_TIMES_N
 
 
 def test_validation_lists_registered_alternatives():
