@@ -94,8 +94,10 @@ __all__ = [
     "suspended",
 ]
 
-#: bump to invalidate every existing cache entry (stale schemas miss)
-SCHEMA_VERSION = 1
+#: bump to invalidate every existing cache entry (stale schemas miss).
+#: 2: results hold their per-PE times as ``array('d')`` and declare
+#: ``__slots__``, so schema-1 pickles no longer load.
+SCHEMA_VERSION = 2
 
 #: environment variable naming the default cache directory
 CACHE_ENV_VAR = "REPRO_CACHE"

@@ -88,7 +88,7 @@ class Scheduler(ABC):
     def __init__(self, params: SchedulingParams):
         self.params = params
         self.state = SchedulerState(remaining=params.n)
-        self._chunks: list[ChunkRecord] = []
+        self._last_chunk: ChunkRecord | None = None
         self._next_task = 0
         # Task regions returned by requeue_chunk (fault injection); they
         # are handed out again before any fresh tasks.
@@ -142,7 +142,7 @@ class Scheduler(ABC):
             start=start,
             size=size,
         )
-        self._chunks.append(record)
+        self._last_chunk = record
         self.state.remaining -= size
         self.state.outstanding += size
         self.state.scheduled_chunks += 1
@@ -199,14 +199,13 @@ class Scheduler(ABC):
         return self.state.remaining == 0
 
     @property
-    def chunks(self) -> list[ChunkRecord]:
-        """All scheduling operations so far, in assignment order."""
-        return list(self._chunks)
-
-    @property
     def last_chunk(self) -> ChunkRecord | None:
-        """The most recently assigned chunk (None before any assignment)."""
-        return self._chunks[-1] if self._chunks else None
+        """The most recently assigned chunk (None before any assignment).
+
+        The scheduler keeps no other record: a run's simulator logs the
+        chunks it needs, so its memory does not grow with their number.
+        """
+        return self._last_chunk
 
     @property
     def num_scheduling_operations(self) -> int:

@@ -134,13 +134,14 @@ class PrecomputedSchedule:
         consecutive draws equal one draw over the whole schedule (the
         :meth:`~repro.workloads.distributions.Workload.chunk_times_batch`
         contract), so a block holds one tile, never an ``(R, C)``
-        matrix.
+        matrix.  The iterator keeps no reference to a tile it has
+        yielded, so a consumer that drops its own before asking for the
+        next tile holds one tile at a time.
         """
-        for starts, sizes in self.tiles():
-            times = np.empty((len(rngs), sizes.size))
-            for row, rng in zip(times, rngs):
-                row[:] = workload.chunk_times_batch(starts, sizes, rng)
-            yield times
+        return (
+            _draw_tile(workload, starts, sizes, rngs)
+            for starts, sizes in self.tiles()
+        )
 
     def replication_times(
         self, workload: "Workload", rng: np.random.Generator
@@ -153,6 +154,19 @@ class PrecomputedSchedule:
         return itertools.chain.from_iterable(
             tile[0].tolist() for tile in self.block_times(workload, [rng])
         )
+
+
+def _draw_tile(
+    workload: "Workload",
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """One tile's ``(R, C)`` chunk times, row ``r`` drawn from ``rngs[r]``."""
+    times = np.empty((len(rngs), sizes.size))
+    for row, rng in zip(times, rngs):
+        row[:] = workload.chunk_times_batch(starts, sizes, rng)
+    return times
 
 
 def precompute_schedule(scheduler: Scheduler) -> PrecomputedSchedule:

@@ -68,8 +68,8 @@ from __future__ import annotations
 import copy
 import functools
 import heapq
-import itertools
 import time
+from array import array
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -172,6 +172,12 @@ SCALAR_MAX_REPS_P = 256
 def _scalar_wins(reps: int, p: int) -> bool:
     """Whether ``DirectSimulator``'s loop beats the stepping kernel."""
     return reps <= SCALAR_MAX_REPS and reps * p <= SCALAR_MAX_REPS_P
+
+
+def _packed(rows: np.ndarray) -> list[array]:
+    """Each row of a float64 matrix as an ``array('d')`` of its bytes,
+    so no result holds a list of boxed floats."""
+    return [array("d", row.tobytes()) for row in rows]
 
 
 def _draws_per_chunk(fluctuation: Fluctuation) -> bool:
@@ -392,7 +398,7 @@ class BatchDirectSimulator:
 
     def _walk(
         self, task_times: Iterable[float], rng: np.random.Generator
-    ) -> tuple[float, list[float], list[int], float]:
+    ) -> tuple[float, array, list[int], float]:
         """One replication through :class:`DirectSimulator`'s heap loop.
 
         The scheduler is replaced by the schedule's chunk times; the
@@ -434,11 +440,11 @@ class BatchDirectSimulator:
         # A worker's chunk ends only ever grow, so its heap entry is its
         # last end: the scalar max(finish) over the workers given work.
         makespan = max([0.0] + [t for t, w in ready if counts[w]])
-        return makespan, compute, counts, total
+        return makespan, array("d", compute), counts, total
 
     def _run_lockstep(
         self, tiles: Iterable[np.ndarray], reps: int
-    ) -> list[tuple[float, list[float], list[int], float]]:
+    ) -> list[tuple[float, array, list[int], float]]:
         """``reps`` replications in lock-step, one chunk at a time.
 
         ``tiles`` are ``(reps, C)`` chunk-time matrices in chunk order
@@ -460,31 +466,33 @@ class BatchDirectSimulator:
         if model is OverheadModel.SERIALIZED_MASTER:
             master_free = np.zeros(reps)
 
-        for task_time in itertools.chain.from_iterable(
-            tile.T for tile in tiles
-        ):
-            w = np.argmin(ready, axis=1)
-            t = ready[rows, w]
-            # True division (not multiplication by a reciprocal) so the
-            # ready times match the scalar simulator bit-for-bit.
-            elapsed = task_time / self.speeds[w]
-            if model is OverheadModel.PER_WORKER:
-                begin = t + h
-            elif model is OverheadModel.SERIALIZED_MASTER:
-                np.maximum(master_free, t, out=master_free)
-                master_free += h
-                begin = master_free
-            else:  # POST_HOC — scheduling is free inside the simulation
-                begin = t
-            end = begin + elapsed
-            ready[rows, w] = end
-            compute[rows, w] += elapsed
-            counts[rows, w] += 1
-            total += task_time
-            np.maximum(makespan, end, out=makespan)
+        for tile in tiles:
+            for task_time in tile.T:
+                w = np.argmin(ready, axis=1)
+                t = ready[rows, w]
+                # True division (not multiplication by a reciprocal) so the
+                # ready times match the scalar simulator bit-for-bit.
+                elapsed = task_time / self.speeds[w]
+                if model is OverheadModel.PER_WORKER:
+                    begin = t + h
+                elif model is OverheadModel.SERIALIZED_MASTER:
+                    np.maximum(master_free, t, out=master_free)
+                    master_free += h
+                    begin = master_free
+                else:  # POST_HOC — scheduling is free inside the simulation
+                    begin = t
+                end = begin + elapsed
+                ready[rows, w] = end
+                compute[rows, w] += elapsed
+                counts[rows, w] += 1
+                total += task_time
+                np.maximum(makespan, end, out=makespan)
+            # Drop the tile before the next one is drawn, so a block
+            # holds one tile at a time.
+            del tile, task_time
 
         return list(zip(
-            makespan.tolist(), compute.tolist(), counts.tolist(),
+            makespan.tolist(), _packed(compute), counts.tolist(),
             total.tolist(),
         ))
 
@@ -616,7 +624,7 @@ class BatchDirectSimulator:
                 h=h,
                 overhead_model=model,
                 makespan=float(makespan[r]),
-                compute_times=compute[r].tolist(),
+                compute_times=times,
                 chunks_per_worker=counts[r].tolist(),
                 num_chunks=int(num_chunks[r]),
                 total_task_time=float(total[r]),
@@ -628,5 +636,5 @@ class BatchDirectSimulator:
                     wall_time=wall_share,
                 ),
             )
-            for r in range(reps)
+            for r, times in enumerate(_packed(compute))
         ]

@@ -14,7 +14,7 @@ identical simulated observables but different stats compare equal
 msg / msg-fast bit-identity suite tolerates differing stats while
 asserting identical results.
 
-The dataclass is plain data, so it pickles through the campaign
+The dataclass is plain slotted data, so it pickles through the campaign
 process pool unchanged.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 __all__ = ["RunStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RunStats:
     """Kernel-level statistics of one simulated run.
 

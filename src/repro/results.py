@@ -4,10 +4,17 @@ Both simulators produce the same observables — makespan, per-worker
 compute times, chunk counts — so that the cross-validation of the two
 implementations (the verification-via-reproducibility methodology of the
 paper) compares like with like.
+
+A result holds its per-PE times as ``array('d')`` buffers, 8 bytes a
+PE, and declares ``__slots__`` instead of an instance ``__dict__``: the
+paper replicates a cell up to 1,000 times on up to 1,024 PEs, and the
+results of one such cell are held, pickled through the process pool and
+cached whole.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .core.base import ChunkRecord
@@ -28,9 +35,16 @@ class ChunkExecution:
         return self.start_time + self.elapsed
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
-    """Outcome of a single simulated run."""
+    """Outcome of a single simulated run.
+
+    ``compute_times`` and the ``wait_times`` extra of the MSG family are
+    ``array('d')``; a sequence of floats passed for either is packed
+    once, on construction.  ``chunks_per_worker`` stays a list: CPython
+    shares small ints, so a list of counts costs one pointer a PE, as an
+    array would.
+    """
 
     technique: str
     n: int
@@ -38,7 +52,7 @@ class RunResult:
     h: float
     overhead_model: OverheadModel
     makespan: float
-    compute_times: list[float]
+    compute_times: array
     chunks_per_worker: list[int]
     num_chunks: int
     total_task_time: float
@@ -50,6 +64,13 @@ class RunResult:
     #: equality, so bit-identical runs compare equal even across
     #: substrates.
     stats: RunStats | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.compute_times, array):
+            self.compute_times = array("d", self.compute_times)
+        waits = self.extras.get("wait_times")
+        if waits is not None and not isinstance(waits, array):
+            self.extras["wait_times"] = array("d", waits)
 
     @property
     def average_wasted_time(self) -> float:

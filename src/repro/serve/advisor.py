@@ -79,6 +79,11 @@ MAX_RUNS = 1024
 #: sweep simulates, for the same reason: SS walks one chunk per task.
 #: It admits the paper's largest cell, n = 524,288, at up to 32 runs.
 MAX_RUNS_TIMES_N = 1 << 24
+#: hard per-query ceiling on ``runs`` × ``p``: every kernel holds
+#: p-sized state per replication, and a query's results hold ``runs`` ×
+#: ``p`` compute times per technique.  It admits the paper's largest
+#: p, 1,024, at ``MAX_RUNS``.
+MAX_RUNS_TIMES_P = 1 << 20
 
 
 class AdviseValidationError(ValueError):
@@ -191,7 +196,7 @@ class AdviseRequest:
                 f"understood: {', '.join(sorted(_KNOWN_KEYS))}",
             )
         n = _require_int(payload, "n", minimum=1, maximum=MAX_RUNS_TIMES_N)
-        p = _require_int(payload, "p", minimum=1)
+        p = _require_int(payload, "p", minimum=1, maximum=MAX_RUNS_TIMES_P)
         h = _optional_float(payload, "h", 0.0, minimum=0.0)
         mean = _optional_float(payload, "mean", 1.0, positive=True)
         dist = payload.get("dist", "exponential")
@@ -211,6 +216,13 @@ class AdviseRequest:
                 f"'runs' x 'n' must be <= {MAX_RUNS_TIMES_N}, got {runs} x "
                 f"{n}; at n = {n} ask for at most "
                 f"{MAX_RUNS_TIMES_N // n} runs",
+            )
+        if runs * p > MAX_RUNS_TIMES_P:
+            raise AdviseValidationError(
+                "runs",
+                f"'runs' x 'p' must be <= {MAX_RUNS_TIMES_P}, got {runs} x "
+                f"{p}; at p = {p} ask for at most "
+                f"{MAX_RUNS_TIMES_P // p} runs",
             )
         seed = _require_int(payload, "seed", minimum=0, default=0)
         simulator = payload.get("simulator", default_simulator)

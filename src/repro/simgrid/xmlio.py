@@ -128,10 +128,12 @@ def platform_to_xml(platform: Platform) -> str:
         )
     seen_links: set[str] = set()
     routes = []
+    emitted: set[tuple[str, str]] = set()
     for (src, dst), route in sorted(platform._routes.items()):
-        if (dst, src) in {(s, d) for s, d in routes}:
+        if (dst, src) in emitted:
             continue
         routes.append((src, dst))
+        emitted.add((src, dst))
         for link in route.links:
             if link.name not in seen_links:
                 seen_links.add(link.name)

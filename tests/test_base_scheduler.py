@@ -52,9 +52,11 @@ class TestNextChunk:
 
     def test_chunk_records_have_contiguous_starts(self):
         s = make(n=13)
+        chunks = []
         while not s.done:
-            s.next_chunk(0)
-        chunks = s.chunks
+            size = s.next_chunk(0)
+            chunks.append(s.last_chunk)
+            assert chunks[-1].size == size
         assert [c.index for c in chunks] == list(range(len(chunks)))
         next_start = 0
         for c in chunks:

@@ -10,7 +10,9 @@ traffic is observable through the journal, the metrics registry and
 
 from __future__ import annotations
 
+import copyreg
 import dataclasses
+import io
 import json
 import multiprocessing
 import pickle
@@ -30,6 +32,8 @@ from repro.core.params import SchedulingParams
 from repro.experiments.runner import RunTask, run_campaign, run_replicated
 from repro.metrics.wasted_time import OverheadModel
 from repro.obs import journal_to, load_journal, metrics_to, summarize_journal
+from repro.obs.stats import RunStats
+from repro.results import RunResult
 from repro.scenarios import get_scenario
 from repro.simgrid.platform import star_platform
 from repro.workloads import ConstantWorkload, ExponentialWorkload
@@ -195,8 +199,55 @@ def test_perturbed_sweeps_cache_separately_from_clean(tmp_path):
 #: these cells' entries stay hits.  msg-fast shares msg's keys and
 #: direct-batch shares direct's: each fast path runs its oracle's runs
 #: under its oracle's seeds, so it serves and is served by the oracle's
-#: entries.
+#: entries.  Pinned at cache schema 2; :data:`SCHEMA_1_KEYS` holds the
+#: keys they had before.
 UNCHANGED_KEYS = {
+    ("fac2", "direct", "exponential", None): (
+        "142a59b9aab8a470782f5ac102804a813cf6da57f4602bdfed08bf5a191abef4",
+        "4f6870f44b85d0b18a2961c08fcaf97f3019a746bec8611ee02103c2c2177b64",
+    ),
+    ("fac2", "msg", "exponential", None): (
+        "0bb6cb2148c76b2a17e80dc7dcbc02993006af291e44172da3ade18f601ad535",
+        "ad033220ebf1532df0e0ef3394a93159aaf66cf139cef31255cb093078f0beef",
+    ),
+    ("fac2", "msg-fast", "exponential", None): (
+        "0bb6cb2148c76b2a17e80dc7dcbc02993006af291e44172da3ade18f601ad535",
+        "ad033220ebf1532df0e0ef3394a93159aaf66cf139cef31255cb093078f0beef",
+    ),
+    # the stepping path, stochastic and deterministic
+    ("awf-c", "direct-batch", "exponential", None): (
+        "b57a5d54933f9d90566194a2e8545fbfbf533ed5f7ffddf056e5963bda26ff3f",
+        "1041b78dcdb6ad578b9b3f446ec1432a13fb13e4fff5d379dad03ae9b95120c4",
+    ),
+    ("awf-c", "direct-batch", "constant", None): (
+        "c4402099f99c08253307fd2023cadc449835b5202a1369ab07a6bdfa7c20a31a",
+        "5dff7d2dbf9629a4858aee733ace23f36e461136b54b6f58e6f9919d2bd61711",
+    ),
+    # closed-form and scenario cells, pinned when per-worker speeds and
+    # start times stopped being task fields; their slots in the derived
+    # entropy must not move
+    ("ss", "direct-batch", "constant", None): (
+        "a41924e17483560ff59156b7d96c77e4e3a0183cc09a3a8dc83841efae5e1ad9",
+        "f5e312882980297abc30dbaf8aa5f51b710fd008348323ae1c7dbf787f592bb5",
+    ),
+    ("fac2", "direct-batch", "exponential", None): (
+        "142a59b9aab8a470782f5ac102804a813cf6da57f4602bdfed08bf5a191abef4",
+        "4f6870f44b85d0b18a2961c08fcaf97f3019a746bec8611ee02103c2c2177b64",
+    ),
+    ("awf-c", "direct-batch", "exponential", "wave-mild"): (
+        "96a66a69bb29d01c5bd27997c7aa67f743f3e33cb29fea86df788871a22994da",
+        "773a76f1832eb2814dff4eec6239c684d7cd929a34b161e14de4b7d9e5f11fbd",
+    ),
+    # fail-stop faults send this cell to direct, whose seed it derives
+    ("gss", "direct-batch", "constant", "failstop-quarter"): (
+        "2ad4eb48f0871becae00f0d702257c854e659202614960f7814bcb857d09fc07",
+        "1d7c096c6ba244c4c8dde16b705df5e0f7d288526eac4a77798c5be8cddcd785",
+    ),
+}
+#: the same cells' keys at cache schema 1, before results packed their
+#: per-PE times into ``array('d')`` and declared ``__slots__``.  Schema-1
+#: pickles no longer load, so these entries must miss.
+SCHEMA_1_KEYS = {
     ("fac2", "direct", "exponential", None): (
         "696bd7d6fa3e1cd4f9a983d1ba5939c94346db424ad4d433e469e8cb69a9e1b8",
         "16dd5a17cd49cf81d253531daee5a94639a4e7a4384e77b80064a366900e42df",
@@ -307,6 +358,62 @@ def _keys(cache, technique, simulator, dist, scenario):
 def test_unchanged_simulators_keep_their_keys(tmp_path, cell):
     cache = ResultCache(tmp_path / "cache")
     assert _keys(cache, *cell) == UNCHANGED_KEYS[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(SCHEMA_1_KEYS, key=str), ids=str)
+def test_schema_1_keys_changed(tmp_path, cell):
+    cache = ResultCache(tmp_path / "cache")
+    task_key, sweep_key = _keys(cache, *cell)
+    old_task_key, old_sweep_key = SCHEMA_1_KEYS[cell]
+    assert task_key != old_task_key
+    assert sweep_key != old_sweep_key
+
+
+class _Schema1Pickler(pickle.Pickler):
+    """Pickles results as schema 1 stored them: an instance ``__dict__``
+    as the state, per-PE times as lists of floats."""
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, (RunResult, RunStats)):
+            return NotImplemented
+        state = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, RunResult):
+            state["compute_times"] = list(obj.compute_times)
+        return copyreg.__newobj__, (type(obj),), state
+
+
+def test_schema_1_entry_is_a_clean_miss(tmp_path):
+    """An entry stored at schema 1 no longer unpickles, and it lies under
+    a schema-1 key, so a lookup misses it cleanly instead of reading it
+    as corrupt."""
+    cell = ("fac2", "direct", "exponential", None)
+    task = RunTask(
+        technique="fac2",
+        params=SchedulingParams(n=256, p=4, h=0.5, mu=1.0, sigma=1.0),
+        workload=ExponentialWorkload(1.0),
+        simulator="direct",
+    )
+    results = run_replicated(task, 4, campaign_seed=1, processes=1)
+    old_key = SCHEMA_1_KEYS[cell][1]
+    buffer = io.BytesIO()
+    _Schema1Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump({
+        "schema": 1, "key": old_key, "kind": "sweep", "describe": {},
+        "provenance": {}, "wall_time_s": 0.0, "created": 0.0,
+        "results": results,
+    })
+    with pytest.raises(AttributeError, match="__dict__"):
+        pickle.loads(buffer.getvalue())
+    root = tmp_path / "cache"
+    path = ResultCache(root)._object_path(old_key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(buffer.getvalue())
+    with cache_to(root) as cache:
+        again = run_replicated(task, 4, campaign_seed=1, processes=1)
+        assert cache.sweep_key(task, 4, 1) == UNCHANGED_KEYS[cell][1]
+    assert again == results
+    assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+    assert (cache.stats.stale, cache.stats.corrupt) == (0, 0)
+    assert cache.stats.stores == 1
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from repro.serve import (
     make_server,
     serve_forever_in_thread,
 )
-from repro.serve.advisor import MAX_RUNS_TIMES_N
+from repro.serve.advisor import MAX_RUNS, MAX_RUNS_TIMES_N, MAX_RUNS_TIMES_P
 
 QUICK = {"n": 256, "p": 4, "runs": 2, "seed": 1,
          "techniques": ["gss", "fac2", "tss"]}
@@ -68,6 +68,9 @@ def test_defaults_cover_all_techniques():
         ({"n": 10**9, "p": 8}, "n", "'n' must be <= 16777216"),
         ({"n": 524288, "p": 8, "runs": 33}, "runs",
          "at n = 524288 ask for at most 32 runs"),
+        ({"n": 1024, "p": 10**9, "runs": 5}, "p", "'p' must be <= 1048576"),
+        ({"n": 1024, "p": 2048, "runs": 1024}, "runs",
+         "at p = 2048 ask for at most 512 runs"),
     ],
 )
 def test_validation_names_the_offender(payload, field, fragment):
@@ -83,6 +86,11 @@ def test_validation_names_the_offender(payload, field, fragment):
 def test_runs_times_n_bound_admits_the_papers_largest_cell():
     request = AdviseRequest.from_json({"n": 524288, "p": 8, "runs": 32})
     assert request.runs * request.params.n == MAX_RUNS_TIMES_N
+
+
+def test_runs_times_p_bound_admits_the_papers_largest_p_at_max_runs():
+    request = Advisor().parse({"n": 1024, "p": 1024, "runs": MAX_RUNS})
+    assert request.runs * request.params.p == MAX_RUNS_TIMES_P
 
 
 def test_validation_lists_registered_alternatives():

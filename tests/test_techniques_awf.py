@@ -89,10 +89,10 @@ class TestAwfVariantDifferences:
         d = create("awf-d", pd)
         b = create("awf-b", pd)
         for s in (d, b):
-            s.next_chunk(0)
-            s.record_finished(0, s.chunks[0].size, elapsed=1.0)
-            s.next_chunk(1)
-            s.record_finished(1, s.chunks[1].size, elapsed=2.0)
+            size = s.next_chunk(0)
+            s.record_finished(0, size, elapsed=1.0)
+            size = s.next_chunk(1)
+            s.record_finished(1, size, elapsed=2.0)
             # Force a recompute by starting the next batch.
             while not s.done:
                 size = s.next_chunk(0)

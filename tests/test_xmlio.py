@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.simgrid.platform import star_platform
@@ -109,6 +111,23 @@ class TestPlatformXml:
                     original.transfer_time("master", f"worker-{i}", 100.0)
                 )
             )
+
+
+    @pytest.mark.parametrize("p, sha256", [
+        (8,
+         "a60cc5fa4d3648572836eab25fc5859282fe5f1a2aa6dde5f76a8349747d9d1f"),
+        (64,
+         "fa4b902f177697738fd5a30988e6d6a252b9d59f307c9db2d0c8941e80ee43c7"),
+        (256,
+         "e9dd0c4bee9d85b2e501a0776a1e256b788f952d7263632580192fbc07ad3f6e"),
+        (1024,
+         "da40a55d8b0c95bd6b380ba31aa3d4edd930b8ed8bb6bca927f6c57c3092b4f1"),
+    ])
+    def test_star_platform_xml_is_pinned(self, p, sha256):
+        """The XML of a star platform, whose hash enters derived seeds,
+        cache keys and ``platform_xml_sha256``, does not move."""
+        text = platform_to_xml(star_platform(p))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestDeploymentXml:
