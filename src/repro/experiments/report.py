@@ -1,6 +1,6 @@
 """Plain-text reporting: the rows/series the paper's figures plot.
 
-The harness prints ASCII tables (and writes CSV) carrying exactly the
+The harness prints ASCII tables (and renders CSV) carrying exactly the
 series of each figure: techniques down the side, the sweep (PE counts)
 across, values in seconds or speedups.  ``ascii_histogram`` renders
 Figure 9's per-run distribution for the terminal.
@@ -9,6 +9,7 @@ Figure 9's per-run distribution for the terminal.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -54,31 +55,31 @@ def series_table(
     return format_table(headers, rows, float_fmt=float_fmt)
 
 
-def write_csv(
-    path: str | Path,
+def csv_text(
     series: Mapping[str, Sequence[float]],
     keys: Sequence,
     key_header: str = "technique",
-) -> None:
-    """Write a figure's series to CSV (one row per technique).
+) -> str:
+    """A figure's series as CSV text (one row per technique).
 
     ``key_header`` names the first column (the row-label column); the
     remaining header cells are the sweep keys.
     """
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([key_header] + [str(k) for k in keys])
-        for name, values in series.items():
-            writer.writerow([name] + [repr(float(v)) for v in values])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow([key_header] + [str(k) for k in keys])
+    for name, values in series.items():
+        writer.writerow([name] + [repr(float(v)) for v in values])
+    return buffer.getvalue()
 
 
 def read_csv_series(
     path: str | Path,
 ) -> tuple[dict[str, list[float]], list[str], str]:
-    """Read a :func:`write_csv` file back: (series, keys, key_header).
+    """Read a :func:`csv_text` file back: (series, keys, key_header).
 
-    Keys come back as the strings of the header row (``write_csv``
-    stringifies them); values round-trip exactly because ``write_csv``
+    Keys come back as the strings of the header row (``csv_text``
+    stringifies them); values round-trip exactly because ``csv_text``
     writes ``repr(float)``.
     """
     with Path(path).open(newline="") as fh:

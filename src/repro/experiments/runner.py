@@ -133,7 +133,8 @@ class RunTask:
         """A content-based key for the platform (stable across processes).
 
         The default ``object`` repr would embed a memory address, so the
-        platform enters the seed key through its XML serialisation.
+        platform enters the seed key through its XML serialisation, which
+        the platform computes once (``platform_to_xml``).
         """
         if self.platform is None:
             return "None"

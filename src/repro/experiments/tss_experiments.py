@@ -18,6 +18,7 @@ show up here exactly the same way.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from ..core.params import SchedulingParams
@@ -49,6 +50,17 @@ def bbn_gp1000_platform(p: int) -> Platform:
     network-traversal latency.
     """
     return star_platform(p, bandwidth=BBN_BANDWIDTH, latency=BBN_LATENCY)
+
+
+@lru_cache(maxsize=32)
+def _bbn_platform(p: int) -> Platform:
+    """The one :func:`bbn_gp1000_platform` of a PE count.
+
+    Every TSS-family run at ``p`` and its manifest's platform hash share
+    it, so the platform is built and serialised once.  Nothing may
+    change it.
+    """
+    return bbn_gp1000_platform(p)
 
 
 def tss_technique_set(experiment: int) -> list[tuple[str, str, dict]]:
@@ -88,7 +100,7 @@ def tss_run(
         params=SchedulingParams(n=n, p=p, h=0.0, chunk_size=chunk_size),
         workload=workload,
         simulator=simulator,
-        platform=bbn_gp1000_platform(p),
+        platform=_bbn_platform(p),
         technique_kwargs=dict(kwargs),
         seed_entropy=(seed,),
     ).execute()

@@ -4,7 +4,7 @@
 (:mod:`repro.figures.registry`), produces every artifact through the
 active result cache, and writes per artifact:
 
-* ``<id>.csv`` — the tidy series (``write_csv`` format, exact floats),
+* ``<id>.csv`` — the tidy series (``csv_text`` format, exact floats),
 * ``<id>.txt`` — the human text rendering (also the plot stand-in when
   matplotlib is absent),
 * ``<id>.png`` — when matplotlib is importable,
@@ -13,6 +13,9 @@ active result cache, and writes per artifact:
 
 plus a run-level ``run.manifest.json`` aggregating cache traffic,
 fallback totals, claim outcomes and the digests of every data file.
+The CSV and text files are rendered to bytes first: a file whose bytes
+are already on disk is not rewritten, and its digest is taken from the
+bytes in hand.  Manifests hold timings and are written every time.
 Each artifact is also journalled (``kind: "artifact"``) and counted in
 the metrics registry when those sinks are active.
 :func:`produce_artifact` is the step ``repro-dls run ID`` shares with
@@ -22,6 +25,7 @@ each registry claim on it.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from pathlib import Path
 from typing import Callable, Sequence
@@ -62,6 +66,23 @@ def _cache_delta(before: dict | None, after: dict | None) -> dict:
     return {key: after[key] - before[key] for key in _CACHE_KEYS}
 
 
+def _write_if_changed(path: Path, data: bytes) -> str:
+    """Write ``data`` to ``path`` unless the file holds exactly it.
+
+    Returns the SHA-256 hex digest of ``data``, the manifest's digest of
+    the file.  A re-run into the same directory rewrites no unchanged
+    data file, so it neither pays for the write nor waits on the disk.
+    """
+    try:
+        unchanged = (path.stat().st_size == len(data)
+                     and path.read_bytes() == data)
+    except FileNotFoundError:
+        unchanged = False
+    if not unchanged:
+        path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
 def produce_artifact(
     spec: ArtifactSpec, mode: str, /, **overrides
 ) -> tuple[ArtifactData, list[FallbackEvent], dict[str, bool]]:
@@ -98,7 +119,7 @@ def generate_artifacts(
     cache is active (:func:`repro.cache.active_cache`) — activate one
     first to make re-runs cache-dominated.
     """
-    from ..experiments.report import write_csv
+    from ..experiments.report import csv_text
 
     if mode not in ("quick", "full"):
         raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
@@ -123,13 +144,13 @@ def generate_artifacts(
             {requested, *(e["chosen"] for e in fallbacks)} - {None}
         ) if requested else []
 
-        csv_path = out / f"{spec.id}.csv"
-        write_csv(csv_path, data.series, data.keys,
-                  key_header=data.key_header)
-        txt_path = out / f"{spec.id}.txt"
-        txt_path.write_text(data.text + "\n" if data.text else "")
-        files = {csv_path.name: sha256_file(csv_path),
-                 txt_path.name: sha256_file(txt_path)}
+        rendered = {
+            f"{spec.id}.csv": csv_text(data.series, data.keys,
+                                       key_header=data.key_header),
+            f"{spec.id}.txt": data.text + "\n" if data.text else "",
+        }
+        files = {name: _write_if_changed(out / name, text.encode())
+                 for name, text in rendered.items()}
 
         plot_mode = "none"
         if plot:

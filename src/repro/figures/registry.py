@@ -53,7 +53,7 @@ class ArtifactData:
 
     ``series`` maps row labels (techniques) to value lists over
     ``keys`` (the sweep — PE counts, chunk sizes, ratios…); this is
-    exactly what :func:`repro.experiments.report.write_csv` emits.
+    exactly what :func:`repro.experiments.report.csv_text` renders.
     ``text`` is the human rendering written next to the CSV.  ``extra``
     holds per-artifact payloads that do not fit the wide CSV (fig9's
     per-run distribution).
@@ -169,12 +169,11 @@ def _produce_table3() -> ArtifactData:
 # --- TSS experiments (Figures 3-4) ------------------------------------------
 
 def _tss_platform_hashes(pe_counts) -> dict[str, str]:
-    from ..experiments.tss_experiments import bbn_gp1000_platform
+    from ..experiments.tss_experiments import _bbn_platform
     from ..obs.provenance import platform_xml_hash
 
     return {
-        f"p={p}": platform_xml_hash(bbn_gp1000_platform(p))
-        for p in pe_counts
+        f"p={p}": platform_xml_hash(_bbn_platform(p)) for p in pe_counts
     }
 
 

@@ -25,7 +25,9 @@ def platform_xml_hash(sim_platform) -> str:
 
     Two platforms with the same hosts, links and routes hash equally no
     matter how they were constructed, so the hash identifies the
-    simulated platform across processes and machines.
+    simulated platform across processes and machines.  It hashes the
+    serialisation the platform keeps (``platform_to_xml``), so it does
+    not serialise a keyed platform again.
     """
     from ..simgrid.xmlio import platform_to_xml
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from ..backends import (
@@ -336,10 +337,19 @@ class AdviseRequest:
                              **dict(self.platform_spec))
 
     def tasks(self) -> list[RunTask]:
-        """One candidate :class:`RunTask` per requested technique."""
+        """One candidate :class:`RunTask` per requested technique.
+
+        The tasks are built once per request and share one workload and
+        one platform, so validation, keys and provenance serialise the
+        platform once.
+        """
+        return list(self._tasks)
+
+    @cached_property
+    def _tasks(self) -> tuple[RunTask, ...]:
         workload = self.workload()
         platform = self.platform()
-        return [
+        return tuple(
             RunTask(
                 technique=technique,
                 params=self.params,
@@ -349,7 +359,7 @@ class AdviseRequest:
                 scenario=self.scenario,
             )
             for technique in self.techniques
-        ]
+        )
 
     def describe(self) -> dict:
         """The query's identity block (journal records, responses)."""

@@ -79,7 +79,13 @@ class Route:
 
 
 class Platform:
-    """A set of hosts plus routing between them."""
+    """A set of hosts plus routing between them.
+
+    A platform keeps its XML serialisation
+    (:func:`~repro.simgrid.xmlio.platform_to_xml`) once computed, drops
+    it when ``add_host``, ``add_link`` or ``add_route`` changes the
+    platform, and does not pickle it.
+    """
 
     def __init__(self, name: str = "platform"):
         self.name = name
@@ -87,18 +93,24 @@ class Platform:
         self._links: dict[str, Link] = {}
         self._routes: dict[tuple[str, str], Route] = {}
         self._loopback = Route(links=())
+        self._xml: str | None = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_xml": None}
 
     # -- construction -----------------------------------------------------
     def add_host(self, host: Host) -> Host:
         if host.name in self._hosts:
             raise ValueError(f"duplicate host {host.name!r}")
         self._hosts[host.name] = host
+        self._xml = None
         return host
 
     def add_link(self, link: Link) -> Link:
         if link.name in self._links:
             raise ValueError(f"duplicate link {link.name!r}")
         self._links[link.name] = link
+        self._xml = None
         return link
 
     def add_route(self, src: str, dst: str, links: list[Link],
@@ -109,6 +121,7 @@ class Platform:
         self._routes[(src, dst)] = route
         if symmetric:
             self._routes[(dst, src)] = route
+        self._xml = None
 
     # -- queries ------------------------------------------------------------
     def host(self, name: str) -> Host:

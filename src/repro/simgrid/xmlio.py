@@ -27,11 +27,14 @@ bandwidths in ``Bps/KBps/MBps/GBps`` (bytes/s), latencies in
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .platform import Host, Link, Platform
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 _SPEED_UNITS = {"f": 1.0, "kf": 1e3, "mf": 1e6, "gf": 1e9, "tf": 1e12}
 _BANDWIDTH_UNITS = {"bps": 1.0, "kbps": 1e3, "mbps": 1e6, "gbps": 1e9}
@@ -74,12 +77,15 @@ def parse_latency(text: str) -> float:
 
 def load_platform(path: str | Path) -> Platform:
     """Read a platform XML file into a :class:`Platform`."""
-    tree = ET.parse(Path(path))
-    return platform_from_xml(tree.getroot())
+    import xml.etree.ElementTree as ET
+
+    return platform_from_xml(ET.parse(Path(path)).getroot())
 
 
 def loads_platform(text: str) -> Platform:
     """Parse a platform XML string."""
+    import xml.etree.ElementTree as ET
+
     return platform_from_xml(ET.fromstring(text))
 
 
@@ -118,36 +124,95 @@ def platform_from_xml(root: ET.Element) -> Platform:
 
 
 def platform_to_xml(platform: Platform) -> str:
-    """Serialise a :class:`Platform` back to platform-file XML."""
-    root = ET.Element("platform", version="4.1")
-    zone = ET.SubElement(root, "zone", id=platform.name, routing="Full")
+    """Serialise a :class:`Platform` back to platform-file XML.
+
+    The text is what ElementTree writes for the same tree after
+    ``ET.indent`` (``ET.tostring(..., encoding="unicode",
+    xml_declaration=True)``), byte for byte, built as text so that
+    writing a platform loads no XML library.  Hosts come in insertion
+    order, then each link the first time a route uses it, then the
+    routes sorted by ``(src, dst)``.  A route whose reverse is equal to
+    it is written once, SimGrid's symmetric default; a route whose
+    reverse is missing or different is written with
+    ``symmetrical="no"``, and so is the reverse.
+
+    The text enters derived seeds, cache keys and provenance hashes, so
+    a platform computes it once: it is kept on the platform until
+    ``add_host``, ``add_link`` or ``add_route`` changes it, and is not
+    pickled.
+    """
+    xml = platform._xml
+    if xml is None:
+        xml = platform._xml = _platform_xml(platform)
+    return xml
+
+
+#: ElementTree's attribute escapes, in the order it applies them
+_ATTRIBUTE_ESCAPES = (
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+    ("\r", "&#13;"), ("\n", "&#10;"), ("\t", "&#09;"),
+)
+
+
+def _attribute(text: str) -> str:
+    """A name escaped as an attribute value (numbers never need it)."""
+    for char, entity in _ATTRIBUTE_ESCAPES:
+        if char in text:
+            text = text.replace(char, entity)
+    return text
+
+
+def _platform_xml(platform: Platform) -> str:
+    hosts = {}
+    host_lines = []
     for host in platform.hosts:
-        ET.SubElement(
-            zone, "host", id=host.name, speed=f"{host.speed}f",
-            core=str(host.cores),
+        name = hosts[host.name] = _attribute(host.name)
+        host_lines.append(
+            f'    <host id="{name}" speed="{host.speed}f" '
+            f'core="{host.cores}" />'
         )
-    seen_links: set[str] = set()
-    routes = []
-    emitted: set[tuple[str, str]] = set()
-    for (src, dst), route in sorted(platform._routes.items()):
-        if (dst, src) in emitted:
-            continue
-        routes.append((src, dst))
-        emitted.add((src, dst))
+    links: dict[str, str] = {}
+    link_lines = []
+    route_lines = []
+    routes = platform._routes
+    for (src, dst), route in sorted(routes.items()):
+        reverse = routes.get((dst, src))
+        symmetric = reverse == route
+        if symmetric and dst < src:
+            continue  # written as (dst, src)
         for link in route.links:
-            if link.name not in seen_links:
-                seen_links.add(link.name)
-                ET.SubElement(
-                    zone, "link", id=link.name,
-                    bandwidth=f"{link.bandwidth}Bps",
-                    latency=f"{link.latency}s",
+            if link.name not in links:
+                links[link.name] = _attribute(link.name)
+                link_lines.append(
+                    f'    <link id="{links[link.name]}" '
+                    f'bandwidth="{link.bandwidth}Bps" '
+                    f'latency="{link.latency}s" />'
                 )
-    for src, dst in routes:
-        el = ET.SubElement(zone, "route", src=src, dst=dst)
-        for link in platform.route(src, dst).links:
-            ET.SubElement(el, "link_ctn", id=link.name)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True)
+        head = f'    <route src="{hosts[src]}" dst="{hosts[dst]}"'
+        if not symmetric:
+            head += ' symmetrical="no"'
+        # a host reaches itself over the loopback (Platform.route),
+        # whatever route is stored for it
+        hops = route.links if src != dst else ()
+        if hops:
+            route_lines.append(head + ">")
+            route_lines.extend(
+                f'      <link_ctn id="{links[link.name]}" />'
+                for link in hops
+            )
+            route_lines.append("    </route>")
+        else:
+            route_lines.append(head + " />")
+    zone = f'  <zone id="{_attribute(platform.name)}" routing="Full"'
+    body = host_lines + link_lines + route_lines
+    zone_lines = ([zone + ">", *body, "  </zone>"] if body
+                  else [zone + " />"])
+    return "\n".join([
+        "<?xml version='1.0' encoding='utf-8'?>",
+        '<platform version="4.1">',
+        *zone_lines,
+        "</platform>",
+    ])
 
 
 @dataclass(frozen=True)
@@ -161,12 +226,15 @@ class ProcessPlacement:
 
 def load_deployment(path: str | Path) -> list[ProcessPlacement]:
     """Read a deployment XML file."""
-    tree = ET.parse(Path(path))
-    return deployment_from_xml(tree.getroot())
+    import xml.etree.ElementTree as ET
+
+    return deployment_from_xml(ET.parse(Path(path)).getroot())
 
 
 def loads_deployment(text: str) -> list[ProcessPlacement]:
     """Parse a deployment XML string."""
+    import xml.etree.ElementTree as ET
+
     return deployment_from_xml(ET.fromstring(text))
 
 
@@ -202,6 +270,8 @@ def master_worker_deployment(p: int) -> list[ProcessPlacement]:
 
 def deployment_to_xml(placements: list[ProcessPlacement]) -> str:
     """Serialise placements to deployment-file XML."""
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("deployment")
     for pl in placements:
         el = ET.SubElement(root, "process", host=pl.host, function=pl.function)

@@ -27,7 +27,7 @@ import repro
 from repro.cache import cache_to
 from repro.cli import main
 from repro.core.params import SchedulingParams
-from repro.experiments.report import read_csv_series, write_csv
+from repro.experiments.report import csv_text, read_csv_series
 from repro.experiments.runner import RunTask, run_replicated
 from repro.figures import (
     ARTIFACTS,
@@ -61,6 +61,27 @@ def test_importing_the_figures_loads_no_experiment_or_simulator():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_producing_a_platform_figure_loads_no_xml_library(tmp_path):
+    """fig3 keys its runs' platforms in the cache and hashes them for its
+    manifest; the platform is written as text, so neither ElementTree nor
+    pyexpat is imported."""
+    code = (
+        "import sys\n"
+        "from repro.cache import cache_to\n"
+        "from repro.figures import ARTIFACTS, produce_artifact\n"
+        "with cache_to(sys.argv[1]):\n"
+        "    data, _, _ = produce_artifact(ARTIFACTS['fig3'], 'quick')\n"
+        "assert data.platforms\n"
+        "print(sorted(name for name in sys.modules if name in "
+        "('xml.etree.ElementTree', 'pyexpat')))"
+    )
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "REPRO_WORKERS": "1"}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -207,6 +228,32 @@ class TestPipeline:
         first = generate_artifacts(tmp_path / "a", only=CHEAP, plot=False)
         second = generate_artifacts(tmp_path / "b", only=CHEAP, plot=False)
         assert first.files == second.files
+
+    def test_rerun_into_the_same_directory_rewrites_no_data_file(
+            self, tmp_path):
+        only = CHEAP + ["fig5"]
+        first = generate_artifacts(tmp_path, only=only, plot=False)
+        data = [tmp_path / name for name in first.files]
+        assert len(data) == 2 * len(only)
+        past = 1_000_000_000  # one second after the epoch, in ns
+        for path in data:
+            os.utime(path, ns=(past, past))
+        second = generate_artifacts(tmp_path, only=only, plot=False)
+        assert second.files == first.files
+        assert [path.stat().st_mtime_ns for path in data] == (
+            [past] * len(data))
+
+    def test_a_changed_data_file_is_rewritten(self, tmp_path):
+        first = generate_artifacts(tmp_path, only=CHEAP, plot=False)
+        csv = tmp_path / "table3.csv"
+        good = csv.read_bytes()
+        csv.write_bytes(good.replace(b"7.0", b"7.7"))
+        txt = tmp_path / "table2.txt"
+        txt.unlink()
+        second = generate_artifacts(tmp_path, only=CHEAP, plot=False)
+        assert second.files == first.files
+        assert csv.read_bytes() == good
+        assert sha256_file(txt) == first.files["table2.txt"]
 
     def test_seeded_compute_artifact_is_digest_stable(self, tmp_path):
         first = generate_artifacts(
@@ -605,7 +652,8 @@ class TestCsvRoundTrip:
     def test_write_read_round_trip(self, tmp_path):
         series = {"SS": [1.5, 2.25], "FAC": [3.0, 4.125]}
         path = tmp_path / "series.csv"
-        write_csv(path, series, (2, 8), key_header="pes")
+        path.write_text(csv_text(series, (2, 8), key_header="pes"),
+                        newline="")
         read, keys, header = read_csv_series(path)
         assert read == series
         assert keys == ["2", "8"]

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.report import (
+    csv_text,
     format_table,
     series_table,
-    write_csv,
 )
 from repro.experiments.tables import (
     TABLE2_PUBLISHED,
@@ -43,12 +43,9 @@ class TestSeriesTable:
 
 
 class TestCsv:
-    def test_write_csv(self, tmp_path):
-        path = tmp_path / "fig.csv"
-        write_csv(path, {"SS": [1.0, 2.0]}, keys=(2, 8))
-        content = path.read_text()
-        assert content.splitlines()[0] == "technique,2,8"
-        assert "SS,1.0,2.0" in content
+    def test_csv_text(self):
+        text = csv_text({"SS": [1.0, 2.0]}, keys=(2, 8))
+        assert text == "technique,2,8\r\nSS,1.0,2.0\r\n"
 
 
 class TestTable2:

@@ -120,6 +120,37 @@ def test_platform_on_direct_family_is_a_4xx_not_a_500():
     assert err.value.field == "simulator"
 
 
+def test_one_request_builds_and_serialises_one_platform(tmp_path,
+                                                        monkeypatch):
+    """parse and advise share the request's tasks: one workload and one
+    star platform for all of them, so validation, cache keys and
+    provenance serialise the platform once."""
+    from repro.simgrid import platform as platform_module
+    from repro.simgrid import xmlio
+
+    built, serialised = [], []
+    star, text = platform_module.star_platform, xmlio._platform_xml
+    monkeypatch.setattr(platform_module, "star_platform",
+                        lambda *a, **k: built.append(a) or star(*a, **k))
+    monkeypatch.setattr(xmlio, "_platform_xml",
+                        lambda platform: serialised.append(1) or text(
+                            platform))
+    advisor = Advisor()
+    payload = {"n": 256, "p": 4, "runs": 2, "seed": 1,
+               "simulator": "msg-fast", "platform": {"latency": 1e-4},
+               "techniques": ["ss", "gss", "fac2", "tss"]}
+    with cache_to(tmp_path / "cache"):
+        request = advisor.parse(payload)
+        response = advisor.advise(request)
+    assert response.cache_misses == 4
+    tasks = request.tasks()
+    assert [task.technique for task in tasks] == ["ss", "gss", "fac2", "tss"]
+    assert all(task.platform is tasks[0].platform for task in tasks)
+    assert all(task.workload is tasks[0].workload for task in tasks)
+    assert tasks[0].platform is not None
+    assert (len(built), len(serialised)) == (1, 1)
+
+
 def test_techniques_are_deduped_and_case_folded():
     request = AdviseRequest.from_json(
         {"n": 64, "p": 2, "techniques": ["GSS", "gss", "fac2"]}
