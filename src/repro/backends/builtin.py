@@ -29,37 +29,36 @@ triple names the same runs on every backend (enforced by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.params import SchedulingParams
-from ..core.registry import get_technique
+from ..core.registry import make_factory
 from .base import BATCH_BLOCK_RUNS, BackendCapabilities, SimulationBackend
 from .registry import register_backend
 
 if TYPE_CHECKING:
-    from ..core.base import Scheduler
+    from ..directsim.simulator import DirectSimulator
     from ..experiments.runner import RunTask
     from ..results import RunResult
 
 
-def _scheduler_factory(
-    task: "RunTask",
-) -> Callable[[SchedulingParams], "Scheduler"]:
-    cls = get_technique(task.technique)
-    kwargs = task.technique_kwargs
-    return lambda params: cls(params, **kwargs)
-
-
-def _scenario_models(task: "RunTask"):
-    """(failures, fluctuation) mechanism models from the task's scenario."""
-    if task.scenario is None:
-        return None, None
-    p = task.params.p
-    return (
-        task.scenario.failstop_model(p),
-        task.scenario.fluctuation_model(p),
+def _direct_simulation(
+    cls: type["DirectSimulator"], task: "RunTask"
+) -> "DirectSimulator":
+    """A direct-family simulator of ``task``'s cell, with the fault and
+    fluctuation models its scenario compiles to."""
+    failures = fluctuation = None
+    if task.scenario is not None:
+        failures = task.scenario.failstop_model(task.params.p)
+        fluctuation = task.scenario.fluctuation_model(task.params.p)
+    return cls(
+        task.params,
+        task.workload,
+        overhead_model=task.overhead_model,
+        record_chunks=task.collect_chunk_log,
+        failures=failures,
+        fluctuation=fluctuation,
     )
 
 
@@ -69,21 +68,19 @@ class _MsgBackendBase(SimulationBackend):
     simulation_cls: type
 
     def _simulation(self, task: "RunTask"):
-        from ..simgrid.masterworker import MasterWorkerConfig
-
-        config = MasterWorkerConfig(
+        return self.simulation_cls(
+            task.params,
+            task.workload,
+            platform=task.platform,
             overhead_model=task.overhead_model,
             record_chunks=task.collect_chunk_log,
-        )
-        return self.simulation_cls(
-            task.params, task.workload, platform=task.platform, config=config
         )
 
     def _simulate(
         self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
     ) -> list["RunResult"]:
         sim = self._simulation(task)
-        factory = _scheduler_factory(task)
+        factory = make_factory(task.technique, **task.technique_kwargs)
         return [sim.run(factory, seed) for seed in seeds]
 
 
@@ -138,7 +135,7 @@ class MsgFastBackend(_MsgBackendBase):
         self, task: "RunTask", seeds: Sequence[np.random.SeedSequence]
     ) -> list["RunResult"]:
         return self._simulation(task).run_many(
-            _scheduler_factory(task), seeds
+            make_factory(task.technique, **task.technique_kwargs), seeds
         )
 
 
@@ -163,16 +160,8 @@ class DirectBackend(SimulationBackend):
         from ..directsim import DirectSimulator
         from ..directsim.faults import AllWorkersFailedError
 
-        failures, fluctuation = _scenario_models(task)
-        sim = DirectSimulator(
-            task.params,
-            task.workload,
-            overhead_model=task.overhead_model,
-            record_chunks=task.collect_chunk_log,
-            failures=failures,
-            fluctuation=fluctuation,
-        )
-        factory = _scheduler_factory(task)
+        sim = _direct_simulation(DirectSimulator, task)
+        factory = make_factory(task.technique, **task.technique_kwargs)
         try:
             return [sim.run(factory, seed) for seed in seeds]
         except AllWorkersFailedError as exc:
@@ -220,11 +209,8 @@ class DirectBatchBackend(SimulationBackend):
     ) -> list["RunResult"]:
         from ..directsim.batch import BatchDirectSimulator
 
-        # run_seeds refused fail-stop tasks: the kernel takes no fault model
-        _, fluctuation = _scenario_models(task)
-        return BatchDirectSimulator(
-            task.params,
-            task.workload,
-            overhead_model=task.overhead_model,
-            fluctuation=fluctuation,
-        ).run_batch(_scheduler_factory(task), seeds)
+        # run_seeds refused fail-stop and chunk-log tasks, which the
+        # batch kernels do not replay
+        return _direct_simulation(BatchDirectSimulator, task).run_batch(
+            make_factory(task.technique, **task.technique_kwargs), seeds
+        )

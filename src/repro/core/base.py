@@ -16,11 +16,14 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
 
 import numpy as np
 
 from .params import SchedulingParams
+
+if TYPE_CHECKING:
+    from .stepping import SteppingState
 
 #: Parameter symbols of Table I, used by :attr:`Scheduler.requires`.
 PARAM_SYMBOLS = ("p", "n", "r", "h", "mu", "sigma", "f", "l", "m")
@@ -77,6 +80,10 @@ class Scheduler(ABC):
         Such techniques support :meth:`chunk_schedule` and therefore the
         vectorized batch-replication kernel
         (:mod:`repro.directsim.batch`).
+    stepping_state:
+        For a feedback technique, the :class:`~repro.core.stepping.
+        SteppingState` class that advances it across replications in
+        lock-step (the batch kernel's stepping path); None otherwise.
     """
 
     name: ClassVar[str] = ""
@@ -84,6 +91,7 @@ class Scheduler(ABC):
     requires: ClassVar[frozenset[str]] = frozenset()
     adaptive: ClassVar[bool] = False
     deterministic_schedule: ClassVar[bool] = False
+    stepping_state: ClassVar[type[SteppingState] | None] = None
 
     def __init__(self, params: SchedulingParams):
         self.params = params

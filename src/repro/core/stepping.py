@@ -13,10 +13,11 @@ generalises to ``(R,)``- or ``(R, p)``-shaped arrays with one vectorized
 update per round.
 
 A :class:`SteppingState` is that array-shaped state.  Each technique
-module registers its own state class (via :func:`register_stepping`)
-next to the scalar implementation, reading the technique's constants off
-a scalar *prototype* instance so the two paths share one set of
-formulas and cannot drift.  The round-loop kernel that drives these
+module defines its own state class next to the scalar implementation and
+names it in the technique's ``stepping_state`` class attribute (see
+:class:`~repro.core.base.Scheduler`); the state reads the technique's
+constants off a scalar *prototype* instance so the two paths share one
+set of formulas and cannot drift.  The round-loop kernel that drives these
 states lives in :mod:`repro.directsim.batch`; its fidelity contract is
 the same as the closed-form kernel's: each replication draws from its
 own seed's generator in the scalar order, so its results are
@@ -42,14 +43,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .base import Scheduler
 
-__all__ = [
-    "SteppingState",
-    "ceil_div",
-    "ordered_sum",
-    "register_stepping",
-    "stepping_state_for",
-    "stepping_supported",
-]
+__all__ = ["SteppingState", "ceil_div", "ordered_sum"]
 
 
 def ordered_sum(values: np.ndarray) -> np.ndarray:
@@ -117,48 +111,3 @@ class SteppingState(ABC):
         elapsed: np.ndarray,
     ) -> None:
         """Report finished chunks (adaptive feedback), one per row."""
-
-
-_STEPPING: dict[str, type[SteppingState]] = {}
-
-
-def register_stepping(*names: str):
-    """Class decorator registering a stepping state for technique names."""
-
-    def decorator(cls: type[SteppingState]) -> type[SteppingState]:
-        for name in names:
-            key = name.lower()
-            if key in _STEPPING and _STEPPING[key] is not cls:
-                raise ValueError(f"duplicate stepping state for {key!r}")
-            _STEPPING[key] = cls
-        return cls
-
-    return decorator
-
-
-def _technique_name(technique) -> str:
-    if isinstance(technique, str):
-        return technique.lower()
-    name = getattr(technique, "name", "")
-    return str(name).lower()
-
-
-def stepping_supported(technique) -> bool:
-    """True when ``technique`` has a registered batched stepping state."""
-    from . import techniques  # noqa: F401  (populate the registry)
-
-    return _technique_name(technique) in _STEPPING
-
-
-def stepping_state_for(prototype: "Scheduler", reps: int) -> SteppingState:
-    """Instantiate the registered stepping state for ``prototype``."""
-    from . import techniques  # noqa: F401  (populate the registry)
-
-    key = _technique_name(prototype)
-    try:
-        cls = _STEPPING[key]
-    except KeyError:
-        raise KeyError(
-            f"no batched stepping state registered for technique {key!r}"
-        ) from None
-    return cls(prototype, reps)

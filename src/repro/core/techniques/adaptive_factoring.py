@@ -34,7 +34,7 @@ import numpy as np
 
 from ..base import Scheduler
 from ..registry import register
-from ..stepping import SteppingState, ceil_div, ordered_sum, register_stepping
+from ..stepping import SteppingState, ceil_div, ordered_sum
 
 
 class _RunningEstimates:
@@ -84,7 +84,6 @@ def af_chunk(remaining: int, mu: list[float], sigma_sq: list[float],
     return max(1, math.ceil(size))
 
 
-@register_stepping("af")
 class _AFSteppingState(SteppingState):
     """Batched AF state: the per-PE Welford estimates as ``(R, p)`` arrays.
 
@@ -148,6 +147,7 @@ class AdaptiveFactoring(Scheduler):
     label = "AF"
     requires = frozenset({"p", "r"})
     adaptive: ClassVar[bool] = True
+    stepping_state = _AFSteppingState
 
     #: minimum completed chunks per PE before its estimates are trusted
     WARMUP_CHUNKS = 2

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..base import Scheduler, SchedulerState
 from ..registry import register
-from ..stepping import SteppingState, ceil_div, ordered_sum, register_stepping
+from ..stepping import SteppingState, ceil_div, ordered_sum
 
 
 class _PerWorkerStats:
@@ -72,68 +72,6 @@ class _PerWorkerStats:
         return self.weighted_ratio_sum / self.index_sum
 
 
-class _AWFBase(Scheduler):
-    """Shared machinery: FAC2 batches with measured, normalised weights."""
-
-    adaptive: ClassVar[bool] = True
-    #: whether ``record_finished`` times should have ``h`` added
-    include_overhead_in_time: ClassVar[bool] = False
-    #: "batch", "chunk", or "timestep"
-    update_point: ClassVar[str] = "batch"
-
-    def __init__(self, params):
-        super().__init__(params)
-        self._stats = [_PerWorkerStats() for _ in range(params.p)]
-        if params.weights is not None:
-            self._weights = [w * params.p for w in params.weights]
-        else:
-            self._weights = [1.0] * params.p
-        self._batch_left = 0
-        self._batch_total = 0
-
-    # -- weights ---------------------------------------------------------
-    def current_weights(self) -> list[float]:
-        """The normalised weights in use (mean 1 across PEs)."""
-        return list(self._weights)
-
-    def _recompute_weights(self) -> None:
-        pis = [s.pi for s in self._stats]
-        known = [pi for pi in pis if pi is not None and pi > 0]
-        if not known:
-            return
-        # PEs without history get the average ratio of the known ones.
-        fallback = sum(known) / len(known)
-        ratios = [pi if (pi is not None and pi > 0) else fallback for pi in pis]
-        inv = [1.0 / r for r in ratios]
-        total = sum(inv)
-        p = self.params.p
-        self._weights = [p * v / total for v in inv]
-
-    # -- batching ---------------------------------------------------------
-    def _chunk_size(self, worker: int) -> int:
-        if self._batch_left <= 0:
-            self._start_batch()
-        share = self._batch_total * self._weights[worker] / self.params.p
-        return min(max(1, math.ceil(share)), self._batch_left)
-
-    def _start_batch(self) -> None:
-        self._batch_total = max(1, self._ceil_div(self.state.remaining, 2))
-        self._batch_total = min(self._batch_total, self.state.remaining)
-        self._batch_left = self._batch_total
-        if self.update_point == "batch":
-            self._recompute_weights()
-
-    def _after_assignment(self, record) -> None:
-        self._batch_left -= record.size
-
-    def _after_completion(self, worker: int, size: int, elapsed: float) -> None:
-        t = elapsed + (self.params.h if self.include_overhead_in_time else 0.0)
-        self._stats[worker].record(size, t)
-        if self.update_point == "chunk":
-            self._recompute_weights()
-
-
-@register_stepping("awf", "awf-b", "awf-c", "awf-d", "awf-e")
 class _AWFSteppingState(SteppingState):
     """Batched AWF-family state: the scalar per-worker chunk-indexed
     stats and normalised weights as ``(R, p)`` arrays.
@@ -213,6 +151,68 @@ class _AWFSteppingState(SteppingState):
         self._index_sum[rows, workers] += k
         if self._update_point == "chunk":
             self._recompute_weights(rows)
+
+
+class _AWFBase(Scheduler):
+    """Shared machinery: FAC2 batches with measured, normalised weights."""
+
+    adaptive: ClassVar[bool] = True
+    stepping_state = _AWFSteppingState
+    #: whether ``record_finished`` times should have ``h`` added
+    include_overhead_in_time: ClassVar[bool] = False
+    #: "batch", "chunk", or "timestep"
+    update_point: ClassVar[str] = "batch"
+
+    def __init__(self, params):
+        super().__init__(params)
+        self._stats = [_PerWorkerStats() for _ in range(params.p)]
+        if params.weights is not None:
+            self._weights = [w * params.p for w in params.weights]
+        else:
+            self._weights = [1.0] * params.p
+        self._batch_left = 0
+        self._batch_total = 0
+
+    # -- weights ---------------------------------------------------------
+    def current_weights(self) -> list[float]:
+        """The normalised weights in use (mean 1 across PEs)."""
+        return list(self._weights)
+
+    def _recompute_weights(self) -> None:
+        pis = [s.pi for s in self._stats]
+        known = [pi for pi in pis if pi is not None and pi > 0]
+        if not known:
+            return
+        # PEs without history get the average ratio of the known ones.
+        fallback = sum(known) / len(known)
+        ratios = [pi if (pi is not None and pi > 0) else fallback for pi in pis]
+        inv = [1.0 / r for r in ratios]
+        total = sum(inv)
+        p = self.params.p
+        self._weights = [p * v / total for v in inv]
+
+    # -- batching ---------------------------------------------------------
+    def _chunk_size(self, worker: int) -> int:
+        if self._batch_left <= 0:
+            self._start_batch()
+        share = self._batch_total * self._weights[worker] / self.params.p
+        return min(max(1, math.ceil(share)), self._batch_left)
+
+    def _start_batch(self) -> None:
+        self._batch_total = max(1, self._ceil_div(self.state.remaining, 2))
+        self._batch_total = min(self._batch_total, self.state.remaining)
+        self._batch_left = self._batch_total
+        if self.update_point == "batch":
+            self._recompute_weights()
+
+    def _after_assignment(self, record) -> None:
+        self._batch_left -= record.size
+
+    def _after_completion(self, worker: int, size: int, elapsed: float) -> None:
+        t = elapsed + (self.params.h if self.include_overhead_in_time else 0.0)
+        self._stats[worker].record(size, t)
+        if self.update_point == "chunk":
+            self._recompute_weights()
 
 
 @register

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..base import Scheduler
 from ..registry import register
-from ..stepping import SteppingState, register_stepping
+from ..stepping import SteppingState
 from .factoring import factoring_x
 from .fixed_size import optimal_fixed_chunk
 
@@ -59,7 +59,6 @@ def kw_floor(remaining: int, p: int, h: float, sigma: float) -> int:
     return optimal_fixed_chunk(remaining, p, h, sigma)
 
 
-@register_stepping("bold")
 class _BoldSteppingState(SteppingState):
     """Batched BOLD state: per-replication batch bookkeeping.
 
@@ -116,6 +115,7 @@ class Bold(Scheduler):
     name = "bold"
     label = "BOLD"
     requires = frozenset({"p", "r", "h", "mu", "sigma", "m"})
+    stepping_state = _BoldSteppingState
 
     def __init__(self, params):
         super().__init__(params)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..base import Scheduler
 from ..registry import register
-from ..stepping import SteppingState, ceil_div, register_stepping
+from ..stepping import SteppingState, ceil_div
 
 
 @register
@@ -167,30 +167,6 @@ class VariableIncrease(Scheduler):
         self._batch_left -= record.size
 
 
-@register
-class RandomChunk(Scheduler):
-    """RND: uniformly random chunk sizes in ``[min_chunk, n/(2p)]``.
-
-    A stochastic baseline (as used in the LB4OMP sweeps).  The generator
-    is seeded from the ``seed`` argument so runs stay reproducible.
-    """
-
-    name = "rnd"
-    label = "RND"
-    requires = frozenset({"p", "n"})
-
-    def __init__(self, params, seed: int = 0):
-        super().__init__(params)
-        self.low = max(1, params.min_chunk)
-        self.high = max(self.low, params.n // (2 * params.p))
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    def _chunk_size(self, worker: int) -> int:
-        return int(self._rng.integers(self.low, self.high + 1))
-
-
-@register_stepping("rnd")
 class _RNDSteppingState(SteppingState):
     """Batched RND state: one shared size sequence, one draw per round.
 
@@ -217,45 +193,29 @@ class _RNDSteppingState(SteppingState):
 
 
 @register
-class PerformanceLoopScheduling(Scheduler):
-    """PLS: a static prefix, then guided dynamic scheduling.
+class RandomChunk(Scheduler):
+    """RND: uniformly random chunk sizes in ``[min_chunk, n/(2p)]``.
 
-    The static workload ratio (SWR) fraction of the tasks is divided
-    evenly over the PEs up front (one chunk each); the remainder is
-    scheduled dynamically with GSS.  SWR defaults to 0.5.
+    A stochastic baseline (as used in the LB4OMP sweeps).  The generator
+    is seeded from the ``seed`` argument so runs stay reproducible.
     """
 
-    name = "pls"
-    label = "PLS"
-    requires = frozenset({"p", "n", "r"})
+    name = "rnd"
+    label = "RND"
+    requires = frozenset({"p", "n"})
+    stepping_state = _RNDSteppingState
 
-    def __init__(self, params, swr: float = 0.5):
+    def __init__(self, params, seed: int = 0):
         super().__init__(params)
-        if not 0.0 <= swr <= 1.0:
-            raise ValueError(f"swr must be in [0, 1], got {swr}")
-        self.swr = swr
-        static_total = int(params.n * swr)
-        self._static_chunk = static_total // params.p
-        self._static_served: set[int] = set()
+        self.low = max(1, params.min_chunk)
+        self.high = max(self.low, params.n // (2 * params.p))
+        self._seed = seed
+        self._rng = np.random.default_rng(seed)
 
     def _chunk_size(self, worker: int) -> int:
-        if (
-            self._static_chunk > 0
-            and worker not in self._static_served
-        ):
-            return self._static_chunk
-        return max(1, self._ceil_div(self.state.remaining, self.params.p))
-
-    def _after_assignment(self, record) -> None:
-        if (
-            self._static_chunk > 0
-            and record.worker not in self._static_served
-            and record.size <= self._static_chunk
-        ):
-            self._static_served.add(record.worker)
+        return int(self._rng.integers(self.low, self.high + 1))
 
 
-@register_stepping("pls")
 class _PLSSteppingState(SteppingState):
     """Batched PLS state: the per-worker static-prefix served flags.
 
@@ -283,3 +243,43 @@ class _PLSSteppingState(SteppingState):
             return
         mark = ~self._served[rows, workers] & (sizes <= self._static)
         self._served[rows[mark], workers[mark]] = True
+
+
+@register
+class PerformanceLoopScheduling(Scheduler):
+    """PLS: a static prefix, then guided dynamic scheduling.
+
+    The static workload ratio (SWR) fraction of the tasks is divided
+    evenly over the PEs up front (one chunk each); the remainder is
+    scheduled dynamically with GSS.  SWR defaults to 0.5.
+    """
+
+    name = "pls"
+    label = "PLS"
+    requires = frozenset({"p", "n", "r"})
+    stepping_state = _PLSSteppingState
+
+    def __init__(self, params, swr: float = 0.5):
+        super().__init__(params)
+        if not 0.0 <= swr <= 1.0:
+            raise ValueError(f"swr must be in [0, 1], got {swr}")
+        self.swr = swr
+        static_total = int(params.n * swr)
+        self._static_chunk = static_total // params.p
+        self._static_served: set[int] = set()
+
+    def _chunk_size(self, worker: int) -> int:
+        if (
+            self._static_chunk > 0
+            and worker not in self._static_served
+        ):
+            return self._static_chunk
+        return max(1, self._ceil_div(self.state.remaining, self.params.p))
+
+    def _after_assignment(self, record) -> None:
+        if (
+            self._static_chunk > 0
+            and record.worker not in self._static_served
+            and record.size <= self._static_chunk
+        ):
+            self._static_served.add(record.worker)

@@ -18,11 +18,10 @@ import numpy as np
 
 from ..base import Scheduler
 from ..registry import register
-from ..stepping import SteppingState, register_stepping
+from ..stepping import SteppingState
 from .factoring import factoring_x
 
 
-@register_stepping("wf")
 class _WFSteppingState(SteppingState):
     """Batched WF state: per-replication batch totals and claim sets.
 
@@ -82,6 +81,7 @@ class WeightedFactoring(Scheduler):
     name = "wf"
     label = "WF"
     requires = frozenset({"p", "r", "mu", "sigma"})
+    stepping_state = _WFSteppingState
 
     def __init__(self, params):
         super().__init__(params)

@@ -1,6 +1,6 @@
 """Replica of Hagerup's (1997) chunk-level direct simulator."""
 
-from .accounting import OverheadModel, average_wasted_time
+from ..metrics.wasted_time import OverheadModel, average_wasted_time
 from .batch import BatchDirectSimulator
 from .faults import (
     AllWorkersFailedError,

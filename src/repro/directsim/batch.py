@@ -36,12 +36,13 @@ feedback loops (AWF family, AF, BOLD) and the worker-dependent
 schedules (WF, PLS, RND) — run on the **batched stepping kernel**
 instead: all R replications advance in lock-step, one scheduling round
 at a time, with each technique's adaptive state held as ``(R,)``/``(R,
-p)`` arrays (:mod:`repro.core.stepping`).  One round performs one
+p)`` arrays (the technique's ``stepping_state``, a
+:class:`~repro.core.stepping.SteppingState`).  One round performs one
 argmin worker pop, one deferred completion report, one vectorized
 chunk-size update, and one scalar ``chunk_time`` draw per live
 replication.  A block too narrow for the round's fixed NumPy cost to
-pay off runs ``DirectSimulator``'s loop once per replication instead
-(:func:`_scalar_wins`).
+pay off runs the inherited :meth:`DirectSimulator.run` once per
+replication instead (:func:`_scalar_wins`).
 
 Replication ``i`` of :meth:`BatchDirectSimulator.run_batch` draws only
 from the generator of ``seeds[i]``, in ``DirectSimulator``'s per-chunk
@@ -55,7 +56,7 @@ lognormal load noise — the models a :class:`repro.scenarios.Scenario`
 compiles to), on the heap walk, which applies the scalar model per
 chunk.  The lock-step loop and the stepping kernel run clean blocks
 only, so :meth:`BatchDirectSimulator.run_batch` refuses a feedback
-technique under a fluctuation model, and the simulator takes no
+technique under a fluctuation model and any technique under a
 fail-stop model: both run on the scalar simulator, where the
 ``direct-batch`` backend sends them through the registry.  Per-chunk
 execution logs are recorded only on request (``record_chunks=True``)
@@ -83,12 +84,10 @@ from ..core.schedule import (
     closed_form_supported,
     precompute_schedule,
 )
-from ..core.stepping import stepping_state_for, stepping_supported
+from ..metrics.wasted_time import OverheadModel
 from ..obs.stats import RunStats
 from ..results import ChunkExecution, RunResult
-from ..workloads.distributions import Workload
 from ..workloads.generator import make_rng
-from .accounting import OverheadModel
 from .faults import (
     CompositeFluctuation,
     CyclicFluctuation,
@@ -198,49 +197,18 @@ def _draws_per_chunk(fluctuation: Fluctuation) -> bool:
     )
 
 
-class BatchDirectSimulator:
-    """Batch-replication counterpart of :class:`DirectSimulator`.
+class BatchDirectSimulator(DirectSimulator):
+    """A :class:`DirectSimulator` that also runs a cell's replications
+    as one batch.
 
-    Takes the same cell description (params, workload, overhead model,
-    speeds, start times, fluctuation) but no fail-stop model, and
-    simulates one replication per seed in each :meth:`run_batch` call.
-    A fluctuation model applies to closed-form techniques only; a
-    feedback technique refuses it.  ``record_chunks`` keeps per-chunk
-    execution logs; only the feedback paths record them, and a
-    closed-form technique refuses the request.
+    The inherited :meth:`~DirectSimulator.run` is the oracle;
+    :meth:`run_batch` simulates one replication per seed and equals it
+    run for run.  A fluctuation model applies to closed-form techniques
+    only; a feedback technique refuses it, and every technique refuses
+    a fail-stop model.  ``record_chunks`` keeps per-chunk execution
+    logs; only the feedback paths record them, and a closed-form
+    technique refuses the request.
     """
-
-    def __init__(
-        self,
-        params: SchedulingParams,
-        workload: Workload,
-        overhead_model: OverheadModel = OverheadModel.POST_HOC,
-        speeds: Sequence[float] | None = None,
-        start_times: Sequence[float] | None = None,
-        record_chunks: bool = False,
-        fluctuation: Fluctuation | None = None,
-    ):
-        self.params = params
-        self.workload = workload
-        self.overhead_model = overhead_model
-        if speeds is None:
-            speeds = [1.0] * params.p
-        if len(speeds) != params.p:
-            raise ValueError(f"need {params.p} speeds, got {len(speeds)}")
-        if any(s <= 0 for s in speeds):
-            raise ValueError("speeds must all be positive")
-        self.speeds = np.asarray(speeds, dtype=np.float64)
-        if start_times is None:
-            start_times = [0.0] * params.p
-        if len(start_times) != params.p:
-            raise ValueError(
-                f"need {params.p} start times, got {len(start_times)}"
-            )
-        if any(t < 0 for t in start_times):
-            raise ValueError("start times must be non-negative")
-        self.start_times = np.asarray(start_times, dtype=np.float64)
-        self.record_chunks = record_chunks
-        self.fluctuation = fluctuation
 
     def run_batch(
         self,
@@ -252,15 +220,22 @@ class BatchDirectSimulator:
         ``scheduler`` may be a fresh instance or a factory, exactly as
         for :meth:`DirectSimulator.run`.  Closed-form techniques take
         the schedule-precomputation path; feedback-loop techniques with
-        a registered stepping state take the lock-step round kernel
-        (the instance then serves as the never-mutated prototype its
-        batched state is built from), on a clean system only, or, on a
-        block narrow enough for it to win (:func:`_scalar_wins`),
-        ``DirectSimulator`` with a fresh scheduler per replication (a
-        copy of an instance).  Replication ``i`` draws only from the
-        generator of ``seeds[i]``, in ``DirectSimulator``'s per-chunk
-        order, so it equals ``DirectSimulator.run(scheduler, seeds[i])``.
+        a ``stepping_state`` take the lock-step round kernel (the
+        instance then serves as the never-mutated prototype its batched
+        state is built from), on a clean system only, or, on a block
+        narrow enough for it to win (:func:`_scalar_wins`), the
+        inherited :meth:`~DirectSimulator.run` with a fresh scheduler
+        per replication (a copy of an instance).  Replication ``i``
+        draws only from the generator of ``seeds[i]``, in
+        ``DirectSimulator``'s per-chunk order, so it equals
+        ``DirectSimulator.run(scheduler, seeds[i])``.  A fail-stop
+        model is refused: only ``run`` replays it.
         """
+        if self.failures is not None:
+            raise ScheduleUnavailableError(
+                "the batch kernels replay no fail-stop model; run each "
+                "replication with DirectSimulator.run"
+            )
         rngs = [make_rng(seed) for seed in seeds]
         if not rngs:
             raise ValueError("need at least one seed")
@@ -277,7 +252,7 @@ class BatchDirectSimulator:
             schedule = precompute_schedule(scheduler)
             block = max(1, MAX_BLOCK_ELEMENTS // SEGMENT_CHUNKS)
             run = functools.partial(self._run_block, schedule)
-        elif stepping_supported(scheduler):
+        elif scheduler.stepping_state is not None:
             if self.fluctuation is not None:
                 raise ScheduleUnavailableError(
                     f"{scheduler.label or scheduler.name} is a feedback "
@@ -310,21 +285,14 @@ class BatchDirectSimulator:
         scheduler: Scheduler | Callable[[SchedulingParams], Scheduler],
         rngs: list[np.random.Generator],
     ) -> list[RunResult]:
-        """One ``DirectSimulator`` run per RNG, as ``direct`` runs them.
+        """One inherited :meth:`~DirectSimulator.run` per RNG, as
+        ``direct`` runs them.
 
         Each run takes a fresh scheduler: the factory's, or a copy of
         the never-mutated instance.
         """
-        simulator = DirectSimulator(
-            self.params,
-            self.workload,
-            overhead_model=self.overhead_model,
-            speeds=self.speeds.tolist(),
-            start_times=self.start_times.tolist(),
-            record_chunks=self.record_chunks,
-        )
         return [
-            simulator.run(
+            self.run(
                 copy.deepcopy(scheduler)
                 if isinstance(scheduler, Scheduler) else scheduler,
                 rng,
@@ -411,8 +379,8 @@ class BatchDirectSimulator:
         per_worker = self.overhead_model is OverheadModel.PER_WORKER
         serialized = self.overhead_model is OverheadModel.SERIALIZED_MASTER
         fluctuation = self.fluctuation
-        speeds = self.speeds.tolist()
-        ready = [(t, w) for w, t in enumerate(self.start_times.tolist())]
+        speeds = self.speeds
+        ready = [(t, w) for w, t in enumerate(self.start_times)]
         heapq.heapify(ready)
         replace = heapq.heapreplace
         compute = [0.0] * p
@@ -457,6 +425,7 @@ class BatchDirectSimulator:
         p = self.params.p
         h = self.params.h
         model = self.overhead_model
+        speeds = np.asarray(self.speeds)
         ready = np.tile(self.start_times, (reps, 1))
         compute = np.zeros((reps, p))
         counts = np.zeros((reps, p), dtype=np.int64)
@@ -472,7 +441,7 @@ class BatchDirectSimulator:
                 t = ready[rows, w]
                 # True division (not multiplication by a reciprocal) so the
                 # ready times match the scalar simulator bit-for-bit.
-                elapsed = task_time / self.speeds[w]
+                elapsed = task_time / speeds[w]
                 if model is OverheadModel.PER_WORKER:
                     begin = t + h
                 elif model is OverheadModel.SERIALIZED_MASTER:
@@ -523,7 +492,8 @@ class BatchDirectSimulator:
         h = self.params.h
         model = self.overhead_model
         label = prototype.label or prototype.name
-        state = stepping_state_for(prototype, reps)
+        state = prototype.stepping_state(prototype, reps)
+        speeds = np.asarray(self.speeds)
 
         remaining = np.full(reps, self.params.n, dtype=np.int64)
         outstanding = np.zeros(reps, dtype=np.int64)
@@ -581,7 +551,7 @@ class BatchDirectSimulator:
                 chunk_time(start, size, rngs[r]) for start, size, r
                 in zip(starts.tolist(), sizes.tolist(), rows.tolist())
             ])
-            elapsed = task_time / self.speeds[w]
+            elapsed = task_time / speeds[w]
             if model is OverheadModel.PER_WORKER:
                 begin = t + h
             elif model is OverheadModel.SERIALIZED_MASTER:

@@ -6,7 +6,7 @@ The model has no network: a run is a sequence of chunk executions at chunk
 granularity.  Workers become ready, receive a chunk from the scheduler,
 execute it for the summed task time of the chunk (divided by the worker's
 relative speed), and return for more work.  Scheduling overhead is charged
-according to an :class:`~repro.directsim.accounting.OverheadModel`.
+according to an :class:`~repro.metrics.wasted_time.OverheadModel`.
 
 The simulator is deliberately simple — a single binary heap over worker
 ready times — so that it serves as the *independent second implementation*
@@ -24,11 +24,11 @@ import numpy as np
 
 from ..core.base import Scheduler
 from ..core.params import SchedulingParams
+from ..metrics.wasted_time import OverheadModel
 from ..obs.stats import RunStats
 from ..results import ChunkExecution, RunResult
 from ..workloads.distributions import Workload
 from ..workloads.generator import make_rng
-from .accounting import OverheadModel
 from .faults import AllWorkersFailedError, FailStop, Fluctuation
 
 

@@ -58,7 +58,7 @@ def require_chunk_log(result: "RunResult", action: str = "build a timeline"):
     if not result.chunk_log:
         raise ValueError(
             f"cannot {action}: the run has no chunk log; simulate with "
-            "record_chunks=True (DirectSimulator / MasterWorkerConfig) "
+            "record_chunks=True (DirectSimulator / MasterWorkerSimulation) "
             "or RunTask(collect_chunk_log=True) — the msg, msg-fast and "
             "direct backends record chunk logs; direct-batch falls back "
             "to direct when a log is requested"

@@ -12,7 +12,7 @@ _EXPORTS = {
     ),
     "engine": ("Effect", "Engine", "Process", "SimulationError", "Timeout"),
     "fastpath": ("FastMasterWorkerSimulation",),
-    "masterworker": ("MasterWorkerConfig", "MasterWorkerSimulation"),
+    "masterworker": ("MasterWorkerSimulation",),
     "msg": ("ComputeTask", "Execute", "Mailbox", "Message", "Receive", "Send"),
     "platform": (
         "Host",

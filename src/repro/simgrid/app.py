@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from ..core.params import SchedulingParams
-from ..core.registry import get_technique
+from ..core.registry import make_factory
 from ..results import RunResult
 from ..workloads.distributions import Workload
-from .masterworker import MasterWorkerConfig, MasterWorkerSimulation
+from .masterworker import MasterWorkerSimulation
 from .xmlio import ProcessPlacement, load_deployment, load_platform
 
 
@@ -81,9 +81,13 @@ def simulation_from_files(
     platform_path: str | Path,
     deployment_path: str | Path,
     app: ApplicationConfig,
-    config: MasterWorkerConfig | None = None,
+    **options,
 ) -> MasterWorkerSimulation:
-    """Build a simulation from platform + deployment files."""
+    """Build a simulation from platform + deployment files.
+
+    ``options`` (``overhead_model``, ``start_times``, ``record_chunks``)
+    are passed to :class:`MasterWorkerSimulation`.
+    """
     platform = load_platform(platform_path)
     placements = load_deployment(deployment_path)
     master_host, worker_hosts = split_deployment(placements)
@@ -92,9 +96,9 @@ def simulation_from_files(
         params,
         app.workload,
         platform=platform,
-        config=config,
         master_host=master_host,
         worker_hosts=worker_hosts,
+        **options,
     )
 
 
@@ -103,11 +107,9 @@ def run_from_files(
     deployment_path: str | Path,
     app: ApplicationConfig,
     seed: int | np.random.SeedSequence | None = None,
-    config: MasterWorkerConfig | None = None,
+    **options,
 ) -> RunResult:
     """One-call file-driven run: files + application info -> RunResult."""
-    sim = simulation_from_files(platform_path, deployment_path, app, config)
-    factory = lambda params: get_technique(app.technique)(
-        params, **app.technique_kwargs
-    )
+    sim = simulation_from_files(platform_path, deployment_path, app, **options)
+    factory = make_factory(app.technique, **app.technique_kwargs)
     return sim.run(factory, seed=seed)

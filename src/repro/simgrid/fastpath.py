@@ -134,9 +134,9 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         self, schedule, rng: np.random.Generator
     ) -> RunResult:
         t_wall = time.perf_counter()
-        params, config = self.params, self.config
+        params = self.params
         p, h = params.p, params.h
-        model = config.overhead_model
+        model = self.overhead_model
         serialized = model is OverheadModel.SERIALIZED_MASTER
         per_worker = model is OverheadModel.PER_WORKER
 
@@ -185,7 +185,7 @@ class FastMasterWorkerSimulation(MasterWorkerSimulation):
         # completions at equal times fire in schedule (= assignment)
         # order, so a stable sort on end time reproduces the log exactly.
         log_entries: list[tuple[float, ChunkExecution]] | None = (
-            [] if config.record_chunks else None
+            [] if self.record_chunks else None
         )
         chunks = schedule.chunks()      # (start, size) of chunk c, for the log
         master_messages = 0

@@ -19,7 +19,6 @@ could physically learn about the completion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -46,22 +45,6 @@ from .platform import Platform, fast_network_platform
 from .trace import SimulationTrace
 
 
-@dataclass
-class MasterWorkerConfig:
-    """Knobs of the master-worker simulation.
-
-    ``overhead_model`` selects where the scheduling overhead ``h`` is
-    charged (see :mod:`repro.metrics.wasted_time`); the BOLD reproduction
-    uses the default POST_HOC model on a free network.  Messages are the
-    control-message sized constants of :mod:`repro.simgrid.msg`, because
-    the application data is replicated.
-    """
-
-    overhead_model: OverheadModel = OverheadModel.POST_HOC
-    start_times: Sequence[float] | None = None
-    record_chunks: bool = False
-
-
 class MasterWorkerSimulation:
     """One master, ``p`` workers, a platform, a workload, a DLS technique.
 
@@ -69,7 +52,13 @@ class MasterWorkerSimulation:
     ``worker-0`` .. ``worker-{p-1}``; the factories in
     :mod:`repro.simgrid.platform` produce exactly that layout.  When no
     platform is given, the free-network platform of the BOLD reproduction
-    is used.
+    is used.  ``overhead_model``, ``start_times`` and ``record_chunks``
+    mean what they mean for
+    :class:`~repro.directsim.simulator.DirectSimulator`; the BOLD
+    reproduction uses the default POST_HOC model on a free network.
+    Messages are the control-message sized constants of
+    :mod:`repro.simgrid.msg`, because the application data is
+    replicated.
     """
 
     def __init__(
@@ -77,14 +66,17 @@ class MasterWorkerSimulation:
         params: SchedulingParams,
         workload: Workload,
         platform: Platform | None = None,
-        config: MasterWorkerConfig | None = None,
+        overhead_model: OverheadModel = OverheadModel.POST_HOC,
+        start_times: Sequence[float] | None = None,
+        record_chunks: bool = False,
         master_host: str = "master",
         worker_hosts: Sequence[str] | None = None,
     ):
         self.params = params
         self.workload = workload
         self.platform = platform or fast_network_platform(params.p)
-        self.config = config or MasterWorkerConfig()
+        self.overhead_model = overhead_model
+        self.record_chunks = record_chunks
         self.master_host = self.platform.host(master_host)
         if worker_hosts is None:
             worker_hosts = [f"worker-{i}" for i in range(params.p)]
@@ -93,16 +85,15 @@ class MasterWorkerSimulation:
                 f"need {params.p} worker hosts, got {len(worker_hosts)}"
             )
         self.worker_hosts = [self.platform.host(name) for name in worker_hosts]
-        starts = self.config.start_times
-        if starts is None:
-            starts = [0.0] * params.p
-        if len(starts) != params.p:
+        if start_times is None:
+            start_times = [0.0] * params.p
+        if len(start_times) != params.p:
             raise ValueError(
-                f"need {params.p} start times, got {len(starts)}"
+                f"need {params.p} start times, got {len(start_times)}"
             )
-        if any(t < 0 for t in starts):
+        if any(t < 0 for t in start_times):
             raise ValueError("start times must be non-negative")
-        self.start_times = list(map(float, starts))
+        self.start_times = list(map(float, start_times))
 
     # -- processes ----------------------------------------------------------
     def _worker_proc(
@@ -119,7 +110,7 @@ class MasterWorkerSimulation:
     ) -> Generator:
         host = self.worker_hosts[w]
         wtrace = trace.workers[w]
-        model = self.config.overhead_model
+        model = self.overhead_model
         report: tuple[int, float] | None = None
         while True:
             wtrace.record_request(engine.now)
@@ -160,7 +151,7 @@ class MasterWorkerSimulation:
     ) -> Generator:
         p = self.params.p
         h = self.params.h
-        model = self.config.overhead_model
+        model = self.overhead_model
         finalized = 0
         while finalized < p:
             msg = yield Receive(master_mb)
@@ -212,7 +203,7 @@ class MasterWorkerSimulation:
             Mailbox(f"worker-{w}", self.worker_hosts[w]) for w in range(p)
         ]
         log: list[ChunkExecution] | None = (
-            [] if self.config.record_chunks else None
+            [] if self.record_chunks else None
         )
         chunk_records: dict[int, object] = {}
 
@@ -239,7 +230,7 @@ class MasterWorkerSimulation:
             n=self.params.n,
             p=p,
             h=self.params.h,
-            overhead_model=self.config.overhead_model,
+            overhead_model=self.overhead_model,
             makespan=makespan,
             compute_times=trace.compute_times,
             chunks_per_worker=trace.chunks_per_worker,

@@ -90,11 +90,20 @@ def loads_platform(text: str) -> Platform:
 
 
 def platform_from_xml(root: ET.Element) -> Platform:
+    """The platform of a ``<platform>`` element.
+
+    Its name is the root's ``id`` if it has one, else the ``id`` of the
+    only top-level ``<zone>`` (or ``<AS>``), where
+    :func:`platform_to_xml` writes it, else ``platform``.
+    """
     if root.tag != "platform":
         raise ValueError(f"expected <platform> root, got <{root.tag}>")
-    platform = Platform(name=root.get("id", "platform"))
-    zones = root.findall("zone") or root.findall("AS") or [root]
-    for zone in zones:
+    zones = root.findall("zone") or root.findall("AS")
+    name = root.get("id")
+    if name is None and len(zones) == 1:
+        name = zones[0].get("id")
+    platform = Platform(name=name if name is not None else "platform")
+    for zone in zones or [root]:
         for el in zone.findall("host"):
             platform.add_host(
                 Host(

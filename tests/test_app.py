@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.registry import get_technique
 from repro.simgrid import (
     ApplicationConfig,
     deployment_to_xml,
@@ -14,6 +15,7 @@ from repro.simgrid import (
     split_deployment,
     star_platform,
 )
+from repro.metrics.wasted_time import OverheadModel
 from repro.simgrid.xmlio import ProcessPlacement
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 
@@ -82,6 +84,25 @@ class TestRunFromFiles:
         )
         sim = simulation_from_files(plat, dep, app)
         assert sim.params.p == 4
+
+    def test_simulation_options_passed_through(self, files):
+        plat, dep = files
+        app = ApplicationConfig(
+            technique="gss", n=64, workload=ConstantWorkload(1.0), h=0.5
+        )
+        sim = simulation_from_files(
+            plat, dep, app,
+            record_chunks=True, overhead_model=OverheadModel.PER_WORKER,
+        )
+        assert sim.record_chunks
+        assert sim.overhead_model is OverheadModel.PER_WORKER
+        result = run_from_files(
+            plat, dep, app, seed=0,
+            record_chunks=True, overhead_model=OverheadModel.PER_WORKER,
+        )
+        assert result.overhead_model is OverheadModel.PER_WORKER
+        assert len(result.chunk_log) == result.num_chunks > 0
+        assert result == sim.run(get_technique("gss"), seed=0)
 
     def test_technique_kwargs_forwarded(self, files):
         plat, dep = files

@@ -18,10 +18,10 @@ from repro.core.schedule import (
     closed_form_supported,
     precompute_schedule,
 )
-from repro.core.stepping import stepping_supported
 from repro.directsim import (
     BatchDirectSimulator,
     DirectSimulator,
+    FailStop,
     OverheadModel,
 )
 from repro.directsim.batch import _lockstep_wins
@@ -63,14 +63,16 @@ class TestBatchSupported:
 
     @pytest.mark.parametrize("name", STEPPABLE)
     def test_stepping_techniques(self, name):
-        assert stepping_supported(name)
+        assert get_technique(name).stepping_state is not None
 
     def test_every_registered_technique_is_batchable(self):
-        """Closed form + stepping together cover the whole registry."""
+        """Every registered technique has exactly one batch form: a
+        closed-form schedule or a stepping state."""
         from repro.core.registry import technique_names
 
-        assert all(closed_form_supported(name) or stepping_supported(name)
-                   for name in technique_names())
+        for name in technique_names():
+            stepping = get_technique(name).stepping_state is not None
+            assert closed_form_supported(name) != stepping, name
 
 
 def assert_maximal_runs(sizes, counts):
@@ -207,8 +209,8 @@ class TestKernelDistribution:
 
     def test_unsupported_technique_raises(self):
         """A technique with neither a closed-form schedule nor a
-        registered stepping state is rejected with a clear error (wf et
-        al. used to be the example; they are steppable now)."""
+        ``stepping_state`` is rejected with a clear error (wf et al.
+        used to be the example; they are steppable now)."""
         from repro.core.base import Scheduler
 
         class _Opaque(Scheduler):
@@ -223,6 +225,19 @@ class TestKernelDistribution:
         batch = BatchDirectSimulator(params(), ConstantWorkload(1.0))
         with pytest.raises(ScheduleUnavailableError):
             batch.run_batch(_Opaque, [0, 1])
+
+    @pytest.mark.parametrize("name", ("gss", "af"))
+    def test_fail_stop_model_is_refused(self, name):
+        """The fail-stop model a BatchDirectSimulator inherits is served
+        by the inherited run only; run_batch names it."""
+        sim = BatchDirectSimulator(params(), ConstantWorkload(1.0),
+                                   failures=FailStop({0: 5.0}))
+        with pytest.raises(ScheduleUnavailableError,
+                           match="DirectSimulator"):
+            sim.run_batch(get_technique(name), [0, 1])
+        assert sim.run(get_technique(name), 0) == DirectSimulator(
+            params(), ConstantWorkload(1.0), failures=FailStop({0: 5.0})
+        ).run(get_technique(name), 0)
 
     def test_closed_form_refuses_chunk_logs(self):
         """The closed-form path records no chunk log, so it refuses the

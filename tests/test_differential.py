@@ -42,7 +42,7 @@ from repro.directsim.faults import AllWorkersFailedError
 from repro.experiments.runner import RunTask, run_replicated
 from repro.scenarios import get_scenario, scenario_names
 from repro.simgrid.fastpath import FastMasterWorkerSimulation
-from repro.simgrid.masterworker import MasterWorkerConfig, MasterWorkerSimulation
+from repro.simgrid.masterworker import MasterWorkerSimulation
 from repro.simgrid.platform import star_platform
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 from repro.workloads.distributions import (
@@ -170,7 +170,7 @@ def test_msg_fast_equals_msg(cell, record_chunks, data):
     params = cell["params"]
     workload = data.draw(any_workloads(params.n))
     platform = star_platform(params.p, worker_speed=cell["speeds"])
-    config = MasterWorkerConfig(
+    options = dict(
         overhead_model=cell["model"],
         start_times=cell["start_times"],
         record_chunks=record_chunks,
@@ -180,10 +180,10 @@ def test_msg_fast_equals_msg(cell, record_chunks, data):
         np.random.SeedSequence([cell["seed"], i]) for i in range(cell["reps"])
     ]
     slow = MasterWorkerSimulation(
-        params, workload, platform=platform, config=config
+        params, workload, platform=platform, **options
     )
     fast = FastMasterWorkerSimulation(
-        params, workload, platform=platform, config=config
+        params, workload, platform=platform, **options
     )
     assert fast.run_many(factory, seeds) == [
         slow.run(factory, seed) for seed in seeds

@@ -18,7 +18,7 @@ from repro.core.schedule import (
 )
 from repro.metrics.wasted_time import OverheadModel
 from repro.simgrid.fastpath import FastMasterWorkerSimulation
-from repro.simgrid.masterworker import MasterWorkerConfig, MasterWorkerSimulation
+from repro.simgrid.masterworker import MasterWorkerSimulation
 from repro.simgrid.platform import star_platform
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 
@@ -57,9 +57,8 @@ def assert_bit_identical(slow, fast):
 def test_bold_configuration_bit_identical(technique, workload_cls):
     """BOLD setup (free network, POST_HOC): every closed-form technique."""
     workload = workload_cls(1.0)
-    cfg = MasterWorkerConfig(record_chunks=True)
-    slow = MasterWorkerSimulation(PARAMS, workload, config=cfg)
-    fast = FastMasterWorkerSimulation(PARAMS, workload, config=cfg)
+    slow = MasterWorkerSimulation(PARAMS, workload, record_chunks=True)
+    fast = FastMasterWorkerSimulation(PARAMS, workload, record_chunks=True)
     result_slow = slow.run(factory_for(technique), seed=42)
     result_fast = fast.run(factory_for(technique), seed=42)
     assert result_fast.stats.fast_path
@@ -69,9 +68,9 @@ def test_bold_configuration_bit_identical(technique, workload_cls):
 @pytest.mark.parametrize("model", list(OverheadModel))
 def test_overhead_models_bit_identical(model):
     workload = ExponentialWorkload(1.0)
-    cfg = MasterWorkerConfig(overhead_model=model)
-    slow = MasterWorkerSimulation(PARAMS, workload, config=cfg)
-    fast = FastMasterWorkerSimulation(PARAMS, workload, config=cfg)
+    slow = MasterWorkerSimulation(PARAMS, workload, overhead_model=model)
+    fast = FastMasterWorkerSimulation(PARAMS, workload,
+                                      overhead_model=model)
     for technique in ("ss", "gss", "fac2"):
         result_fast = fast.run(factory_for(technique), seed=7)
         assert result_fast.stats.fast_path
@@ -85,11 +84,11 @@ def test_heterogeneous_platform_and_staggered_starts_bit_identical():
     platform = star_platform(
         4, worker_speed=[1.0, 2.0, 0.5, 3.0], bandwidth=1e6, latency=1e-4
     )
-    cfg = MasterWorkerConfig(start_times=[0.0, 3.0, 0.0, 7.5])
+    starts = [0.0, 3.0, 0.0, 7.5]
     slow = MasterWorkerSimulation(PARAMS, workload, platform=platform,
-                                  config=cfg)
+                                  start_times=starts)
     fast = FastMasterWorkerSimulation(PARAMS, workload, platform=platform,
-                                      config=cfg)
+                                      start_times=starts)
     result_fast = fast.run(factory_for("fac"), seed=11)
     assert result_fast.stats.fast_path
     assert_bit_identical(slow.run(factory_for("fac"), seed=11), result_fast)

@@ -7,11 +7,7 @@ import pytest
 from repro.core.params import SchedulingParams
 from repro.core.registry import create, make_factory
 from repro.metrics.wasted_time import OverheadModel
-from repro.simgrid import (
-    MasterWorkerConfig,
-    MasterWorkerSimulation,
-    star_platform,
-)
+from repro.simgrid import MasterWorkerSimulation, star_platform
 from repro.workloads import ConstantWorkload, ExponentialWorkload
 
 
@@ -21,11 +17,9 @@ class TestSerializedMasterWithLatency:
         p, n, h = 8, 256, 0.01
         params = SchedulingParams(n=n, p=p, h=h)
         platform = star_platform(p, bandwidth=1e12, latency=0.005)
-        config = MasterWorkerConfig(
-            overhead_model=OverheadModel.SERIALIZED_MASTER
-        )
         sim = MasterWorkerSimulation(
-            params, ConstantWorkload(0.05), platform=platform, config=config
+            params, ConstantWorkload(0.05), platform=platform,
+            overhead_model=OverheadModel.SERIALIZED_MASTER,
         )
         result = sim.run(make_factory("ss"))
         # Master must serialise n scheduling ops of h each.
@@ -38,11 +32,9 @@ class TestSerializedMasterWithLatency:
 
     def test_adaptive_over_serialized_master(self):
         params = SchedulingParams(n=512, p=4, h=0.05)
-        config = MasterWorkerConfig(
-            overhead_model=OverheadModel.SERIALIZED_MASTER
-        )
         sim = MasterWorkerSimulation(
-            params, ExponentialWorkload(1.0), config=config
+            params, ExponentialWorkload(1.0),
+            overhead_model=OverheadModel.SERIALIZED_MASTER,
         )
         result = sim.run(make_factory("awf-c"), seed=2)
         assert result.total_task_time > 0

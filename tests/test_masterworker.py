@@ -8,7 +8,6 @@ from repro.core.params import SchedulingParams
 from repro.core.registry import make_factory
 from repro.metrics.wasted_time import OverheadModel
 from repro.simgrid import (
-    MasterWorkerConfig,
     MasterWorkerSimulation,
     fast_network_platform,
     star_platform,
@@ -19,11 +18,11 @@ from conftest import BOLD_EIGHT
 
 
 def make_sim(n=100, p=4, h=0.5, workload=None, platform=None,
-             config=None) -> MasterWorkerSimulation:
+             **options) -> MasterWorkerSimulation:
     params = SchedulingParams(n=n, p=p, h=h, mu=1.0, sigma=1.0)
     return MasterWorkerSimulation(
         params, workload or ConstantWorkload(1.0), platform=platform,
-        config=config,
+        **options,
     )
 
 
@@ -73,15 +72,15 @@ class TestProtocol:
             sim.run(scheduler)
 
     def test_start_times_respected(self):
-        config = MasterWorkerConfig(start_times=[0.0, 50.0, 0.0, 0.0])
-        result = make_sim(n=20, h=0.0, config=config).run(make_factory("gss"))
+        result = make_sim(
+            n=20, h=0.0, start_times=[0.0, 50.0, 0.0, 0.0]
+        ).run(make_factory("gss"))
         # Worker 1 joins at t=50, after all 20 seconds of work is gone.
         assert result.chunks_per_worker[1] == 0
 
     def test_start_time_validation(self):
-        config = MasterWorkerConfig(start_times=[0.0])
         with pytest.raises(ValueError, match="start times"):
-            make_sim(config=config)
+            make_sim(start_times=[0.0])
 
     def test_adaptive_feedback_received(self):
         """AWF-C sees real chunk times piggy-backed on requests."""
@@ -104,17 +103,15 @@ class TestOverheadModels:
         assert result.average_wasted_time == pytest.approx(12.5, rel=1e-3)
 
     def test_per_worker_inflates_makespan(self):
-        config = MasterWorkerConfig(overhead_model=OverheadModel.PER_WORKER)
-        result = make_sim(config=config).run(make_factory("ss"))
+        result = make_sim(overhead_model=OverheadModel.PER_WORKER).run(
+            make_factory("ss")
+        )
         assert result.makespan == pytest.approx(37.5, rel=1e-6)
 
     def test_serialized_master_respects_h(self):
-        config = MasterWorkerConfig(
-            overhead_model=OverheadModel.SERIALIZED_MASTER
-        )
-        result = make_sim(n=4, p=4, h=2.0, config=config).run(
-            make_factory("ss")
-        )
+        result = make_sim(
+            n=4, p=4, h=2.0, overhead_model=OverheadModel.SERIALIZED_MASTER
+        ).run(make_factory("ss"))
         assert result.makespan == pytest.approx(9.0, rel=1e-6)
         assert result.extras["master_busy_time"] == pytest.approx(8.0)
 
@@ -139,7 +136,6 @@ class TestHeterogeneousPlatform:
 
 class TestChunkLogAndReplication:
     def test_chunk_log_recorded(self):
-        config = MasterWorkerConfig(record_chunks=True)
-        result = make_sim(config=config).run(make_factory("gss"))
+        result = make_sim(record_chunks=True).run(make_factory("gss"))
         assert len(result.chunk_log) == result.num_chunks
         assert sum(c.record.size for c in result.chunk_log) == 100

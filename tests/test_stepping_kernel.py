@@ -20,12 +20,7 @@ import pytest
 from repro.core.params import SchedulingParams
 from repro.core.registry import get_technique, technique_names
 from repro.core.schedule import closed_form_supported
-from repro.core.stepping import (
-    SteppingState,
-    ordered_sum,
-    stepping_state_for,
-    stepping_supported,
-)
+from repro.core.stepping import SteppingState, ordered_sum
 from repro.directsim import (
     BatchDirectSimulator,
     DirectSimulator,
@@ -85,17 +80,12 @@ def assert_bit_identical(got, want):
 class TestRegistry:
     @pytest.mark.parametrize("name", STEPPING)
     def test_stepping_supported(self, name):
-        assert stepping_supported(name)
-
-    def test_unregistered_technique_raises_key_error(self):
-        proto = get_technique("gss")(params())
-        with pytest.raises(KeyError, match="no batched stepping state"):
-            stepping_state_for(proto, 2)
+        assert get_technique(name).stepping_state is not None
 
     def test_state_rejects_nonpositive_reps(self):
         proto = get_technique("awf")(params())
         with pytest.raises(ValueError):
-            stepping_state_for(proto, 0)
+            proto.stepping_state(proto, 0)
 
     def test_ordered_sum_matches_sequential_accumulation(self):
         rng = np.random.default_rng(7)
@@ -228,16 +218,22 @@ class TestKernelChoice:
     ``direct``'s results for the same seeds."""
 
     @pytest.mark.parametrize("name", ("awf-c", "bold", "rnd"))
-    @pytest.mark.parametrize("p", (4, 64))
-    def test_each_side_of_the_rule_equals_direct(self, name, p):
+    @pytest.mark.parametrize("p, skewed", [
+        (4, False), (64, False), (4, True), (64, True),
+    ], ids=["4", "64", "4-skewed", "64-skewed"])
+    def test_each_side_of_the_rule_equals_direct(self, name, p, skewed):
+        """``skewed`` adds heterogeneous speeds and staggered starts,
+        which the narrow side's inherited ``run`` reads as well."""
         pr = params(n=700, p=p)
         workload = ExponentialWorkload(1.0)
+        kwargs = (dict(speeds=speeds_for(p), start_times=starts_for(p))
+                  if skewed else {})
         narrow, wide = widths_around_the_rule(p)
         assert narrow >= 1
-        scalar = DirectSimulator(pr, workload)
+        scalar = DirectSimulator(pr, workload, **kwargs)
         for reps, fast_path in ((narrow, False), (wide, True)):
             seeds = [np.random.SeedSequence([5, i]) for i in range(reps)]
-            got = BatchDirectSimulator(pr, workload).run_batch(
+            got = BatchDirectSimulator(pr, workload, **kwargs).run_batch(
                 get_technique(name), seeds
             )
             assert got == [scalar.run(get_technique(name), s) for s in seeds]
@@ -359,13 +355,13 @@ class TestCacheRegression:
 
 class TestCoverage:
     def test_stepping_plus_closed_form_cover_registry(self):
-        assert all(closed_form_supported(name) or stepping_supported(name)
-                   for name in technique_names())
+        """Each registered technique has exactly one of the two forms."""
+        for name in technique_names():
+            stepping = get_technique(name).stepping_state is not None
+            assert closed_form_supported(name) != stepping, name
 
     def test_stepping_states_subclass_base(self):
         for name in STEPPING:
-            proto_params = params(n=64, p=4)
-            state = stepping_state_for(
-                get_technique(name)(proto_params), 2
-            )
+            proto = get_technique(name)(params(n=64, p=4))
+            state = proto.stepping_state(proto, 2)
             assert isinstance(state, SteppingState)

@@ -109,6 +109,29 @@ class TestPlatformXml:
         with pytest.raises(ValueError, match="speed"):
             loads_platform(xml)
 
+    @pytest.mark.parametrize("xml, name", [
+        ('<platform id="root"><zone id="z" /></platform>', "root"),
+        ('<platform><zone id="z" /></platform>', "z"),
+        ('<platform><AS id="as" /></platform>', "as"),
+        ('<platform><zone id="a" /><zone id="b" /></platform>', "platform"),
+        ("<platform><zone /></platform>", "platform"),
+    ], ids=["root", "zone", "AS", "two-zones", "no-id"])
+    def test_platform_name(self, xml, name):
+        assert loads_platform(xml).name == name
+
+    def test_written_platform_reloads_under_its_own_name_and_keys(
+        self, tmp_path
+    ):
+        """A reloaded platform gets the seeds and cache keys of the
+        platform that wrote it."""
+        original = star_platform(8)
+        path = tmp_path / "platform.xml"
+        path.write_text(platform_to_xml(original))
+        back = load_platform(path)
+        assert back.name == original.name == "star-8"
+        assert platform_to_xml(back) == platform_to_xml(original)
+        assert keys(back) == keys(original)
+
     def test_roundtrip(self):
         original = star_platform(3, bandwidth=1e6, latency=1e-4)
         text = platform_to_xml(original)
